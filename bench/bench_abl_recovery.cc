@@ -1,4 +1,4 @@
-// Ablation: crash-recovery replay time (wall clock, threaded MiniCluster,
+// Ablation: crash-recovery replay time (wall clock, Direct MiniCluster,
 // not the DES). Sweeps the amount of durably ingested data and the number
 // of virtual logs; recovery replays the crashed broker's virtual segments
 // from the surviving backups into new leaders. More vlogs scatter the
@@ -31,7 +31,7 @@ void BM_RecoveryReplay(benchmark::State& state) {
     state.PauseTiming();
     MiniClusterConfig cfg;
     cfg.nodes = 4;
-    cfg.workers_per_node = 0;  // deterministic
+    cfg.transport = MiniClusterTransport::kDirect;  // deterministic
     cfg.segment_size = 128 << 10;
     cfg.virtual_segment_capacity = 128 << 10;
     cfg.vlogs_per_broker = vlogs;

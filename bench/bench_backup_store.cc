@@ -63,7 +63,7 @@ void BM_BackupGroupCommitFlush(benchmark::State& state) {
   // Throughput-oriented pacing: a wider group window lets the flusher
   // coalesce the whole burst (the 2 ms default optimizes durability lag;
   // these are the knobs a backup-heavy deployment would turn).
-  BackupConfig cfg{.node = 2, .storage_dir = dir};
+  BackupConfig cfg{.node = 2, .storage_dir = dir, .log = {}};
   cfg.log.flush_interval_us = 50'000;
   cfg.log.flush_batch_bytes = 32u << 20;
   for (auto _ : state) {

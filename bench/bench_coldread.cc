@@ -46,7 +46,7 @@ struct BenchCluster {
   explicit BenchCluster(size_t budget, const char* tag) {
     MiniClusterConfig cfg;
     cfg.nodes = 3;
-    cfg.workers_per_node = 0;
+    cfg.transport = MiniClusterTransport::kDirect;
     cfg.transport = MiniClusterTransport::kDirect;
     cfg.segment_size = 16 << 10;
     cfg.segments_per_group = 2;

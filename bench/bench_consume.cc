@@ -1,10 +1,11 @@
 // Consumer fetch-engine benchmarks: end-to-end consume throughput and
 // Poll latency against a real MiniCluster, varying the fetch pipeline
-// depth (1 = the serial pre-pipelining engine) and the broker count, on
-// both the Direct (inline) and Socket (loopback TCP) transports; plus
-// the idle-stream RPC rate with and without broker long-poll.
+// depth (requests in flight per broker; 1 = one at a time) and the
+// broker count, on both the Direct (inline) and Socket (loopback TCP)
+// transports; plus the idle-stream RPC rate with and without broker
+// long-poll.
 //
-//   ./bench_consume --benchmark_out=BENCH_consume.json \
+//   ./bench_consume --benchmark_out=BENCH_consume.json
 //                   --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
@@ -34,7 +35,6 @@ std::unique_ptr<MiniCluster> MakeCluster(bool socket, uint32_t brokers) {
   cfg.nodes = brokers;
   cfg.transport = socket ? MiniClusterTransport::kSocket
                          : MiniClusterTransport::kDirect;
-  cfg.workers_per_node = socket ? 4 : 0;
   return std::make_unique<MiniCluster>(cfg);
 }
 
@@ -132,12 +132,11 @@ BENCHMARK(BM_ConsumeThroughput)
 // Tailing a live stream across 4 brokers: a producer emits one
 // timestamped record every 2 ms round-robin over the streamlets while
 // the consumer tails. Reported: end-to-end delivery latency quantiles
-// (produce -> Poll) and the RPC counts. This is where the engine shape
-// shows: the serial engine with long-poll head-of-line blocks — an idle
-// broker parks the single fetch thread while another broker has data —
-// whereas per-broker workers park each long-poll on its own broker.
-// wait_us=0 on depth 1 is the pre-pipelining baseline (idle-backoff
-// polling: decent latency, an RPC flood).
+// (produce -> Poll) and the RPC counts. Every depth runs one fetch
+// worker per broker, so an idle broker's parked long-poll never holds
+// up another broker's data; depth only sets how many requests each
+// worker keeps in flight. wait_us=0 is idle-backoff polling (decent
+// latency, an RPC flood).
 void BM_TailLatency(benchmark::State& state) {
   const bool socket = state.range(0) != 0;
   const uint32_t depth = uint32_t(state.range(1));

@@ -95,7 +95,7 @@ void BM_MttrModeled(benchmark::State& state) {
     state.PauseTiming();
     MiniClusterConfig cfg;
     cfg.nodes = nodes;
-    cfg.workers_per_node = 0;  // DirectNetwork, serial + modeled
+    cfg.transport = MiniClusterTransport::kDirect;  // serial + modeled
     cfg.segment_size = 64 << 10;
     cfg.virtual_segment_capacity = 32 << 10;
     cfg.vlogs_per_broker = 8;
@@ -145,7 +145,7 @@ void BM_Mttr512Segments(benchmark::State& state) {
     state.PauseTiming();
     MiniClusterConfig cfg;
     cfg.nodes = 5;
-    cfg.workers_per_node = 0;
+    cfg.transport = MiniClusterTransport::kDirect;
     cfg.segment_size = 32 << 10;
     cfg.virtual_segment_capacity = 8 << 10;  // ~8 chunks per vseg
     cfg.vlogs_per_broker = 16;
@@ -196,7 +196,6 @@ void BM_MttrSocket(benchmark::State& state) {
     state.PauseTiming();
     MiniClusterConfig cfg;
     cfg.nodes = 4;
-    cfg.workers_per_node = 2;
     cfg.transport = MiniClusterTransport::kSocket;
     cfg.segment_size = 32 << 10;
     cfg.virtual_segment_capacity = 16 << 10;

@@ -1,6 +1,6 @@
-// Transport round-trip benchmarks over loopback TCP (SocketNetwork) vs
-// the in-process ThreadedNetwork, with a configurable multiplexing window
-// (in-flight requests per connection) and payload size. The parts
+// Transport round-trip benchmarks over loopback TCP (SocketNetwork), with
+// a configurable multiplexing window (in-flight requests per connection)
+// and payload size. The parts
 // variants ship a real encoded kProduce frame through CallAsyncParts —
 // the zero-materialization path the producer and replicator use.
 #include <benchmark/benchmark.h>
@@ -87,20 +87,6 @@ void BM_SocketEcho(benchmark::State& state) {
               [&] { return net.CallAsync(1, payload); });
 }
 BENCHMARK(BM_SocketEcho)
-    ->ArgsProduct({{1, 8, 32}, {128, 4096}})
-    ->ArgNames({"window", "bytes"});
-
-void BM_ThreadedEcho(benchmark::State& state) {
-  rpc::ThreadedNetwork net(4);
-  EchoHandler echo;
-  net.Register(1, &echo);
-  const int window = int(state.range(0));
-  std::vector<std::byte> payload(size_t(state.range(1)), std::byte{0x5A});
-  RunWindowed(state, window, payload.size(),
-              [&] { return net.CallAsync(1, payload); });
-  net.Shutdown();
-}
-BENCHMARK(BM_ThreadedEcho)
     ->ArgsProduct({{1, 8, 32}, {128, 4096}})
     ->ArgNames({"window", "bytes"});
 

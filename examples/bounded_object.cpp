@@ -16,7 +16,6 @@ using namespace kera;
 int main() {
   MiniClusterConfig cluster_config;
   cluster_config.nodes = 3;
-  cluster_config.workers_per_node = 2;
   MiniCluster cluster(cluster_config);
 
   rpc::StreamOptions options;

@@ -1,9 +1,10 @@
-// KerA vs the Kafka model on the REAL (threaded) substrates — not the
-// simulation. Runs the same workload through both systems and prints the
-// replication RPC accounting: the virtual log consolidates many small
-// per-partition replication RPCs into few large ones; the Kafka model
-// issues pull-based fetches per partition. (Wall-clock throughput on a
-// laptop is not meaningful — the interesting output is the I/O shape.)
+// KerA vs the Kafka model on the REAL substrates (the broker, virtual
+// log and Kafka-model code, in process) — not the simulation. Runs the
+// same workload through both systems and prints the replication RPC
+// accounting: the virtual log consolidates many small per-partition
+// replication RPCs into few large ones; the Kafka model issues pull-based
+// fetches per partition. (Wall-clock throughput on a laptop is not
+// meaningful — the interesting output is the I/O shape.)
 //
 //   $ ./example_kera_vs_kafka [streams]
 #include <cstdio>
@@ -49,7 +50,7 @@ struct Shape {
 Shape RunKerA(uint32_t streams) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.vlogs_per_broker = 4;
   cfg.replication_max_batch_bytes = 64 << 10;
   MiniCluster cluster(cfg);

@@ -27,7 +27,6 @@ std::span<const std::byte> AsBytes(const std::string& s) {
 int main() {
   MiniClusterConfig cluster_config;
   cluster_config.nodes = 3;
-  cluster_config.workers_per_node = 2;
   MiniCluster cluster(cluster_config);
 
   rpc::StreamOptions options;

@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
 
   MiniClusterConfig cluster_config;
   cluster_config.nodes = 4;
-  cluster_config.workers_per_node = 2;
   cluster_config.vlogs_per_broker = vlogs;
   MiniCluster cluster(cluster_config);
 

@@ -16,7 +16,6 @@ int main() {
   // A 3-node cluster: each node hosts a broker and a backup service.
   MiniClusterConfig cluster_config;
   cluster_config.nodes = 3;
-  cluster_config.workers_per_node = 2;
   MiniCluster cluster(cluster_config);
 
   // A stream with 2 partitions (streamlets), replicated 3 times. The

@@ -19,16 +19,20 @@ cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build" -j
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
-echo "== ThreadSanitizer build (vlog + broker + client + consume suites) =="
+echo "== ThreadSanitizer build (vlog + broker + client + socket-cluster suites) =="
+# MiniCluster defaults to the socket transport, so the integration, soak
+# and bounded-stream suites run real dispatch/worker threads too.
 cmake -B "$tsan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$tsan_build" -j --target \
   vlog_test vlog_property_test broker_test client_test client_edge_test \
-  consume_protocol_test transport_test exactly_once_test
+  consume_protocol_test transport_test exactly_once_test integration_test \
+  soak_test bounded_stream_test failure_test
 for t in vlog_test vlog_property_test broker_test client_test \
          client_edge_test consume_protocol_test transport_test \
-         exactly_once_test; do
+         exactly_once_test integration_test soak_test bounded_stream_test \
+         failure_test; do
   echo "-- TSan: $t"
   "$tsan_build/tests/$t"
 done
@@ -60,7 +64,10 @@ echo "== chaos: bounded schedule sweeps under both sanitizers =="
 # The full 200-schedule sweep runs in the regular suite above (ctest label
 # "chaos"); under the sanitizers a bounded band keeps the stage fast while
 # still driving crashes, partitions and recovery through the instrumented
-# build. KERA_CHAOS_SCHEDULES/KERA_CHAOS_EVENTS bound the gtest sweep.
+# build. KERA_CHAOS_SCHEDULES/KERA_CHAOS_EVENTS bound the gtest sweep; the
+# unfiltered runs also check ChaosDeterminism.TraceDigestPinned, whose
+# fixed seed band ignores both, so the pinned trace digests must hold
+# under each sanitizer too.
 cmake --build "$tsan_build" -j --target chaos_test
 echo "-- TSan: chaos_test (bounded)"
 KERA_CHAOS_SCHEDULES=40 KERA_CHAOS_EVENTS=40 "$tsan_build/tests/chaos_test"
@@ -93,8 +100,8 @@ cmake --build "$asan_build" -j --target exactly_once_test
 "$asan_build/tests/exactly_once_test"
 
 echo "== recovery: parallel crash-recovery suites under TSan =="
-# The recovery engine spawns real lane/read threads on the threaded and
-# socket transports; the recovery + migration suites drive scatter
+# The recovery engine spawns real lane/read threads on the socket
+# transport; the recovery + migration suites drive scatter
 # placement, batched backup reads and lane replay under TSan.
 cmake --build "$tsan_build" -j --target \
   recovery_property_test coordinator_test migration_test

@@ -182,14 +182,16 @@ rpc::ReplicateResponse Backup::HandleReplicate(
   }
   if (req.start_offset < seg.data.size() ||
       (req.payload.empty() && req.start_offset == seg.data.size())) {
-    if (req.payload.empty() && req.seals && !seg.sealed &&
+    if (req.payload.empty() && req.seals &&
         req.start_offset < seg.data.size()) {
       // Seal below our size: the primary aborted a batch we had already
       // applied and evacuated its refs to a fresh segment, then sealed
       // this one at its retained length. The surplus suffix is disowned
       // (its chunks live in the evacuation target now) — truncate to the
       // sealed length and re-derive the prefix checksum, or this copy
-      // would diverge forever and reject the seal on every retry.
+      // would diverge forever and reject the seal on every retry. This
+      // holds even when the aborted batch was the sealing one and we
+      // sealed at its end: only the primary's last seal is final.
       uint32_t crc = 0;
       uint32_t chunks = 0;
       std::span<const std::byte> scan{seg.data.data(),
@@ -211,6 +213,7 @@ rpc::ReplicateResponse Backup::HandleReplicate(
       seg.chunk_count = chunks;
       seg.running_checksum = crc;
       seg.pending.clear();  // buffered suffixes are part of the disowned tail
+      seg.sealed = false;   // re-sealed (and logged) at the retained length
       if (log_ != nullptr) {
         log_->EnqueueTruncate(LogKey(key), req.start_offset, chunks, crc);
       }

@@ -809,8 +809,8 @@ Status Broker::ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch) {
         try {
           return f.get();
         } catch (const std::future_error&) {
-          // The threaded network was shut down with the call in flight
-          // (its queue dropped the work and broke the promise).
+          // A network torn down with the call in flight may break the
+          // promise instead of failing it.
           return Status(StatusCode::kUnavailable, "network stopped");
         }
       }();

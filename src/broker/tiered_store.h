@@ -60,7 +60,7 @@ struct TieredStoreOptions {
   uint32_t readahead_segments = 2;
   uint32_t shards = 1;
   /// Run readahead on a background thread. Only for transports that are
-  /// already non-deterministic (threaded/socket); the deterministic paths
+  /// already non-deterministic (socket); the deterministic paths
   /// prefetch inline so the cache state is a function of the schedule.
   bool async_readahead = false;
   /// Spill-log flush pacing (group-commit knobs shared with backups).
@@ -212,7 +212,7 @@ class TieredStore {
   std::atomic<uint64_t> readahead_hits_{0};
   std::atomic<uint64_t> readahead_loads_{0};
 
-  // Async readahead (socket/threaded transports only).
+  // Async readahead (socket transport only).
   std::mutex ra_mu_;
   std::condition_variable ra_cv_;
   std::deque<SegmentLog::CopyKey> ra_queue_;

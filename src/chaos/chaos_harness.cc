@@ -119,7 +119,6 @@ class Harness {
   bool Setup() {
     MiniClusterConfig cfg;
     cfg.nodes = sched_.nodes;
-    cfg.workers_per_node = 0;
     cfg.broker_memory_bytes = 64u << 20;
     // Tiny geometry: a handful of chunks rolls segments, groups and
     // virtual segments, so every schedule exercises rotation, sealing and
@@ -177,11 +176,11 @@ class Harness {
     }
     cfg.external_network = &net_;
     cfg.external_register = [this](NodeId n, rpc::RpcHandler* h) {
-      net_.Register(n, h);
+      direct_.Register(n, h);
     };
-    cfg.external_crash = [this](NodeId n) { net_.Crash(n); };
+    cfg.external_crash = [this](NodeId n) { direct_.Crash(n); };
     cfg.external_restore = [this](NodeId n, rpc::RpcHandler* h) {
-      net_.Restore(n, h);
+      direct_.Restore(n, h);
     };
     cluster_ = std::make_unique<MiniCluster>(cfg);
 

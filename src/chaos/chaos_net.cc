@@ -1,22 +1,13 @@
 #include "chaos/chaos_net.h"
 
 #include <algorithm>
+#include <future>
 #include <utility>
 
 namespace kera::chaos {
 
-ChaosNetwork::ChaosNetwork(rpc::DirectNetwork& inner, uint64_t seed)
+ChaosNetwork::ChaosNetwork(rpc::Network& inner, uint64_t seed)
     : inner_(inner), rng_(seed) {}
-
-void ChaosNetwork::Register(NodeId node, rpc::RpcHandler* handler) {
-  inner_.Register(node, handler);
-}
-
-void ChaosNetwork::Crash(NodeId node) { inner_.Crash(node); }
-
-void ChaosNetwork::Restore(NodeId node, rpc::RpcHandler* handler) {
-  inner_.Restore(node, handler);
-}
 
 void ChaosNetwork::SetEdgePolicy(NodeId to, const EdgePolicy& policy) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -87,6 +78,7 @@ bool ChaosNetwork::AdmitCall(NodeId to, bool& duplicate, bool& drop_response,
                   rng_.NextDouble() < p.duplicate_request;
       drop_response = p.drop_response > 0.0 &&
                       rng_.NextDouble() < p.drop_response;
+      if (drop_response) ++stats_.dropped_responses;
     }
   }
   if (clock_advanced && hook) hook(clock_now);
@@ -95,38 +87,43 @@ bool ChaosNetwork::AdmitCall(NodeId to, bool& duplicate, bool& drop_response,
 
 Result<std::vector<std::byte>> ChaosNetwork::Call(
     NodeId to, std::span<const std::byte> request) {
+  return CallAsync(to, request).get();
+}
+
+std::future<Result<std::vector<std::byte>>> ChaosNetwork::CallAsync(
+    NodeId to, std::span<const std::byte> request) {
   bool duplicate = false;
   bool drop_response = false;
   Status error = OkStatus();
-  if (!AdmitCall(to, duplicate, drop_response, error)) return error;
-  auto result = inner_.Call(to, request);
+  if (!AdmitCall(to, duplicate, drop_response, error)) {
+    std::promise<Result<std::vector<std::byte>>> promise;
+    promise.set_value(std::move(error));
+    return promise.get_future();
+  }
+  auto result = inner_.CallAsync(to, request);
   if (duplicate) {
     // A retransmission: the handler sees the frame again right away (its
     // response goes nowhere), and one more copy is held for late, shuffled
-    // re-delivery at the next ReleaseHeld().
+    // re-delivery at the next ReleaseHeld(). It is held after the original
+    // is issued: over DirectNetwork, frames held by the handler's nested
+    // calls stay ahead of it.
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.duplicated_requests;
       held_.push_back({to, std::vector<std::byte>(request.begin(),
                                                   request.end())});
     }
-    (void)inner_.Call(to, request);
+    (void)inner_.CallAsync(to, request);
   }
-  if (drop_response) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.dropped_responses;
-    return Status(StatusCode::kUnavailable, "chaos: response dropped");
-  }
-  return result;
-}
-
-std::future<Result<std::vector<std::byte>>> ChaosNetwork::CallAsync(
-    NodeId to, std::span<const std::byte> request) {
-  // The harness is single-threaded: resolve inline and hand back a ready
-  // future, keeping fault-coin order identical to issue order.
-  std::promise<Result<std::vector<std::byte>>> promise;
-  promise.set_value(Call(to, request));
-  return promise.get_future();
+  if (!drop_response) return result;
+  // The inner call is already in flight; the loss shows when the caller
+  // collects the result, once the handler has run.
+  return std::async(
+      std::launch::deferred,
+      [f = std::move(result)]() mutable -> Result<std::vector<std::byte>> {
+        (void)f.get();
+        return Status(StatusCode::kUnavailable, "chaos: response dropped");
+      });
 }
 
 std::future<Result<std::vector<std::byte>>> ChaosNetwork::CallAsyncParts(

@@ -1,15 +1,21 @@
-// ChaosNetwork: the chaos harness's network decorator. Extends the
-// FlakyNetwork idea with per-edge fault policies (per destination service:
-// request/response drops, request duplication, bounded delays), hard
-// partitions, a virtual clock advanced by the injected delays, and held
-// duplicate frames that can be re-delivered late and shuffled — the
-// deterministic stand-in for reordered retransmissions.
+// ChaosNetwork: the fault-injection decorator, wrapping any rpc::Network.
+// Per-edge fault policies (per destination service: request/response
+// drops, request duplication, bounded delays), hard partitions, a virtual
+// clock advanced by the injected delays, and held duplicate frames that
+// can be re-delivered late and shuffled — the deterministic stand-in for
+// reordered retransmissions.
+//
+// Calls forward to the inner network's CallAsync, so fan-out over a real
+// transport (SocketNetwork) stays parallel. A dropped response is applied
+// when the caller collects the result, after the handler has run.
+// Services register, crash and restore on the inner network directly.
 //
 // Determinism contract: all fault coins come from one seeded Xoshiro256
-// drawn in call-issue order under a single lock, so a single-threaded
-// harness replays byte-identically from the seed. Delays never sleep; they
-// only advance the virtual clock (and notify the optional clock hook), so
-// wall-clock time never leaks into a schedule.
+// drawn in call-issue order under a single lock. Over a DirectNetwork,
+// whose calls resolve inline, a single-threaded harness therefore replays
+// byte-identically from the seed. Delays never sleep; they only advance
+// the virtual clock (and notify the optional clock hook), so wall-clock
+// time never leaks into a schedule.
 #pragma once
 
 #include <deque>
@@ -35,12 +41,8 @@ class ChaosNetwork final : public rpc::Network {
     uint64_t max_delay_us = 0;      // virtual-clock delay drawn in [0, max]
   };
 
-  ChaosNetwork(rpc::DirectNetwork& inner, uint64_t seed);
-
-  // Registration passthrough (MiniCluster external-network hooks).
-  void Register(NodeId node, rpc::RpcHandler* handler);
-  void Crash(NodeId node);
-  void Restore(NodeId node, rpc::RpcHandler* handler);
+  /// `inner` must outlive the decorator.
+  ChaosNetwork(rpc::Network& inner, uint64_t seed);
 
   /// Installs the fault policy for calls addressed to `to` (replaces any
   /// previous policy for that edge).
@@ -103,7 +105,7 @@ class ChaosNetwork final : public rpc::Network {
                  Status& error);
   void AdvanceClockLocked(uint64_t delta_us, uint64_t& now_out);
 
-  rpc::DirectNetwork& inner_;
+  rpc::Network& inner_;
   mutable std::mutex mu_;
   Xoshiro256 rng_;
   std::map<NodeId, EdgePolicy> policies_;

@@ -57,12 +57,10 @@ struct ConsumerConfig {
   /// when long-poll is disabled (fetch_max_wait_us == 0) or a broker is
   /// unreachable; with long-poll the broker paces the consumer.
   uint64_t idle_backoff_us = 200;
-  /// Consume RPCs kept in flight per broker. 1 selects the serial engine
-  /// (one thread, one blocking RPC at a time across all brokers — the
-  /// pre-pipelining baseline); >1 runs one fetch worker per broker that
-  /// stripes the broker's active groups over up to this many concurrent
-  /// requests, so fetch overlaps decode/Poll and brokers never serialize
-  /// on each other.
+  /// Consume RPCs kept in flight per broker (>= 1). One fetch worker per
+  /// broker stripes the broker's active groups over up to this many
+  /// concurrent requests, so fetch overlaps decode/Poll and brokers never
+  /// serialize on each other.
   uint32_t fetch_pipeline_depth = 4;
   /// Byte budget of the prefetch window, per broker: once this many
   /// fetched-but-unpolled bytes are buffered for a broker, its fetch

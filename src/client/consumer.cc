@@ -208,12 +208,8 @@ Status Consumer::Connect() {
   }
 
   running_.store(true, std::memory_order_release);
-  if (config_.fetch_pipeline_depth == 1) {
-    requests_thread_ = std::thread([this] { SerialFetchLoop(); });
-    return OkStatus();
-  }
-  // Pipelined engine: one fetch worker per leader broker, so brokers are
-  // fetched in parallel even on transports whose CallAsync runs inline.
+  // One fetch worker per leader broker, so brokers are fetched in
+  // parallel even on transports whose CallAsync runs inline.
   std::map<NodeId, std::vector<StreamletId>> by_broker;
   for (StreamletId sl : assigned_) {
     by_broker[info_.streamlet_brokers[sl]].push_back(sl);
@@ -321,80 +317,6 @@ bool Consumer::ProcessResponse(NodeId broker, std::vector<std::byte> raw) {
   }
   if (!got_data) empty_responses_.fetch_add(1, std::memory_order_relaxed);
   return got_data;
-}
-
-void Consumer::SerialFetchLoop() {
-  bool idle = false;  // last round returned no data -> long-poll next
-  while (running_.load(std::memory_order_acquire)) {
-    // One request per broker covering every (streamlet, active group) this
-    // consumer is reading; when nothing is open, a discovery entry probes
-    // the next unopened group so new groups and end-of-stream are noticed.
-    std::map<NodeId, rpc::ConsumeRequest> per_broker;
-    size_t done_count = 0;
-    for (StreamletId sl : assigned_) {
-      StreamletState& state = states_.find(sl)->second;
-      if (state.done) {
-        ++done_count;
-        continue;
-      }
-      OpenDiscoveredGroups(state);
-      NodeId broker = info_.streamlet_brokers[sl];
-      auto& req = per_broker[broker];
-      req.stream = info_.stream;
-      req.max_bytes = config_.max_bytes_per_request;
-      if (state.active.empty()) {
-        rpc::ConsumeEntryRequest e;
-        e.streamlet = sl;
-        e.group = state.next_unstarted;
-        e.start_chunk = 0;
-        e.max_chunks = config_.max_chunks_per_entry;
-        req.entries.push_back(e);
-      } else {
-        for (const auto& [group, cursor] : state.active) {
-          rpc::ConsumeEntryRequest e;
-          e.streamlet = sl;
-          e.group = group;
-          e.start_chunk = cursor;
-          e.max_chunks = config_.max_chunks_per_entry;
-          req.entries.push_back(e);
-        }
-      }
-    }
-
-    if (done_count == assigned_.size()) {
-      // Bounded stream fully drained: stop fetching.
-      finished_.store(true, std::memory_order_release);
-      fetched_.Shutdown();
-      return;
-    }
-    bool got_data = false;
-    for (auto& [broker, req] : per_broker) {
-      // Flow control: don't fetch more for a broker whose buffered bytes
-      // already exceed the prefetch budget.
-      if (!fetched_.WaitBelowBudget(broker, config_.fetch_buffer_bytes)) {
-        return;
-      }
-      if (idle) {
-        req.max_wait_us = config_.fetch_max_wait_us;
-        req.min_bytes = config_.fetch_min_bytes;
-      }
-      rpc::Writer body;
-      req.Encode(body);
-      auto raw =
-          network_.Call(broker, rpc::Frame(rpc::Opcode::kConsume, body));
-      requests_sent_.fetch_add(1, std::memory_order_relaxed);
-      if (!raw.ok()) continue;  // broker down; retry next round
-      got_data |= ProcessResponse(broker, std::move(*raw));
-    }
-    if (got_data) {
-      idle = false;
-    } else if (config_.fetch_max_wait_us > 0) {
-      idle = true;  // the broker paces us via long-poll
-    } else {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.idle_backoff_us));
-    }
-  }
 }
 
 void Consumer::BrokerFetchLoop(NodeId broker,
@@ -697,7 +619,6 @@ bool Consumer::Finished() const {
 void Consumer::Close() {
   if (!running_.exchange(false)) return;
   fetched_.Shutdown();
-  if (requests_thread_.joinable()) requests_thread_.join();
   for (auto& t : fetch_threads_) {
     if (t.joinable()) t.join();
   }

@@ -1,4 +1,4 @@
-// Consumer client (paper Fig. 7), rebuilt as a pipelined fetch engine.
+// Consumer client (paper Fig. 7), built as a pipelined fetch engine.
 // One fetch worker per broker issues consume RPCs asynchronously, keeping
 // up to ConsumerConfig::fetch_pipeline_depth requests in flight by
 // striping the broker's active (streamlet, group) cursors across them —
@@ -8,7 +8,8 @@
 // prefetch when too much data sits unpolled and resumes it when Poll()
 // drains. Workers with nothing buffered fall back to a single broker-side
 // long-poll request (fetch_max_wait_us) instead of spinning on empty
-// responses. fetch_pipeline_depth == 1 selects the legacy serial engine.
+// responses. Depth 1 is the same engine with one request per broker in
+// flight.
 //
 // Groups are independently consumable units (paper §IV.A): within one
 // streamlet, several groups are read in parallel (Q > 1 appends create
@@ -147,11 +148,8 @@ class Consumer {
     bool shutdown_ = false;
   };
 
-  /// Serial engine (fetch_pipeline_depth == 1): one thread, one blocking
-  /// RPC at a time across all brokers — the pre-pipelining baseline.
-  void SerialFetchLoop();
-  /// Pipelined engine: per-broker worker striping available cursors over
-  /// up to fetch_pipeline_depth concurrent CallAsync requests.
+  /// Per-broker fetch worker: stripes the available cursors over up to
+  /// fetch_pipeline_depth concurrent CallAsync requests.
   void BrokerFetchLoop(NodeId broker,
                        const std::vector<StreamletId>& streamlets);
   /// Decodes one consume response and applies it; returns true when any
@@ -190,8 +188,7 @@ class Consumer {
   std::atomic<bool> finished_{false};
   std::atomic<size_t> done_streamlets_{0};
   std::atomic<size_t> active_fetch_workers_{0};
-  std::thread requests_thread_;             // serial engine
-  std::vector<std::thread> fetch_threads_;  // pipelined engine
+  std::vector<std::thread> fetch_threads_;  // one per leader broker
 
   // Source-side state: partially consumed chunk queue.
   std::deque<ConsumedRecord> buffered_;

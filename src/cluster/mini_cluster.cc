@@ -33,8 +33,7 @@ BrokerConfig MiniCluster::BrokerConfigFor(NodeId node) const {
   // Prefetch threads only where the transport is already nondeterministic;
   // Direct and external (DES/chaos) networks keep readahead inline so the
   // cold-cache state is a pure function of the schedule.
-  bc.async_readahead =
-      threaded_ != nullptr || socket_ != nullptr;
+  bc.async_readahead = socket_ != nullptr;
   for (NodeId n = 1; n <= config_.nodes; ++n) {
     bc.backup_nodes.push_back(BackupServiceId(n));
   }
@@ -87,8 +86,6 @@ std::string MiniCluster::SpillDirFor(NodeId node) const {
 void MiniCluster::RegisterOnNetwork(NodeId service, rpc::RpcHandler* handler) {
   if (config_.external_network != nullptr) {
     config_.external_register(service, handler);
-  } else if (threaded_ != nullptr) {
-    threaded_->Register(service, handler);
   } else if (socket_ != nullptr) {
     // Brokers and backups get the shared-nothing reactor shape: one
     // server shard per broker shard, with data-plane frames routed to the
@@ -112,8 +109,6 @@ void MiniCluster::RegisterOnNetwork(NodeId service, rpc::RpcHandler* handler) {
 void MiniCluster::CrashOnNetwork(NodeId service) {
   if (config_.external_network != nullptr) {
     config_.external_crash(service);
-  } else if (threaded_ != nullptr) {
-    threaded_->Crash(service);
   } else if (socket_ != nullptr) {
     socket_->Crash(service);
   } else {
@@ -124,8 +119,6 @@ void MiniCluster::CrashOnNetwork(NodeId service) {
 void MiniCluster::RestoreOnNetwork(NodeId service, rpc::RpcHandler* handler) {
   if (config_.external_network != nullptr) {
     config_.external_restore(service, handler);
-  } else if (threaded_ != nullptr) {
-    threaded_->Restore(service, handler);
   } else if (socket_ != nullptr) {
     auto port = socket_->Restore(service, handler);
     if (!port.ok()) {
@@ -153,49 +146,24 @@ MiniCluster::MiniCluster(MiniClusterConfig config)
       if (v > 0) config_.recovery_parallelism = uint32_t(v);
     }
   }
-  // Real recovery threads only where the whole RPC path tolerates
-  // concurrent callers: the Threaded and Socket transports. Direct and
-  // external networks (the DES / chaos harness decorates a DirectNetwork
-  // with single-threaded virtual-clock machinery) stay serial — recovery
-  // models the parallel makespan there instead.
-  bool recovery_threads = false;
   if (config_.external_network != nullptr) {
     network_ = config_.external_network;
+  } else if (config_.transport == MiniClusterTransport::kSocket) {
+    socket_ = std::make_unique<rpc::SocketNetwork>();
+    network_ = socket_.get();
   } else {
-    MiniClusterTransport transport = config_.transport;
-    if (transport == MiniClusterTransport::kAuto) {
-      transport = config_.workers_per_node > 0
-                      ? MiniClusterTransport::kThreaded
-                      : MiniClusterTransport::kDirect;
-    }
-    recovery_threads = transport == MiniClusterTransport::kThreaded ||
-                       transport == MiniClusterTransport::kSocket;
-    switch (transport) {
-      case MiniClusterTransport::kAuto:  // resolved above
-      case MiniClusterTransport::kThreaded:
-        threaded_ =
-            std::make_unique<rpc::ThreadedNetwork>(config_.workers_per_node);
-        network_ = threaded_.get();
-        break;
-      case MiniClusterTransport::kDirect:
-        direct_ = std::make_unique<rpc::DirectNetwork>();
-        network_ = direct_.get();
-        break;
-      case MiniClusterTransport::kSocket: {
-        rpc::SocketNetwork::Options opts;
-        if (config_.workers_per_node > 0) {
-          opts.workers_per_node = config_.workers_per_node;
-        }
-        socket_ = std::make_unique<rpc::SocketNetwork>(opts);
-        network_ = socket_.get();
-        break;
-      }
-    }
+    direct_ = std::make_unique<rpc::DirectNetwork>();
+    network_ = direct_.get();
   }
   CoordinatorConfig cc;
   cc.recovery_parallelism = config_.recovery_parallelism;
   cc.recovery_read_batch = config_.recovery_read_batch;
-  cc.recovery_use_threads = recovery_threads;
+  // Real recovery threads only on the socket transport, whose RPC path
+  // tolerates concurrent callers. Direct and external networks (the chaos
+  // harness decorates a DirectNetwork with single-threaded virtual-clock
+  // machinery) stay serial — recovery models the parallel makespan there
+  // instead.
+  cc.recovery_use_threads = socket_ != nullptr;
   coordinator_ = std::make_unique<Coordinator>(*network_, cc);
 
   incarnations_.assign(config_.nodes, 0);
@@ -221,7 +189,6 @@ MiniCluster::~MiniCluster() {
   // handler thread parked until its poll deadline.
   for (auto& b : brokers_) b->StopConsumeWaits();
   for (auto& b : brokers_) b->StopReplicator();
-  if (threaded_ != nullptr) threaded_->Shutdown();
   if (socket_ != nullptr) socket_->Shutdown();
 }
 
@@ -232,13 +199,13 @@ std::vector<NodeId> MiniCluster::BrokerNodes() const {
 }
 
 void MiniCluster::CrashNode(NodeId node) {
+  // Fail parked long-polls first: handler threads inside HandleConsume
+  // would otherwise sleep until their poll deadline, and the socket
+  // transport's Crash waits for the node's running handlers (a later
+  // restart swaps in a fresh broker whose parking works again).
+  brokers_[node - 1]->StopConsumeWaits();
   CrashOnNetwork(node);
   CrashOnNetwork(BackupServiceId(node));
-  // Fail parked long-polls now: the transport no longer delivers to this
-  // broker, but handler threads already inside HandleConsume would
-  // otherwise sleep until their poll deadline (and a later restart swaps
-  // in a fresh broker whose parking works again).
-  brokers_[node - 1]->StopConsumeWaits();
   // A real crash loses the process-local spill log with the process; the
   // broker's durable data lives on the backups. Delete the node's whole
   // spill tree (all incarnations) so recovery provably never reads it.

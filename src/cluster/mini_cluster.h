@@ -1,7 +1,8 @@
 // MiniCluster: an in-process KerA cluster — one coordinator plus N nodes,
-// each hosting a broker and a backup service — wired over a ThreadedNetwork
-// (dispatch/worker threads per node) or a DirectNetwork (deterministic,
-// single-threaded). Used by integration tests and the examples.
+// each hosting a broker and a backup service — wired over a SocketNetwork
+// (loopback TCP, dispatch IO thread + worker pool per node; the default)
+// or a DirectNetwork (deterministic, handlers run inline on the caller).
+// Used by integration tests, benches and the examples.
 #pragma once
 
 #include <functional>
@@ -19,22 +20,16 @@ namespace kera {
 
 /// Which Network implementation carries the cluster's RPCs.
 enum class MiniClusterTransport {
-  /// Legacy selection: workers_per_node > 0 -> kThreaded, else kDirect.
-  kAuto,
   /// DirectNetwork: handler runs inline on the caller thread.
   kDirect,
-  /// ThreadedNetwork: in-process queues + worker threads per node.
-  kThreaded,
-  /// SocketNetwork: real TCP over loopback, multiplexed framing.
+  /// SocketNetwork: real TCP over loopback, multiplexed framing, with
+  /// SocketNetwork::Options' default worker pool per node.
   kSocket,
 };
 
 struct MiniClusterConfig {
   uint32_t nodes = 4;
-  /// Worker threads per node (RPC dispatch); 0 selects DirectNetwork.
-  int workers_per_node = 4;
-  /// Transport selection; kAuto preserves the workers_per_node behavior.
-  MiniClusterTransport transport = MiniClusterTransport::kAuto;
+  MiniClusterTransport transport = MiniClusterTransport::kSocket;
   size_t broker_memory_bytes = size_t(512) << 20;
   size_t segment_size = 1u << 20;
   uint32_t segments_per_group = 4;
@@ -53,15 +48,15 @@ struct MiniClusterConfig {
   /// the socket transport, brokers and backups also register shards
   /// server reactors with rpc::RouteFrameToShard as the frame router, so
   /// produce/consume/replicate frames land on the shard that owns their
-  /// streamlet/vlog. Direct/Threaded transports ignore routing (any
+  /// streamlet/vlog. The Direct transport ignores routing (the caller's
   /// thread handles any frame; the broker's per-shard locks keep it
-  /// correct) — with shards == 1 they reproduce the original behavior
+  /// correct) — with shards == 1 it reproduces the original behavior
   /// exactly.
   uint32_t broker_shards = 0;
   /// Parallel crash recovery (see CoordinatorConfig). recovery_parallelism
   /// 0 = auto: read KERA_RECOVERY_PARALLELISM from the environment,
-  /// defaulting to 4. On the Threaded/Socket transports the coordinator
-  /// fans recovery lanes out over real threads; on Direct (and external
+  /// defaulting to 4. On the Socket transport the coordinator fans
+  /// recovery lanes out over real threads; on Direct (and external
   /// networks — the chaos harness) execution stays serial/deterministic
   /// and the parallel makespan is modeled from measured per-task costs.
   uint32_t recovery_parallelism = 0;
@@ -89,9 +84,9 @@ struct MiniClusterConfig {
   size_t broker_cold_cache_bytes = 0;
   uint32_t broker_readahead_segments = 2;
 
-  /// External network injection (fault-injection harnesses wrap a
-  /// DirectNetwork in a decorator): when `external_network` is set the
-  /// cluster uses it instead of constructing a transport, and the three
+  /// External network injection (e.g. the chaos harness's ChaosNetwork
+  /// over a DirectNetwork): when `external_network` is set the cluster
+  /// uses it instead of constructing a transport, and the three
   /// callbacks implement registration and crash/restore against it. The
   /// network must outlive the cluster. `transport` is ignored.
   rpc::Network* external_network = nullptr;
@@ -180,7 +175,6 @@ class MiniCluster {
   void RestoreOnNetwork(NodeId service, rpc::RpcHandler* handler);
 
   MiniClusterConfig config_;
-  std::unique_ptr<rpc::ThreadedNetwork> threaded_;
   std::unique_ptr<rpc::DirectNetwork> direct_;
   std::unique_ptr<rpc::SocketNetwork> socket_;
   rpc::Network* network_ = nullptr;

@@ -1,70 +1,21 @@
 // Queues used between client/broker threads.
 //
-// - SpscRing: lock-free single-producer single-consumer ring; this is the
-//   shared-memory channel between a producer's source thread and its
-//   requests thread (filled chunks one way, recycled chunks back).
 // - MpscQueue: lock-free multi-producer single-consumer linked queue
 //   (Vyukov's non-intrusive design); the transport layer of the broker's
 //   per-shard cross-core mailboxes.
-// - BlockingQueue: mutex+condvar MPMC queue for RPC dispatch in the
-//   threaded deployment; supports shutdown.
+// - BlockingQueue: mutex+condvar MPMC queue with shutdown; the socket
+//   transport's worker dispatch and the producer's chunk hand-off.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace kera {
-
-/// Fixed-capacity lock-free SPSC ring. Capacity is rounded up to a power
-/// of two. Push/Pop are wait-free.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(size_t capacity) {
-    size_t cap = 1;
-    while (cap < capacity) cap <<= 1;
-    slots_.resize(cap);
-    mask_ = cap - 1;
-  }
-
-  [[nodiscard]] bool TryPush(T value) {
-    const size_t head = head_.load(std::memory_order_relaxed);
-    const size_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail > mask_) return false;  // full
-    slots_[head & mask_] = std::move(value);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  [[nodiscard]] std::optional<T> TryPop() {
-    const size_t tail = tail_.load(std::memory_order_relaxed);
-    const size_t head = head_.load(std::memory_order_acquire);
-    if (tail == head) return std::nullopt;  // empty
-    T value = std::move(slots_[tail & mask_]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return value;
-  }
-
-  [[nodiscard]] size_t SizeApprox() const {
-    return head_.load(std::memory_order_acquire) -
-           tail_.load(std::memory_order_acquire);
-  }
-  [[nodiscard]] bool EmptyApprox() const { return SizeApprox() == 0; }
-  [[nodiscard]] size_t capacity() const { return mask_ + 1; }
-
- private:
-  std::vector<T> slots_;
-  size_t mask_ = 0;
-  alignas(64) std::atomic<size_t> head_{0};
-  alignas(64) std::atomic<size_t> tail_{0};
-};
 
 /// Unbounded lock-free multi-producer single-consumer queue (Vyukov's
 /// non-intrusive MPSC). Push is wait-free apart from the allocation;

@@ -41,8 +41,8 @@ struct CoordinatorConfig {
   /// RPC per segment.
   uint32_t recovery_read_batch = 8;
   /// Fan recovery lanes out over real threads. Only safe when the Network
-  /// tolerates concurrent callers end to end (Threaded/Socket
-  /// transports). When false — DirectNetwork, the DES, the chaos
+  /// tolerates concurrent callers end to end (the socket
+  /// transport). When false — DirectNetwork, the DES, the chaos
   /// harness's single-threaded ChaosNetwork — execution stays serial and
   /// deterministic, and the parallel makespan is MODELED from measured
   /// per-task costs instead (RecoveryStats::modeled_mttr_us).

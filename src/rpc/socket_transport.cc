@@ -136,11 +136,15 @@ struct SocketNetwork::ServerShard {
   std::thread io;
   std::vector<std::thread> workers;
 
-  ~ServerShard() {
+  void Join() {
     if (io.joinable()) io.join();
     for (auto& w : workers) {
       if (w.joinable()) w.join();
     }
+  }
+
+  ~ServerShard() {
+    Join();
     if (wake_fd >= 0) close(wake_fd);
     if (epoll_fd >= 0) close(epoll_fd);
   }
@@ -163,7 +167,10 @@ struct SocketNetwork::ServerNode {
   uint64_t next_conn_id = kServerConnIdBase;
 
   ~ServerNode() {
-    shards.clear();  // joins IO + workers per shard
+    // Join every shard before freeing any: a worker stages its response
+    // on the shard that owns the connection, which may be another one.
+    for (auto& shard : shards) shard->Join();
+    shards.clear();
     if (listen_fd >= 0) close(listen_fd);
   }
 };
@@ -195,20 +202,17 @@ SocketNetwork::~SocketNetwork() { Shutdown(); }
 
 void SocketNetwork::Shutdown() {
   std::map<NodeId, std::unique_ptr<ServerNode>> nodes;
-  std::vector<std::unique_ptr<ServerNode>> draining;
   {
     std::lock_guard<std::mutex> lock(nodes_mu_);
     if (shutdown_) return;
     shutdown_ = true;
     nodes.swap(nodes_);
-    draining.swap(draining_);
   }
   for (auto& [_, n] : nodes) {
     SignalServerStop(n.get());
     for (auto& shard : n->shards) shard->queue.Shutdown();
   }
-  nodes.clear();     // joins IO + workers per node
-  draining.clear();  // joins leftover workers of crashed nodes
+  nodes.clear();  // joins IO + workers per node
 
   client_stop_.store(true, std::memory_order_release);
   SignalEventFd(client_wake_fd_);
@@ -331,23 +335,20 @@ void SocketNetwork::Crash(NodeId node) {
     if (it == nodes_.end()) return;
     n = std::move(it->second);
     nodes_.erase(it);
+    NodeOptions shape = n->opts;
+    shape.port = n->port;
+    crashed_[node] = std::move(shape);
   }
   SignalServerStop(n.get());
+  for (auto& shard : n->shards) shard->queue.Shutdown();
   // The IO threads never run handlers, so they exit promptly, closing the
   // listener and every accepted connection — clients see the connection
   // die and fail their in-flight requests, like a real machine crash.
   // Every shard's eventfd was signalled above, so no shard loop can stay
-  // parked in epoll_wait — not even one whose mailbox/queue a blocked
-  // worker will never drain.
-  for (auto& shard : n->shards) {
-    if (shard->io.joinable()) shard->io.join();
-  }
-  // Workers may be blocked inside a handler (e.g. a produce waiting on
-  // replication); don't wait for them here — park the node for the final
-  // join at Shutdown. Their responses are dropped.
-  for (auto& shard : n->shards) shard->queue.Shutdown();
-  std::lock_guard<std::mutex> lock(nodes_mu_);
-  draining_.push_back(std::move(n));
+  // parked in epoll_wait. Workers skip what is still queued and finish
+  // the handler they are in; their responses are dropped. Destroying the
+  // node joins them all, so no thread is left inside the handler.
+  n.reset();
 }
 
 Result<uint16_t> SocketNetwork::Restore(NodeId node, RpcHandler* handler) {
@@ -365,13 +366,8 @@ Result<uint16_t> SocketNetwork::Restore(NodeId node, RpcHandler* handler) {
     }
     // Revive the node with the shape it had before the crash: the same
     // port (so remote peers' routes stay valid), shard count and router.
-    for (auto d = draining_.rbegin(); d != draining_.rend(); ++d) {
-      if ((*d)->id == node) {
-        opts = (*d)->opts;
-        opts.port = (*d)->port;
-        break;
-      }
-    }
+    auto c = crashed_.find(node);
+    if (c != crashed_.end()) opts = c->second;
   }
   uint16_t preferred = opts.port;
   auto bound = Register(node, handler, opts);

@@ -1,7 +1,6 @@
-// SocketNetwork: a real TCP transport implementing the Network interface,
-// drop-in for ThreadedNetwork in MiniCluster and the examples — the step
-// from "simulated cluster" to a deployment that can run brokers, backups
-// and clients as separate processes.
+// SocketNetwork: a real TCP transport implementing the Network interface.
+// It is MiniCluster's default transport and the one the examples run on,
+// and it lets brokers, backups and clients run as separate processes.
 //
 // Wire protocol (both directions, little-endian like the RPC format):
 //
@@ -17,8 +16,8 @@
 // Per registered node: one listening socket plus N per-core *shards*,
 // each a full reactor — an epoll event-loop thread that only moves bytes
 // (accept/read/write, never runs handlers) and a worker pool draining
-// decoded requests — the RAMCloud-style dispatch/worker split the
-// in-process ThreadedNetwork models, multiplied across cores. Accepted
+// decoded requests — the RAMCloud-style dispatch/worker split,
+// multiplied across cores. Accepted
 // connections are spread round-robin over the shards; a registered
 // FrameRouter additionally routes each decoded request frame to the
 // worker pool of the shard that owns the frame's data (by streamlet id),
@@ -113,7 +112,11 @@ class SocketNetwork final : public Network {
   /// Fault injection: closes the node's listener and every accepted
   /// connection. Queued and in-flight requests against it fail with
   /// kUnavailable on the caller side (the connection died), like a real
-  /// machine crash.
+  /// machine crash. Returns once the node's threads are joined: queued
+  /// requests are dropped and a handler already running finishes first,
+  /// so the caller may then free the handler. A handler that waits on an
+  /// outside event must be released first (MiniCluster::CrashNode stops
+  /// broker long-polls before crashing the node).
   void Crash(NodeId node);
 
   /// Serves a crashed (or never-registered) node again, rebinding the
@@ -250,9 +253,9 @@ class SocketNetwork final : public Network {
   // ----- server side -----
   mutable std::mutex nodes_mu_;
   std::map<NodeId, std::unique_ptr<ServerNode>> nodes_;
-  // Crashed nodes awaiting final worker join (their IO thread is already
-  // joined; workers may still be draining a blocked handler).
-  std::vector<std::unique_ptr<ServerNode>> draining_;
+  // Shape of each crashed node (options with its bound port), so Restore
+  // revives it as it was.
+  std::map<NodeId, NodeOptions> crashed_;
   bool shutdown_ = false;
 
   // ----- client side -----

@@ -1,23 +1,21 @@
 // Transport layer: how RPC frames move between nodes.
 //
-// Deployments:
-//  - DirectNetwork: synchronous in-process dispatch; deterministic, used
-//    by unit tests and by the DES harness (which adds its own timing).
-//  - ThreadedNetwork: RAMCloud-style dispatch/worker threading — each node
-//    has a request queue and a pool of worker threads; callers get
-//    futures. Used by the MiniCluster and the examples.
+// Two implementations of Network:
+//  - DirectNetwork (below): synchronous in-process dispatch; the handler
+//    runs inline on the caller thread. Deterministic, used by unit tests,
+//    the DES harness and the chaos harness.
+//  - SocketNetwork (rpc/socket_transport.h): real TCP with a
+//    RAMCloud-style dispatch IO thread and worker pool per node. The
+//    MiniCluster default and the path a deployment runs.
+// Fault injection wraps either one (chaos::ChaosNetwork).
 #pragma once
 
 #include <atomic>
 #include <future>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
 
-#include "common/queue.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "rpc/serialize.h"
@@ -29,7 +27,8 @@ class RpcHandler {
  public:
   virtual ~RpcHandler() = default;
   /// Handles one framed request (opcode + body) and returns the framed
-  /// response body. Must be thread-safe in threaded deployments.
+  /// response body. Must be thread-safe: SocketNetwork runs it on a
+  /// worker pool.
   [[nodiscard]] virtual std::vector<std::byte> HandleRpc(
       std::span<const std::byte> request) = 0;
 };
@@ -105,99 +104,6 @@ class DirectNetwork final : public Network {
   std::atomic<uint64_t> calls_{0};
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> bytes_received_{0};
-};
-
-/// Fault-injection decorator: fails a configurable fraction of calls with
-/// kUnavailable (before delivery — the request is lost, as with a dropped
-/// TCP connection) or after delivery (the response is lost: the handler
-/// ran but the caller sees a failure, which is how duplicate
-/// retransmissions arise). Deterministic given the seed.
-class FlakyNetwork final : public Network {
- public:
-  struct Options {
-    /// Probability a call is dropped before reaching the handler.
-    double drop_request = 0.0;
-    /// Probability the response is lost after the handler ran.
-    double drop_response = 0.0;
-    uint64_t seed = 1;
-  };
-  FlakyNetwork(Network& inner, Options options);
-
-  Result<std::vector<std::byte>> Call(
-      NodeId to, std::span<const std::byte> request) override;
-  std::future<Result<std::vector<std::byte>>> CallAsync(
-      NodeId to, std::span<const std::byte> request) override;
-  std::future<Result<std::vector<std::byte>>> CallAsyncParts(
-      NodeId to, const BytesRefParts& parts) override;
-
-  struct Stats {
-    uint64_t calls = 0;
-    uint64_t dropped_requests = 0;
-    uint64_t dropped_responses = 0;
-  };
-  [[nodiscard]] Stats GetStats() const;
-
- private:
-  /// Draws the two fault coins for one call (under mu_, so fault patterns
-  /// stay deterministic in issue order given the seed).
-  void DrawCoins(bool& drop_request, bool& drop_response);
-  /// Wraps an in-flight inner future so the response-drop coin is applied
-  /// when the result is consumed, not at issue time.
-  std::future<Result<std::vector<std::byte>>> ApplyResponseCoin(
-      std::future<Result<std::vector<std::byte>>> inner, bool drop_response);
-
-  Network& inner_;
-  const Options options_;
-  mutable std::mutex mu_;
-  uint64_t rng_state_;
-  Stats stats_;
-};
-
-/// Dispatch/worker threaded network: each registered node owns a request
-/// queue and `workers` threads draining it.
-class ThreadedNetwork final : public Network {
- public:
-  explicit ThreadedNetwork(int workers_per_node = 4);
-  ~ThreadedNetwork() override;
-
-  ThreadedNetwork(const ThreadedNetwork&) = delete;
-  ThreadedNetwork& operator=(const ThreadedNetwork&) = delete;
-
-  /// Registers a node and spawns its workers. Refused (no-op) after
-  /// Shutdown — late registration would spawn workers nobody joins.
-  void Register(NodeId node, RpcHandler* handler);
-
-  /// Fault injection: stop serving a node. In-flight requests complete;
-  /// new calls fail with kUnavailable.
-  void Crash(NodeId node);
-
-  /// Fault injection: serve a crashed (or never-registered) node again.
-  void Restore(NodeId node, RpcHandler* handler);
-
-  Result<std::vector<std::byte>> Call(
-      NodeId to, std::span<const std::byte> request) override;
-  std::future<Result<std::vector<std::byte>>> CallAsync(
-      NodeId to, std::span<const std::byte> request) override;
-
-  void Shutdown();
-
- private:
-  struct Work {
-    std::vector<std::byte> request;
-    std::promise<Result<std::vector<std::byte>>> promise;
-  };
-  struct NodeState {
-    // Atomic: Restore() swaps the handler while workers are draining.
-    std::atomic<RpcHandler*> handler{nullptr};
-    BlockingQueue<std::unique_ptr<Work>> queue;
-    std::vector<std::thread> workers;
-    std::atomic<bool> crashed{false};
-  };
-
-  const int workers_per_node_;
-  mutable std::mutex mu_;
-  std::map<NodeId, std::unique_ptr<NodeState>> nodes_;
-  bool shutdown_ = false;
 };
 
 }  // namespace kera::rpc

@@ -49,7 +49,7 @@ struct Rec {
   uint64_t offset = 0;
   uint32_t chunks = 0;
   uint32_t crc = 0;
-  std::vector<std::byte> payload;
+  std::vector<std::byte> payload = {};
 
   [[nodiscard]] uint64_t size() const {
     return SegmentLog::kRecordHeaderSize + payload.size();
@@ -417,7 +417,7 @@ TEST(SegmentLogTest, IoErrorIsStickyAndSurfacedBySync) {
   EXPECT_EQ(log.DurableTicket(), 0u);
 
   // And through the Backup facade: io_errors is visible in stats.
-  Backup backup(BackupConfig{.node = 2, .storage_dir = path});
+  Backup backup(BackupConfig{.node = 2, .storage_dir = path, .log = {}});
   EXPECT_EQ(backup.GetStats().io_errors, 1u);
   fs::remove_all(path);
 }
@@ -479,7 +479,7 @@ std::vector<std::byte> ReadCopy(Backup& backup, VirtualSegmentId vseg,
 
 TEST(BackupStoreTest, ColdRestartRebuildsCopyMapFromLogAlone) {
   std::string dir = FreshDir("kera_backup_cold_restart");
-  BackupConfig cfg{.node = 3, .storage_dir = dir};
+  BackupConfig cfg{.node = 3, .storage_dir = dir, .log = {}};
 
   auto c1 = MakeChunk(1, "sealed-part-one");
   auto c2 = MakeChunk(2, "sealed-part-two");
@@ -545,9 +545,47 @@ TEST(BackupStoreTest, ColdRestartRebuildsCopyMapFromLogAlone) {
   fs::remove_all(dir);
 }
 
+TEST(BackupStoreTest, TruncatingResealSurvivesRestart) {
+  // The copy sealed at the end of a batch the primary then aborted; the
+  // primary's lower seal truncates and re-seals it, and a cold restart
+  // brings it back sealed at that lower length.
+  std::string dir = FreshDir("kera_backup_reseal");
+  BackupConfig cfg{.node = 3, .storage_dir = dir, .log = {}};
+  auto c1 = MakeChunk(1, "kept");
+  auto c2 = MakeChunk(2, "aborted");
+  uint32_t crc1 = ChecksumOf(c1, 0);
+  uint32_t crc2 = ChecksumOf(c2, crc1);
+  {
+    Backup backup(cfg);
+    ASSERT_EQ(backup.HandleReplicate(MakeReplicate(0, c1, 1, 0, crc1)).status,
+              StatusCode::kOk);
+    ASSERT_EQ(backup
+                  .HandleReplicate(MakeReplicate(0, c2, 1, c1.size(), crc2,
+                                                 /*seals=*/true))
+                  .status,
+              StatusCode::kOk);
+    ASSERT_EQ(backup
+                  .HandleReplicate(MakeReplicate(0, {}, 0, c1.size(), crc1,
+                                                 /*seals=*/true))
+                  .status,
+              StatusCode::kOk);
+    backup.WaitForFlushes();
+    EXPECT_EQ(backup.GetStats().checksum_failures, 0u);
+  }
+  Backup backup(cfg);
+  auto copies = backup.DebugCopies();
+  ASSERT_EQ(copies.size(), 1u);
+  EXPECT_TRUE(copies[0].sealed);
+  EXPECT_EQ(copies[0].size, c1.size());
+  EXPECT_EQ(copies[0].chunk_count, 1u);
+  EXPECT_EQ(copies[0].running_checksum, crc1);
+  EXPECT_EQ(ReadCopy(backup, 0), c1);
+  fs::remove_all(dir);
+}
+
 TEST(BackupStoreTest, EvacuationDropsCopiesAndSurvivesRestart) {
   std::string dir = FreshDir("kera_backup_evacuate");
-  BackupConfig cfg{.node = 3, .storage_dir = dir};
+  BackupConfig cfg{.node = 3, .storage_dir = dir, .log = {}};
 
   auto c1 = MakeChunk(1, "to-be-evacuated");
   uint32_t crc1 = ChecksumOf(c1, 0);

@@ -55,7 +55,7 @@ rpc::ReplicateRequest MakeReplicate(std::span<const std::byte> payload,
 
 class BackupTest : public ::testing::Test {
  protected:
-  Backup backup_{BackupConfig{.node = 2, .storage_dir = ""}};
+  Backup backup_{BackupConfig{.node = 2, .storage_dir = "", .log = {}}};
 };
 
 TEST_F(BackupTest, AppliesBatchesInOrder) {
@@ -141,6 +141,42 @@ TEST_F(BackupTest, StaleRequeuedBatchDroppedFromBuffer) {
   EXPECT_EQ(backup_.GetStats().checksum_failures, 0u);
 }
 
+TEST_F(BackupTest, TruncatingSealOverridesSealOfAbortedBatch) {
+  // The primary shipped c2 with the seal flag and we sealed after it, but
+  // another backup failed: the primary aborted the batch, moved c2 to a
+  // fresh segment and sealed this one after c1. Its last seal is final,
+  // so the copy truncates to c1 and re-seals without a checksum failure.
+  auto c1 = MakeChunk(1);
+  auto c2 = MakeChunk(2);
+  uint32_t crc1 = ChecksumOf(c1, 0);
+  uint32_t crc2 = ChecksumOf(c2, crc1);
+  ASSERT_EQ(backup_.HandleReplicate(MakeReplicate(c1, 1, 0, crc1)).status,
+            StatusCode::kOk);
+  ASSERT_EQ(backup_
+                .HandleReplicate(MakeReplicate(c2, 1, c1.size(), crc2,
+                                               /*seals=*/true))
+                .status,
+            StatusCode::kOk);
+  EXPECT_EQ(backup_
+                .HandleReplicate(MakeReplicate({}, 0, c1.size(), crc1,
+                                               /*seals=*/true))
+                .status,
+            StatusCode::kOk);
+  rpc::ListRecoverySegmentsRequest list_req;
+  list_req.crashed = 1;
+  auto list = backup_.HandleList(list_req);
+  ASSERT_EQ(list.segments.size(), 1u);
+  EXPECT_EQ(list.segments[0].chunk_count, 1u);
+  EXPECT_TRUE(list.segments[0].sealed);
+  EXPECT_EQ(backup_.GetStats().checksum_failures, 0u);
+  // A late duplicate of the aborted sealing batch cannot extend the copy.
+  EXPECT_EQ(backup_
+                .HandleReplicate(MakeReplicate(c2, 1, c1.size(), crc2,
+                                               /*seals=*/true))
+                .status,
+            StatusCode::kOutOfRange);
+}
+
 TEST_F(BackupTest, CorruptChunkRejectedAtomically) {
   auto c1 = MakeChunk(1);
   auto good_crc = ChecksumOf(c1, 0);
@@ -210,7 +246,7 @@ TEST_F(BackupTest, ReadUnknownSegmentNotFound) {
 TEST(BackupFlushTest, FlushEvictReload) {
   std::string dir = ::testing::TempDir() + "/kera_backup_flush";
   std::filesystem::remove_all(dir);
-  Backup backup(BackupConfig{.node = 3, .storage_dir = dir});
+  Backup backup(BackupConfig{.node = 3, .storage_dir = dir, .log = {}});
 
   auto c1 = MakeChunk(1, "must survive eviction");
   uint32_t crc1 = ChecksumOf(c1, 0);
@@ -242,7 +278,7 @@ TEST(BackupFlushTest, TruncatedOrMissingFileIsReportedNotFatal) {
   // resized the buffer to size_t(ftell(-1)) and aborted the process.
   std::string dir = ::testing::TempDir() + "/kera_backup_damage";
   std::filesystem::remove_all(dir);
-  Backup backup(BackupConfig{.node = 4, .storage_dir = dir});
+  Backup backup(BackupConfig{.node = 4, .storage_dir = dir, .log = {}});
 
   auto c1 = MakeChunk(1, "bytes that will be truncated away");
   uint32_t crc1 = ChecksumOf(c1, 0);
@@ -274,7 +310,7 @@ TEST(BackupFlushTest, TruncatedOrMissingFileIsReportedNotFatal) {
 }
 
 TEST(BackupRpcTest, FramedDispatch) {
-  Backup backup(BackupConfig{.node = 2, .storage_dir = ""});
+  Backup backup(BackupConfig{.node = 2, .storage_dir = "", .log = {}});
   auto c1 = MakeChunk(1);
   uint32_t crc1 = ChecksumOf(c1, 0);
   auto req = MakeReplicate(c1, 1, 0, crc1);

@@ -17,17 +17,17 @@ std::span<const std::byte> AsBytes(const std::string& s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }
 
-MiniClusterConfig Config(int workers) {
+MiniClusterConfig Config(MiniClusterTransport transport) {
   MiniClusterConfig cfg;
   cfg.nodes = 3;
-  cfg.workers_per_node = workers;
+  cfg.transport = transport;
   cfg.segment_size = 64 << 10;
   cfg.virtual_segment_capacity = 64 << 10;
   return cfg;
 }
 
 TEST(BoundedStreamTest, SealRejectsFurtherProduces) {
-  MiniCluster cluster(Config(0));
+  MiniCluster cluster(Config(MiniClusterTransport::kDirect));
   rpc::StreamOptions opts;
   opts.num_streamlets = 2;
   opts.replication_factor = 2;
@@ -62,7 +62,7 @@ TEST(BoundedStreamTest, SealRejectsFurtherProduces) {
 }
 
 TEST(BoundedStreamTest, SealViaRpc) {
-  MiniCluster cluster(Config(0));
+  MiniCluster cluster(Config(MiniClusterTransport::kDirect));
   rpc::StreamOptions opts;
   opts.num_streamlets = 1;
   ASSERT_TRUE(cluster.coordinator().CreateStream("obj", opts).ok());
@@ -91,7 +91,7 @@ TEST(BoundedStreamTest, SealViaRpc) {
 }
 
 TEST(BoundedStreamTest, ConsumerReachesEndOfStream) {
-  MiniCluster cluster(Config(2));
+  MiniCluster cluster(Config(MiniClusterTransport::kSocket));
   rpc::StreamOptions opts;
   opts.num_streamlets = 2;
   opts.replication_factor = 2;
@@ -135,7 +135,7 @@ TEST(BoundedStreamTest, ConsumerReachesEndOfStream) {
 }
 
 TEST(BoundedStreamTest, EmptySealedStreamFinishesImmediately) {
-  MiniCluster cluster(Config(2));
+  MiniCluster cluster(Config(MiniClusterTransport::kSocket));
   rpc::StreamOptions opts;
   opts.num_streamlets = 4;
   ASSERT_TRUE(cluster.coordinator().CreateStream("empty", opts).ok());
@@ -156,7 +156,7 @@ TEST(BoundedStreamTest, EmptySealedStreamFinishesImmediately) {
 }
 
 TEST(BoundedStreamTest, RecoveryReplaysIntoSealedStream) {
-  MiniClusterConfig cfg = Config(0);
+  MiniClusterConfig cfg = Config(MiniClusterTransport::kDirect);
   cfg.nodes = 4;
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;

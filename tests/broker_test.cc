@@ -7,6 +7,7 @@
 
 #include "backup/backup.h"
 #include "broker/broker.h"
+#include "rpc/socket_transport.h"
 #include "rpc/transport.h"
 #include "wire/chunk.h"
 
@@ -43,8 +44,10 @@ class BrokerTest : public ::testing::Test {
     bc.backup_nodes = {BackupServiceId(1), BackupServiceId(2),
                        BackupServiceId(3)};
     broker_ = std::make_unique<Broker>(bc, net_);
-    backup2_ = std::make_unique<Backup>(BackupConfig{.node = 2, .storage_dir = ""});
-    backup3_ = std::make_unique<Backup>(BackupConfig{.node = 3, .storage_dir = ""});
+    backup2_ = std::make_unique<Backup>(
+        BackupConfig{.node = 2, .storage_dir = "", .log = {}});
+    backup3_ = std::make_unique<Backup>(
+        BackupConfig{.node = 3, .storage_dir = "", .log = {}});
     net_.Register(BackupServiceId(2), backup2_.get());
     net_.Register(BackupServiceId(3), backup3_.get());
   }
@@ -289,7 +292,7 @@ TEST_F(BrokerTest, DebugStringSummarizesState) {
 
 // Fixture for the background-replication path: workers ship batches off
 // the produce path, producers block only on durability of their own
-// chunks. Uses the threaded network so replication runs truly
+// chunks. Uses the socket network so replication runs truly
 // concurrently with produce and consume.
 class BackgroundReplicationTest : public ::testing::Test {
  protected:
@@ -306,12 +309,12 @@ class BackgroundReplicationTest : public ::testing::Test {
     bc.backup_nodes = {BackupServiceId(1), BackupServiceId(2),
                        BackupServiceId(3)};
     broker_ = std::make_unique<Broker>(bc, net_);
-    backup2_ =
-        std::make_unique<Backup>(BackupConfig{.node = 2, .storage_dir = ""});
-    backup3_ =
-        std::make_unique<Backup>(BackupConfig{.node = 3, .storage_dir = ""});
-    net_.Register(BackupServiceId(2), backup2_.get());
-    net_.Register(BackupServiceId(3), backup3_.get());
+    backup2_ = std::make_unique<Backup>(
+        BackupConfig{.node = 2, .storage_dir = "", .log = {}});
+    backup3_ = std::make_unique<Backup>(
+        BackupConfig{.node = 3, .storage_dir = "", .log = {}});
+    EXPECT_TRUE(net_.Register(BackupServiceId(2), backup2_.get()).ok());
+    EXPECT_TRUE(net_.Register(BackupServiceId(3), backup3_.get()).ok());
   }
 
   ~BackgroundReplicationTest() override {
@@ -334,7 +337,7 @@ class BackgroundReplicationTest : public ::testing::Test {
     return info;
   }
 
-  rpc::ThreadedNetwork net_{2};
+  rpc::SocketNetwork net_;
   std::unique_ptr<Broker> broker_;
   std::unique_ptr<Backup> backup2_;
   std::unique_ptr<Backup> backup3_;

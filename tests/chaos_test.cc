@@ -466,6 +466,47 @@ TEST(ChaosDeterminism, SameSeedTwiceIsByteIdentical) {
   EXPECT_EQ(a.failure, b.failure);
 }
 
+// Cross-commit trace pin: FNV-1a over the annotated traces of a fixed
+// seed band in each deterministic mode. The band ignores --chaos_* flags
+// and KERA_CHAOS_*, so the constants mean the same in every run and every
+// build. A change that alters a trace on purpose re-pins them, with a
+// one-line reason in its commit.
+uint64_t Fnv1a(uint64_t h, const std::string& s) {
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t PinnedDigest(const RunOptions& options, bool power_loss) {
+  constexpr uint32_t kSchedules = 40;
+  constexpr uint32_t kEvents = 40;
+  uint64_t h = 0xcbf29ce484222325ull;
+  uint32_t ran = 0;
+  for (uint64_t seed = kSweepSeedBase; ran < kSchedules; ++seed) {
+    Schedule s = GenerateSchedule(seed, kEvents);
+    if (power_loss && !s.power_loss) continue;
+    ++ran;
+    h = Fnv1a(h, RunSchedule(s, options).trace);
+  }
+  return h;
+}
+
+TEST(ChaosDeterminism, TraceDigestPinned) {
+  RunOptions sharded;
+  sharded.broker_shards = 2;
+  RunOptions exactly_once;
+  exactly_once.exactly_once = true;
+  EXPECT_EQ(PinnedDigest({}, false), 0x105ec67fa6b8120eull) << "default mode";
+  EXPECT_EQ(PinnedDigest(sharded, false), 0x454ecc5b02a5a19aull)
+      << "broker_shards=2";
+  EXPECT_EQ(PinnedDigest(exactly_once, false), 0xfa79e66028e2cc0dull)
+      << "exactly_once";
+  EXPECT_EQ(PinnedDigest({}, true), 0xc372c936c129cd08ull)
+      << "power-loss schedules";
+}
+
 TEST(ChaosDeterminism, TraceRoundTripsAndReplaysIdentically) {
   const uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase + 13;
   RunResult original = RunSeed(seed, g_events);
@@ -623,17 +664,16 @@ TEST(ChaosRegression, DuplicateRetryIsNotAckedBeforeDurability) {
   ChaosNetwork net(direct, 1);
   MiniClusterConfig cfg;
   cfg.nodes = 3;
-  cfg.workers_per_node = 0;
   cfg.segment_size = 4 << 10;
   cfg.virtual_segment_capacity = 16 << 10;
   cfg.broker_memory_bytes = 32 << 20;
   cfg.external_network = &net;
   cfg.external_register = [&](NodeId n, rpc::RpcHandler* h) {
-    net.Register(n, h);
+    direct.Register(n, h);
   };
-  cfg.external_crash = [&](NodeId n) { net.Crash(n); };
+  cfg.external_crash = [&](NodeId n) { direct.Crash(n); };
   cfg.external_restore = [&](NodeId n, rpc::RpcHandler* h) {
-    net.Restore(n, h);
+    direct.Restore(n, h);
   };
   MiniCluster cluster(cfg);
 
@@ -716,7 +756,7 @@ TEST(ChaosRegression, DuplicateRetryIsNotAckedBeforeDurability) {
 TEST(ChaosRegression, CrashFailsParkedLongPollsAndRestartRejoins) {
   MiniClusterConfig cfg;
   cfg.nodes = 3;
-  cfg.workers_per_node = 2;  // threaded transport: long-polls really park
+  cfg.transport = MiniClusterTransport::kSocket;  // long-polls really park
   cfg.segment_size = 64 << 10;
   cfg.virtual_segment_capacity = 64 << 10;
   cfg.broker_memory_bytes = 64 << 20;

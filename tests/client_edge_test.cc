@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "chaos/chaos_net.h"
 #include "client/consumer.h"
 #include "client/producer.h"
 #include "cluster/mini_cluster.h"
@@ -24,7 +25,6 @@ std::span<const std::byte> AsBytes(const std::string& s) {
 MiniClusterConfig SmallConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 2;
-  cfg.workers_per_node = 2;
   cfg.segment_size = 64 << 10;
   cfg.virtual_segment_capacity = 64 << 10;
   return cfg;
@@ -92,14 +92,26 @@ TEST(ProducerEdgeTest, FlushTwiceAndCloseTwiceAreIdempotent) {
 }
 
 TEST(ProducerEdgeTest, RetriesAbsorbFlakyTransport) {
-  // Drop 20% of requests AND 20% of responses between clients and the
-  // cluster: retries + broker dedup must still deliver exactly once.
+  // Drop 20% of requests AND 20% of responses on every edge the clients
+  // call (coordinator and brokers): retries + broker dedup must still
+  // deliver exactly once.
   MiniClusterConfig cfg = SmallConfig();
-  cfg.workers_per_node = 0;  // DirectNetwork under the flaky decorator
+  cfg.transport = MiniClusterTransport::kDirect;  // under the fault decorator
   MiniCluster cluster(cfg);
-  rpc::FlakyNetwork flaky(cluster.network(),
-                          {.drop_request = 0.2, .drop_response = 0.2,
-                           .seed = 11});
+  chaos::ChaosNetwork flaky(cluster.network(), 11);
+  chaos::ChaosNetwork::EdgePolicy lossy;
+  lossy.drop_request = 0.2;
+  lossy.drop_response = 0.2;
+  flaky.SetEdgePolicy(kCoordinatorNode, lossy);
+  for (NodeId n : cluster.BrokerNodes()) flaky.SetEdgePolicy(n, lossy);
+  // Connect makes one unretried metadata call; retry it like an
+  // application would.
+  auto connect = [](auto& client) {
+    for (int attempt = 0; attempt < 50; ++attempt) {
+      if (client.Connect().ok()) return true;
+    }
+    return false;
+  };
   rpc::StreamOptions opts;
   opts.num_streamlets = 1;
   opts.replication_factor = 2;
@@ -110,7 +122,7 @@ TEST(ProducerEdgeTest, RetriesAbsorbFlakyTransport) {
   pc.chunk_size = 512;
   pc.request_retries = 50;
   Producer producer(pc, flaky);
-  ASSERT_TRUE(producer.Connect().ok());
+  ASSERT_TRUE(connect(producer));
   constexpr int kRecords = 500;
   for (int i = 0; i < kRecords; ++i) {
     ASSERT_TRUE(producer.Send(AsBytes("f" + std::to_string(i))).ok());
@@ -123,8 +135,7 @@ TEST(ProducerEdgeTest, RetriesAbsorbFlakyTransport) {
   ConsumerConfig cc;
   cc.stream = "s";
   Consumer consumer(cc, flaky);
-  ASSERT_TRUE(consumer.Connect().ok() || consumer.Connect().ok() ||
-              consumer.Connect().ok());
+  ASSERT_TRUE(connect(consumer));
   std::multiset<std::string> received;
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (received.size() < kRecords &&
@@ -151,7 +162,6 @@ TEST(ConsumerEdgeTest, SurvivesBrokerOutageAndResumes) {
   // reading from whatever leader currently serves the streamlet).
   MiniClusterConfig cfg = SmallConfig();
   cfg.nodes = 4;  // 3 survivors after the crash can still hold R3
-  cfg.workers_per_node = 2;
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 1;
@@ -246,9 +256,9 @@ TEST(ConsumerEdgeTest, FlowControlPausesAndResumesUnderSlowPoller) {
 }
 
 TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
-  // Depth-8 pipelining with small per-entry fetches: chunks of one group
-  // must still be delivered in order (one outstanding request per group),
-  // across group rollovers.
+  // Pipelining at depths 1 and 8 with small per-entry fetches: chunks of
+  // one group must still be delivered in order (one outstanding request
+  // per group), across group rollovers.
   MiniClusterConfig cfg = SmallConfig();
   cfg.segment_size = 4 << 10;  // groups roll quickly
   MiniCluster cluster(cfg);
@@ -274,40 +284,45 @@ TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
     ASSERT_TRUE(producer.Close().ok());
   }
 
-  ConsumerConfig cc;
-  cc.stream = "s";
-  cc.fetch_pipeline_depth = 8;
-  cc.max_chunks_per_entry = 2;  // many small interleaved fetches
-  Consumer consumer(cc, cluster.network());
-  ASSERT_TRUE(consumer.Connect().ok());
-  std::multiset<std::string> received;
-  std::map<std::pair<StreamletId, GroupId>, uint64_t> last_chunk;
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (received.size() < 2 * kPerProducer &&
-         std::chrono::steady_clock::now() < deadline) {
-    for (auto& rec : consumer.PollBlocking(128)) {
-      auto key = std::make_pair(rec.streamlet, rec.group);
-      auto it = last_chunk.find(key);
-      if (it != last_chunk.end()) {
-        EXPECT_GE(rec.chunk_index, it->second)
-            << "chunk order violated in streamlet " << rec.streamlet
-            << " group " << rec.group;
+  // Depth 1 is the same engine with one request per broker in flight.
+  for (uint32_t depth : {1u, 8u}) {
+    SCOPED_TRACE("fetch_pipeline_depth=" + std::to_string(depth));
+    ConsumerConfig cc;
+    cc.stream = "s";
+    cc.fetch_pipeline_depth = depth;
+    cc.max_chunks_per_entry = 2;  // many small interleaved fetches
+    Consumer consumer(cc, cluster.network());
+    ASSERT_TRUE(consumer.Connect().ok());
+    std::multiset<std::string> received;
+    std::map<std::pair<StreamletId, GroupId>, uint64_t> last_chunk;
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (received.size() < 2 * kPerProducer &&
+           std::chrono::steady_clock::now() < deadline) {
+      for (auto& rec : consumer.PollBlocking(128)) {
+        auto key = std::make_pair(rec.streamlet, rec.group);
+        auto it = last_chunk.find(key);
+        if (it != last_chunk.end()) {
+          EXPECT_GE(rec.chunk_index, it->second)
+              << "chunk order violated in streamlet " << rec.streamlet
+              << " group " << rec.group;
+        }
+        last_chunk[key] = rec.chunk_index;
+        received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                         rec.value.size());
       }
-      last_chunk[key] = rec.chunk_index;
-      received.emplace(reinterpret_cast<const char*>(rec.value.data()),
-                       rec.value.size());
     }
-  }
-  consumer.Close();
-  ASSERT_EQ(received.size(), size_t(2 * kPerProducer));
-  for (ProducerId p = 1; p <= 2; ++p) {
-    for (int i = 0; i < kPerProducer; ++i) {
-      ASSERT_EQ(received.count("p" + std::to_string(p) + "-" +
-                               std::to_string(i) + std::string(80, 'q')),
-                1u);
+    consumer.Close();
+    ASSERT_EQ(received.size(), size_t(2 * kPerProducer));
+    for (ProducerId p = 1; p <= 2; ++p) {
+      for (int i = 0; i < kPerProducer; ++i) {
+        ASSERT_EQ(received.count("p" + std::to_string(p) + "-" +
+                                 std::to_string(i) + std::string(80, 'q')),
+                  1u);
+      }
     }
+    EXPECT_GT(last_chunk.size(), 2u);  // several groups were actually read
   }
-  EXPECT_GT(last_chunk.size(), 2u);  // several groups were actually read
 }
 
 TEST(ConsumerEdgeTest, LongPollEliminatesIdleEmptyResponses) {

@@ -1,4 +1,4 @@
-// Tests for the producer/consumer clients against a threaded MiniCluster.
+// Tests for the producer/consumer clients against a socket MiniCluster.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -15,10 +15,9 @@ std::span<const std::byte> AsBytes(const std::string& s) {
   return {reinterpret_cast<const std::byte*>(s.data()), s.size()};
 }
 
-MiniClusterConfig ThreadedConfig() {
+MiniClusterConfig SocketConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 2;
-  cfg.workers_per_node = 2;
   cfg.segment_size = 64 << 10;
   cfg.virtual_segment_capacity = 64 << 10;
   cfg.broker_memory_bytes = 64 << 20;
@@ -36,7 +35,7 @@ rpc::StreamInfo MakeStream(MiniCluster& cluster, const std::string& name,
 }
 
 TEST(ProducerTest, ConnectFailsForUnknownStream) {
-  MiniCluster cluster(ThreadedConfig());
+  MiniCluster cluster(SocketConfig());
   ProducerConfig pc;
   pc.stream = "missing";
   Producer producer(pc, cluster.network());
@@ -45,7 +44,7 @@ TEST(ProducerTest, ConnectFailsForUnknownStream) {
 }
 
 TEST(ProducerTest, SendFlushDeliversAllRecords) {
-  MiniCluster cluster(ThreadedConfig());
+  MiniCluster cluster(SocketConfig());
   auto info = MakeStream(cluster, "s", 2, 2);
 
   ProducerConfig pc;
@@ -74,7 +73,7 @@ TEST(ProducerTest, SendFlushDeliversAllRecords) {
 }
 
 TEST(ProducerTest, LingerPushesPartialChunks) {
-  MiniCluster cluster(ThreadedConfig());
+  MiniCluster cluster(SocketConfig());
   MakeStream(cluster, "s", 1, 1);
   ProducerConfig pc;
   pc.stream = "s";
@@ -92,7 +91,7 @@ TEST(ProducerTest, LingerPushesPartialChunks) {
 }
 
 TEST(ClientRoundTripTest, ProduceThenConsumeEverything) {
-  MiniCluster cluster(ThreadedConfig());
+  MiniCluster cluster(SocketConfig());
   auto info = MakeStream(cluster, "s", 2, 2);
 
   ProducerConfig pc;
@@ -133,7 +132,7 @@ TEST(ClientRoundTripTest, ProduceThenConsumeEverything) {
 }
 
 TEST(ClientRoundTripTest, KeyedRecordsLandOnOneStreamlet) {
-  MiniCluster cluster(ThreadedConfig());
+  MiniCluster cluster(SocketConfig());
   MakeStream(cluster, "s", 4, 1);
   ProducerConfig pc;
   pc.stream = "s";
@@ -171,7 +170,7 @@ TEST(ClientRoundTripTest, GroupSharingConsumersPartitionTheStream) {
   // Vertical scalability: two consumers share ONE streamlet at group
   // granularity (group_id mod 2). Together they must see every record
   // exactly once; individually they only see their own groups.
-  MiniClusterConfig cfg = ThreadedConfig();
+  MiniClusterConfig cfg = SocketConfig();
   cfg.segment_size = 4 << 10;  // tiny segments => many groups
   cfg.segments_per_group = 2;
   MiniCluster cluster(cfg);
@@ -244,7 +243,7 @@ TEST(ClientRoundTripTest, GroupSharingConsumersPartitionTheStream) {
 }
 
 TEST(ClientRoundTripTest, BadGroupShareConfigRejected) {
-  MiniCluster cluster(ThreadedConfig());
+  MiniCluster cluster(SocketConfig());
   MakeStream(cluster, "s", 1, 1);
   ConsumerConfig cc;
   cc.stream = "s";
@@ -255,7 +254,7 @@ TEST(ClientRoundTripTest, BadGroupShareConfigRejected) {
 }
 
 TEST(ClientRoundTripTest, ConsumerSeesRecordsInOrderPerGroup) {
-  MiniCluster cluster(ThreadedConfig());
+  MiniCluster cluster(SocketConfig());
   MakeStream(cluster, "s", 1, 2);
   ProducerConfig pc;
   pc.stream = "s";

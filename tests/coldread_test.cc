@@ -69,7 +69,7 @@ struct TieredCluster {
       : spill(tag) {
     MiniClusterConfig cfg;
     cfg.nodes = 3;
-    cfg.workers_per_node = 0;
+    cfg.transport = MiniClusterTransport::kDirect;
     cfg.transport = MiniClusterTransport::kDirect;
     cfg.segment_size = 4 << 10;
     cfg.segments_per_group = 2;
@@ -166,7 +166,6 @@ TEST(ColdReadCatchUp, SocketCatchUpFromZeroMatchesUnboundedOracle) {
   auto build = [&](size_t budget) {
     MiniClusterConfig cfg;
     cfg.nodes = 2;
-    cfg.workers_per_node = 2;
     cfg.transport = MiniClusterTransport::kSocket;
     cfg.segment_size = 4 << 10;
     cfg.segments_per_group = 2;

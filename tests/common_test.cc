@@ -210,42 +210,6 @@ TEST(BufferTest, MoveTransfersOwnership) {
   EXPECT_EQ(a.capacity(), 0u);  // NOLINT: moved-from inspection intended
 }
 
-TEST(SpscRingTest, FifoOrder) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(ring.TryPush(i));
-  EXPECT_FALSE(ring.TryPush(99));  // full
-  for (int i = 0; i < 8; ++i) {
-    auto v = ring.TryPop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(ring.TryPop().has_value());
-}
-
-TEST(SpscRingTest, CapacityRoundsToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRingTest, TwoThreadStress) {
-  SpscRing<uint64_t> ring(1024);
-  constexpr uint64_t kItems = 200000;
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kItems;) {
-      if (ring.TryPush(i)) ++i;
-    }
-  });
-  uint64_t expected = 0;
-  while (expected < kItems) {
-    auto v = ring.TryPop();
-    if (v) {
-      ASSERT_EQ(*v, expected);
-      ++expected;
-    }
-  }
-  producer.join();
-}
-
 TEST(BlockingQueueTest, PushPop) {
   BlockingQueue<int> q;
   q.Push(1);

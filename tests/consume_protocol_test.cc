@@ -23,7 +23,7 @@ class ConsumeProtocolTest : public ::testing::Test {
   ConsumeProtocolTest() {
     MiniClusterConfig cfg;
     cfg.nodes = 2;
-    cfg.workers_per_node = 0;
+    cfg.transport = MiniClusterTransport::kDirect;
     cfg.segment_size = 4 << 10;  // tiny: groups roll quickly
     cfg.segments_per_group = 1;
     cfg.virtual_segment_capacity = 16 << 10;
@@ -240,7 +240,7 @@ TEST(ConsumeLongPollUnreplicatedTest, ProduceWakesParkedLongPollWithR1) {
   // long-polls, or they sit until timeout.
   MiniClusterConfig cfg;
   cfg.nodes = 1;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   auto cluster = std::make_unique<MiniCluster>(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 1;
@@ -343,7 +343,7 @@ TEST(ConsumeLongPollCapTest, ServerCapsClientWait) {
   // A client asking for a 10 s park is clamped to the broker-side cap.
   MiniClusterConfig cfg;
   cfg.nodes = 1;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.max_consume_wait_us = 50'000;
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;

@@ -28,7 +28,7 @@ std::vector<std::byte> MakeChunk(StreamId stream, StreamletId streamlet,
 MiniClusterConfig SmallClusterConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 0;  // DirectNetwork: deterministic
+  cfg.transport = MiniClusterTransport::kDirect;  // deterministic
   cfg.segment_size = 64 << 10;
   cfg.virtual_segment_capacity = 64 << 10;
   cfg.broker_memory_bytes = 64 << 20;
@@ -294,7 +294,7 @@ TEST_F(RecoveryTest, RecoveredDataIsReReplicated) {
 TEST(RecoveryScatterTest, LostStreamletsSpreadAcrossAllSurvivors) {
   MiniClusterConfig cfg;
   cfg.nodes = 6;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.segment_size = 64 << 10;
   cfg.virtual_segment_capacity = 64 << 10;
   MiniCluster cluster(cfg);
@@ -346,7 +346,7 @@ TEST(RecoveryScatterTest, LostStreamletsSpreadAcrossAllSurvivors) {
 TEST(RecoveryScatterTest, RecoveryStatsExposed) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.segment_size = 32 << 10;
   cfg.virtual_segment_capacity = 8 << 10;  // several vsegs per vlog
   cfg.vlogs_per_broker = 4;

@@ -40,7 +40,7 @@ std::vector<std::byte> MakeChunk(StreamId stream, StreamletId streamlet,
 MiniClusterConfig SmallClusterConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 0;  // DirectNetwork: deterministic
+  cfg.transport = MiniClusterTransport::kDirect;  // deterministic
   cfg.segment_size = 64 << 10;
   cfg.virtual_segment_capacity = 64 << 10;
   cfg.broker_memory_bytes = 64 << 20;

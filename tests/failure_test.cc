@@ -1,13 +1,20 @@
-// Failure-injection tests: a flaky network between clients, brokers and
+// Failure-injection tests: a lossy network between clients, brokers and
 // backups must never break exactly-once semantics or the durability gate.
 // Producer retries + broker-side dedup + idempotent backup batches absorb
-// both lost requests and lost responses.
+// both lost requests and lost responses. Faults come from
+// chaos::ChaosNetwork edge policies, over DirectNetwork and SocketNetwork.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <string>
 #include <string_view>
+#include <thread>
 
 #include "backup/backup.h"
 #include "broker/broker.h"
+#include "chaos/chaos_net.h"
+#include "rpc/socket_transport.h"
 #include "rpc/transport.h"
 #include "wire/chunk.h"
 
@@ -27,56 +34,110 @@ std::vector<std::byte> MakeChunk(StreamId stream, StreamletId streamlet,
   return {bytes.begin(), bytes.end()};
 }
 
-TEST(FlakyNetworkTest, DropsConfiguredFraction) {
-  rpc::DirectNetwork inner;
-  class Echo final : public rpc::RpcHandler {
-   public:
-    std::vector<std::byte> HandleRpc(std::span<const std::byte> r) override {
-      ++calls;
-      return {r.begin(), r.end()};
-    }
-    int calls = 0;
-  } echo;
-  inner.Register(1, &echo);
+class Echo final : public rpc::RpcHandler {
+ public:
+  std::vector<std::byte> HandleRpc(std::span<const std::byte> r) override {
+    calls.fetch_add(1);
+    return {r.begin(), r.end()};
+  }
+  std::atomic<int> calls{0};
+};
 
-  rpc::FlakyNetwork flaky(inner, {.drop_request = 0.3, .drop_response = 0.0,
-                                  .seed = 7});
+TEST(ChaosNetworkTest, DropsConfiguredFraction) {
+  rpc::DirectNetwork inner;
+  Echo echo;
+  inner.Register(1, &echo);
+  chaos::ChaosNetwork net(inner, 7);
+  chaos::ChaosNetwork::EdgePolicy policy;
+  policy.drop_request = 0.3;
+  net.SetEdgePolicy(1, policy);
   int failures = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (!flaky.Call(1, AsBytes("x")).ok()) ++failures;
+    if (!net.Call(1, AsBytes("x")).ok()) ++failures;
   }
   EXPECT_NEAR(failures, 300, 60);
-  EXPECT_EQ(echo.calls, 1000 - failures);  // dropped before the handler
-  auto stats = flaky.GetStats();
-  EXPECT_EQ(stats.dropped_requests, uint64_t(failures));
+  EXPECT_EQ(echo.calls.load(), 1000 - failures);  // dropped before handler
+  EXPECT_EQ(net.GetStats().dropped_requests, uint64_t(failures));
 }
 
-TEST(FlakyNetworkTest, ResponseDropRunsHandlerButFailsCaller) {
+TEST(ChaosNetworkTest, ResponseDropRunsHandlerButFailsCaller) {
   rpc::DirectNetwork inner;
-  class Echo final : public rpc::RpcHandler {
-   public:
-    std::vector<std::byte> HandleRpc(std::span<const std::byte> r) override {
-      ++calls;
-      return {r.begin(), r.end()};
-    }
-    int calls = 0;
-  } echo;
+  Echo echo;
   inner.Register(1, &echo);
-  rpc::FlakyNetwork flaky(inner, {.drop_request = 0.0, .drop_response = 1.0,
-                                  .seed = 3});
-  EXPECT_FALSE(flaky.Call(1, AsBytes("x")).ok());
-  EXPECT_EQ(echo.calls, 1);  // side effect happened; response was lost
+  chaos::ChaosNetwork net(inner, 3);
+  chaos::ChaosNetwork::EdgePolicy policy;
+  policy.drop_response = 1.0;
+  net.SetEdgePolicy(1, policy);
+  auto r = net.Call(1, AsBytes("x"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(echo.calls.load(), 1);  // side effect happened; response lost
+  EXPECT_EQ(net.GetStats().dropped_responses, 1u);
 }
 
-/// Broker + 2 backups over a flaky network; a client loop retries every
+/// Waits inside the handler until both handlers of a pair have entered
+/// (or 5 s pass), so it can tell whether the two calls overlapped.
+class RendezvousHandler final : public rpc::RpcHandler {
+ public:
+  explicit RendezvousHandler(std::atomic<int>& entered) : entered_(entered) {}
+  std::vector<std::byte> HandleRpc(std::span<const std::byte> r) override {
+    calls.fetch_add(1);
+    entered_.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (entered_.load() < 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    overlapped = entered_.load() >= 2;
+    return {r.begin(), r.end()};
+  }
+  std::atomic<int> calls{0};
+  std::atomic<bool> overlapped{false};
+
+ private:
+  std::atomic<int>& entered_;
+};
+
+// Over a real transport the decorator forwards to the inner CallAsync:
+// two calls to different nodes are in their handlers at the same time,
+// and a dropped response still runs its handler before the caller sees
+// the loss.
+TEST(ChaosNetworkTest, OverSocketCallsOverlapAndDropAfterHandler) {
+  std::atomic<int> entered{0};
+  RendezvousHandler a(entered);
+  RendezvousHandler b(entered);
+  rpc::SocketNetwork inner;  // destroyed first: joins before the handlers
+  ASSERT_TRUE(inner.Register(1, &a).ok());
+  ASSERT_TRUE(inner.Register(2, &b).ok());
+  chaos::ChaosNetwork net(inner, 5);
+  chaos::ChaosNetwork::EdgePolicy drop;
+  drop.drop_response = 1.0;
+  net.SetEdgePolicy(2, drop);
+
+  auto fa = net.CallAsync(1, AsBytes("a"));
+  auto fb = net.CallAsync(2, AsBytes("b"));
+  auto ra = fa.get();
+  auto rb = fb.get();
+  ASSERT_TRUE(ra.ok()) << ra.status().ToString();
+  EXPECT_EQ(ra->size(), 1u);
+  ASSERT_FALSE(rb.ok());
+  EXPECT_EQ(rb.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(b.calls.load(), 1);  // the dropped response's handler ran
+  EXPECT_TRUE(a.overlapped.load());
+  EXPECT_TRUE(b.overlapped.load());
+  EXPECT_EQ(net.GetStats().dropped_responses, 1u);
+}
+
+/// Broker + 2 backups over a flaky network (15% of requests and 15% of
+/// responses lost on each backup edge); a client loop retries every
 /// produce request until acknowledged. Exactly-once must hold.
 class FlakyProduceTest : public ::testing::Test {
  protected:
   FlakyProduceTest()
-      : flaky_(inner_, {.drop_request = 0.15, .drop_response = 0.15,
-                        .seed = 42}),
-        backup2_(BackupConfig{.node = 2, .storage_dir = ""}),
-        backup3_(BackupConfig{.node = 3, .storage_dir = ""}) {
+      : flaky_(inner_, 42),
+        backup2_(BackupConfig{.node = 2, .storage_dir = "", .log = {}}),
+        backup3_(BackupConfig{.node = 3, .storage_dir = "", .log = {}}) {
     BrokerConfig bc;
     bc.node = 1;
     bc.memory_bytes = 16 << 20;
@@ -84,6 +145,11 @@ class FlakyProduceTest : public ::testing::Test {
     bc.virtual_segment_capacity = 64 << 10;
     bc.backup_nodes = {BackupServiceId(2), BackupServiceId(3)};
     bc.replication_retries = 50;  // ride out the injected failures
+    chaos::ChaosNetwork::EdgePolicy lossy;
+    lossy.drop_request = 0.15;
+    lossy.drop_response = 0.15;
+    flaky_.SetEdgePolicy(BackupServiceId(2), lossy);
+    flaky_.SetEdgePolicy(BackupServiceId(3), lossy);
     broker_ = std::make_unique<Broker>(bc, flaky_);
     inner_.Register(BackupServiceId(2), &backup2_);
     inner_.Register(BackupServiceId(3), &backup3_);
@@ -98,7 +164,7 @@ class FlakyProduceTest : public ::testing::Test {
   }
 
   rpc::DirectNetwork inner_;
-  rpc::FlakyNetwork flaky_;
+  chaos::ChaosNetwork flaky_;
   Backup backup2_;
   Backup backup3_;
   std::unique_ptr<Broker> broker_;

@@ -1,7 +1,7 @@
-// End-to-end integration tests over the threaded MiniCluster: multiple
+// End-to-end integration tests over the socket MiniCluster: multiple
 // producers and consumers in parallel, exactly-once under retransmission,
-// the durability gate across the full RPC stack, crash recovery under the
-// threaded network, and memory bounding via trimming.
+// the durability gate across the full RPC stack, crash recovery over real
+// sockets and threads, and memory bounding via trimming.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -26,7 +26,6 @@ std::span<const std::byte> AsBytes(const std::string& s) {
 MiniClusterConfig FourNodeConfig() {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 2;
   cfg.segment_size = 64 << 10;
   cfg.segments_per_group = 2;
   cfg.virtual_segment_capacity = 64 << 10;
@@ -253,7 +252,7 @@ TEST(IntegrationTest, DiskBackedBackupsServeRecovery) {
                                 "/kera_disk_recovery_n" + std::to_string(n));
   }
   MiniClusterConfig cfg = FourNodeConfig();
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.backup_dir = dir;
   cfg.segment_size = 8 << 10;            // small segments: many seals
   cfg.virtual_segment_capacity = 8 << 10;
@@ -314,7 +313,7 @@ TEST(IntegrationTest, ConsumersNeverReadUnreplicatedData) {
   // via the full RPC stack must return nothing, then everything after the
   // backups "recover".
   MiniClusterConfig cfg = FourNodeConfig();
-  cfg.workers_per_node = 0;  // DirectNetwork for precise control
+  cfg.transport = MiniClusterTransport::kDirect;  // precise control
   MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 1;

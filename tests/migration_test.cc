@@ -22,7 +22,7 @@ class MigrationTest : public ::testing::Test {
   MigrationTest() {
     MiniClusterConfig cfg;
     cfg.nodes = 4;
-    cfg.workers_per_node = 0;
+    cfg.transport = MiniClusterTransport::kDirect;
     cfg.segment_size = 32 << 10;
     cfg.virtual_segment_capacity = 32 << 10;
     cluster_ = std::make_unique<MiniCluster>(cfg);

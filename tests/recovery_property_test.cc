@@ -34,7 +34,7 @@ TEST_P(RecoveryProperty, AcknowledgedDataSurvivesCrash) {
   const RecoverySweep sweep = GetParam();
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 0;  // deterministic DirectNetwork
+  cfg.transport = MiniClusterTransport::kDirect;  // deterministic
   cfg.segment_size = 32 << 10;
   cfg.segments_per_group = 2;
   cfg.virtual_segment_capacity = 32 << 10;
@@ -172,7 +172,7 @@ TEST(RecoveryScatterOracleTest, ScatteredEqualsSerial) {
   auto run_and_dump = [](uint32_t parallelism) {
     MiniClusterConfig cfg;
     cfg.nodes = 5;
-    cfg.workers_per_node = 0;  // deterministic DirectNetwork
+    cfg.transport = MiniClusterTransport::kDirect;  // deterministic
     cfg.segment_size = 32 << 10;
     cfg.virtual_segment_capacity = 4 << 10;  // many segments -> many tasks
     cfg.vlogs_per_broker = 4;
@@ -282,7 +282,7 @@ TEST(RecoveryScatterOracleTest, ScatteredEqualsSerial) {
 TEST(RecoveryScatterOracleTest, ReadmitAfterScatterStartsEmpty) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.segment_size = 32 << 10;
   cfg.virtual_segment_capacity = 8 << 10;
   cfg.recovery_parallelism = 4;
@@ -376,7 +376,7 @@ TEST(RecoveryScatterOracleTest, ReadmitAfterScatterStartsEmpty) {
 TEST(RecoveryDoubleFailureTest, SequentialCrashesRecoverable) {
   MiniClusterConfig cfg;
   cfg.nodes = 5;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.segment_size = 32 << 10;
   cfg.virtual_segment_capacity = 32 << 10;
   MiniCluster cluster(cfg);
@@ -430,7 +430,7 @@ TEST(RecoveryDoubleFailureTest, SequentialCrashesRecoverable) {
 TEST(RecoveryDoubleFailureTest, RefusesWhenClusterTooSmallForR) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 0;
+  cfg.transport = MiniClusterTransport::kDirect;
   cfg.segment_size = 32 << 10;
   cfg.virtual_segment_capacity = 32 << 10;
   MiniCluster cluster(cfg);

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <string_view>
-#include <thread>
 
 #include "rpc/messages.h"
 #include "rpc/serialize.h"
@@ -364,49 +363,6 @@ TEST(DirectNetworkTest, CrashAndRestore) {
   EXPECT_FALSE(net.Call(1, AsBytes("x")).ok());
   net.Restore(1, &echo);
   EXPECT_TRUE(net.Call(1, AsBytes("x")).ok());
-}
-
-TEST(ThreadedNetworkTest, ParallelCalls) {
-  ThreadedNetwork net(2);
-  EchoHandler echo;
-  net.Register(1, &echo);
-  constexpr int kCalls = 200;
-  std::vector<std::future<Result<std::vector<std::byte>>>> futures;
-  futures.reserve(kCalls);
-  for (int i = 0; i < kCalls; ++i) {
-    futures.push_back(net.CallAsync(1, AsBytes("hello")));
-  }
-  for (auto& f : futures) {
-    auto r = f.get();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->size(), 5u);
-  }
-  EXPECT_EQ(echo.calls, kCalls);
-  net.Shutdown();
-}
-
-TEST(ThreadedNetworkTest, CrashedNodeFailsFast) {
-  ThreadedNetwork net(1);
-  EchoHandler echo;
-  net.Register(1, &echo);
-  net.Crash(1);
-  auto r = net.Call(1, AsBytes("x"));
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-  net.Shutdown();
-}
-
-TEST(ThreadedNetworkTest, MultiNodeIsolation) {
-  ThreadedNetwork net(1);
-  EchoHandler a, b;
-  net.Register(1, &a);
-  net.Register(2, &b);
-  ASSERT_TRUE(net.Call(1, AsBytes("x")).ok());
-  ASSERT_TRUE(net.Call(2, AsBytes("y")).ok());
-  ASSERT_TRUE(net.Call(2, AsBytes("z")).ok());
-  EXPECT_EQ(a.calls, 1);
-  EXPECT_EQ(b.calls, 2);
-  net.Shutdown();
 }
 
 }  // namespace

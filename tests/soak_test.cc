@@ -1,4 +1,4 @@
-// Soak test: sustained mixed workload on a threaded cluster — several
+// Soak test: sustained mixed workload on a socket cluster — several
 // streams, concurrent producers and consumers, periodic trimming, a
 // mid-run migration and a seal — with conservation invariants checked at
 // the end: every acknowledged record consumed exactly once, all replica
@@ -24,7 +24,6 @@ std::span<const std::byte> AsBytes(const std::string& s) {
 TEST(SoakTest, MixedWorkloadConservesRecords) {
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 2;
   cfg.segment_size = 32 << 10;
   cfg.segments_per_group = 2;
   cfg.virtual_segment_capacity = 32 << 10;
@@ -152,7 +151,6 @@ TEST(SoakTest, SealAndMigrateUnderload) {
   // new leader, seal, and verify the consumer drains everything.
   MiniClusterConfig cfg;
   cfg.nodes = 4;
-  cfg.workers_per_node = 2;
   cfg.segment_size = 32 << 10;
   cfg.virtual_segment_capacity = 32 << 10;
   MiniCluster cluster(cfg);

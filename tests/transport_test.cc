@@ -1,5 +1,5 @@
-// Transport fault-semantics suite, run against every Network
-// implementation (Direct, Threaded, Socket) through a typed harness, plus
+// Transport fault-semantics suite, run against both Network
+// implementations (Direct, Socket) through a typed harness, plus
 // socket-specific tests: zero-copy accounting on the parts path, request
 // multiplexing over one connection, cross-instance routing via SetPeer,
 // and a full produce/consume round trip over real TCP.
@@ -51,7 +51,7 @@ class EchoHandler : public RpcHandler {
   int delay_ms = 0;
 };
 
-// ----- typed harnesses: a uniform facade over the three transports -----
+// ----- typed harnesses: a uniform facade over the two transports -----
 
 class DirectHarness {
  public:
@@ -62,17 +62,6 @@ class DirectHarness {
 
  private:
   DirectNetwork net_;
-};
-
-class ThreadedHarness {
- public:
-  void Register(NodeId node, RpcHandler* h) { net_.Register(node, h); }
-  void Crash(NodeId node) { net_.Crash(node); }
-  void Restore(NodeId node, RpcHandler* h) { net_.Restore(node, h); }
-  Network& network() { return net_; }
-
- private:
-  ThreadedNetwork net_{2};
 };
 
 class SocketHarness {
@@ -98,15 +87,13 @@ class TransportTest : public ::testing::Test {
   Harness harness_;
 };
 
-using Transports =
-    ::testing::Types<DirectHarness, ThreadedHarness, SocketHarness>;
+using Transports = ::testing::Types<DirectHarness, SocketHarness>;
 
 class TransportNames {
  public:
   template <typename T>
   static std::string GetName(int) {
     if (std::is_same_v<T, DirectHarness>) return "Direct";
-    if (std::is_same_v<T, ThreadedHarness>) return "Threaded";
     return "Socket";
   }
 };
@@ -126,6 +113,20 @@ TYPED_TEST(TransportTest, UnknownNodeUnavailable) {
   auto r = this->harness_.network().Call(42, AsBytes("ping"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
+}
+
+TYPED_TEST(TransportTest, MultiNodeIsolation) {
+  EchoHandler a;
+  EchoHandler b;
+  this->harness_.Register(1, &a);
+  this->harness_.Register(2, &b);
+  ASSERT_TRUE(this->harness_.network().Call(1, AsBytes("x")).ok());
+  ASSERT_TRUE(this->harness_.network().Call(2, AsBytes("y")).ok());
+  auto r = this->harness_.network().Call(2, AsBytes("z"));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(AsString(*r), "z");
+  EXPECT_EQ(a.calls.load(), 1);
+  EXPECT_EQ(b.calls.load(), 2);
 }
 
 TYPED_TEST(TransportTest, ManyInFlightAsync) {
@@ -264,9 +265,9 @@ TEST(TransportCopyTest, SocketPartsPathCopiesNothing) {
 }
 
 TEST(TransportCopyTest, BaseFallbackMaterializesOnce) {
-  // Transports without a native parts path (Threaded here) materialize
-  // the frame exactly once and account for it.
-  ThreadedNetwork net(1);
+  // Transports without a native parts path (Direct here) materialize the
+  // frame exactly once and account for it.
+  DirectNetwork net;
   EchoHandler echo;
   net.Register(1, &echo);
   BytesRefParts parts;
@@ -275,7 +276,6 @@ TEST(TransportCopyTest, BaseFallbackMaterializesOnce) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(AsString(*r), "abcdefg");
   EXPECT_EQ(net.materialized_parts_bytes(), 7u);
-  net.Shutdown();
 }
 
 // ----- multiplexing -----
@@ -560,7 +560,6 @@ TEST(SocketShardTest, CrashJoinsAllShardLoopsAndRestoreKeepsTopology) {
 TEST(SocketClusterTest, ProduceConsumeRoundTrip) {
   MiniClusterConfig cfg;
   cfg.nodes = 2;
-  cfg.workers_per_node = 2;
   cfg.transport = MiniClusterTransport::kSocket;
   cfg.segment_size = 64 << 10;
   cfg.virtual_segment_capacity = 64 << 10;

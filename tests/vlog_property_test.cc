@@ -250,7 +250,9 @@ TEST(VlogWindowedProperty, OutOfOrderCompletionKeepsInvariants) {
       auto stats = vlog.GetStats();
       EXPECT_EQ(stats.chunks_appended, uint64_t(kChunks));
       EXPECT_LE(stats.max_inflight_batches, uint64_t(window));
-      if (window > 1) EXPECT_GT(stats.max_inflight_batches, 1u);
+      if (window > 1) {
+        EXPECT_GT(stats.max_inflight_batches, 1u);
+      }
     }
   }
 }
