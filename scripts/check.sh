@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full local check: regular build + all tests, a ThreadSanitizer build
+# Full local check: regular build + all tests, the end-to-end benchmark's
+# selfcheck over real sockets, a ThreadSanitizer build
 # running the concurrency-sensitive suites (virtual log windowed
 # replication, background replicator), an ASan+UBSan build running the
 # wire/rpc suites (the scatter-gather encode path references external
@@ -18,6 +19,12 @@ echo "== regular build + full test suite =="
 cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build" -j
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
+
+echo "== end-to-end benchmark selfcheck (socket cluster, every record checked) =="
+# Builds e2e_bench in Release under the regular build dir, then runs the
+# record-checker test and all three workloads at tiny scale, untraced and
+# traced, over real sockets; every record must arrive exactly once.
+(cd "$repo" && CARGO_TARGET_DIR="$build/e2e" python3 e2ebench/run.py --selfcheck)
 
 echo "== ThreadSanitizer build (vlog + broker + client + socket-cluster suites) =="
 # MiniCluster defaults to the socket transport, so the integration, soak

@@ -669,43 +669,48 @@ rpc::ProduceResponse Broker::HandleProduce(const rpc::ProduceRequest& req) {
   }
 
   // Once all chunks of the request are appended, synchronize the touched
-  // virtual logs on the backups (paper §IV.B). Whichever worker finds a
-  // vlog idle ships the next batch; others sleep until woken. Durability
-  // is tracked through the chunk's group so it survives virtual segment
-  // evacuation after a backup failure. Duplicate retries gate on the
-  // original copy's durability the same way.
-  for (auto& [vlog, ref] : positions) {
-    Status s = DriveUntilDurable(*vlog, ref);
-    if (!s.ok()) {
-      resp.status = s.code();
-      return resp;
+  // virtual logs on the backups (paper §IV.B). The logs replicate
+  // independently, so each pass issues one batch on every touched log
+  // before collecting any: the request waits about one replication round
+  // trip, not one per log. Whichever handler finds a vlog idle ships its
+  // next batch; others sleep until woken. Durability is tracked through
+  // the chunk's group so it survives virtual segment evacuation after a
+  // backup failure. Duplicate retries gate on the original copy's
+  // durability the same way. Lanes follow first appearance, never pointer
+  // order, so DirectNetwork runs replay identically.
+  std::vector<VirtualLog*> touched;
+  auto touch = [&touched](const std::pair<VirtualLog*, ChunkRef>& target) {
+    if (std::find(touched.begin(), touched.end(), target.first) ==
+        touched.end()) {
+      touched.push_back(target.first);
     }
-  }
-  for (auto& [vlog, ref] : dup_refs) {
-    Status s = DriveUntilDurable(*vlog, ref);
-    if (!s.ok()) {
-      resp.status = s.code();
-      return resp;
-    }
+  };
+  std::for_each(positions.begin(), positions.end(), touch);
+  const size_t appended_lanes = touched.size();
+  std::for_each(dup_refs.begin(), dup_refs.end(), touch);
+  std::vector<std::pair<VirtualLog*, ChunkRef>> targets = std::move(positions);
+  targets.insert(targets.end(), dup_refs.begin(), dup_refs.end());
+  // Sized once and never resized: a lane's in-flight frame must not move
+  // while its batch is outstanding.
+  std::vector<FanOutLane> lanes(touched.size());
+  for (size_t i = 0; i < touched.size(); ++i) lanes[i].vlog = touched[i];
+  if (Status drive = DriveUntilDurable(targets, lanes); !drive.ok()) {
+    resp.status = drive.code();
+    return resp;
   }
 
-  // Opportunistically drain remaining work on the touched vlogs — in
-  // particular empty seal batches for virtual segments that closed after
-  // their data was already replicated (backups flush only sealed
-  // segments). Failures here don't fail the request: the data is durable.
-  {
-    std::vector<VirtualLog*> touched;
-    for (auto& [vlog, _] : positions) {
-      if (std::find(touched.begin(), touched.end(), vlog) == touched.end()) {
-        touched.push_back(vlog);
-      }
-    }
-    for (VirtualLog* vlog : touched) {
-      while (vlog->HasWork()) {
-        auto batch = vlog->Poll();
-        if (!batch.has_value()) break;
-        if (!ShipBatch(*vlog, *batch).ok()) break;
-      }
+  // Opportunistically drain remaining work on the vlogs the request
+  // appended to — in particular empty seal batches for virtual segments
+  // that closed after their data was already replicated (backups flush
+  // only sealed segments) — with the same fan-out. A lane drops out once
+  // it has nothing to issue or its batch fails; failures here don't fail
+  // the request: the data is durable.
+  for (size_t i = 0; i < lanes.size(); ++i) {
+    lanes[i].wants = i < appended_lanes;
+  }
+  while (FanOutPass(lanes) > 0) {
+    for (FanOutLane& lane : lanes) {
+      lane.wants = lane.batch.has_value() && lane.status.ok();
     }
   }
   for (uint32_t s : touched_shards) NotifyConsumeWaiters(*entry, s);
@@ -717,27 +722,67 @@ rpc::ProduceResponse Broker::HandleProduce(const rpc::ProduceRequest& req) {
   return resp;
 }
 
-Status Broker::DriveUntilDurable(VirtualLog& vlog, const ChunkRef& ref) {
-  int evacuations = 0;
-  auto durable = [&ref] {
-    return ref.group->durable_chunk_count() > ref.loc.group_chunk_index;
-  };
-  while (!durable()) {
-    if (auto batch = vlog.Poll()) {
-      Status s = ShipBatch(vlog, *batch);
-      if (!s.ok()) {
-        // kUnavailable after an evacuation is retryable: the refs moved
-        // to a fresh segment targeting live backups.
-        if (s.code() == StatusCode::kUnavailable && ++evacuations <= 4) {
-          continue;
-        }
-        return s;
-      }
-    } else {
-      (void)vlog.WaitChunkDurableOrIdle(ref);
-    }
+Status Broker::DriveUntilDurable(
+    const std::vector<std::pair<VirtualLog*, ChunkRef>>& targets,
+    std::vector<FanOutLane>& lanes) {
+  std::vector<size_t> lane_of(targets.size());
+  for (size_t i = 0; i < targets.size(); ++i) {
+    while (lanes[lane_of[i]].vlog != targets[i].first) ++lane_of[i];
   }
-  return OkStatus();
+  while (true) {
+    const std::pair<VirtualLog*, ChunkRef>* oldest_pending = nullptr;
+    for (FanOutLane& lane : lanes) lane.wants = false;
+    for (size_t i = 0; i < targets.size(); ++i) {
+      const ChunkRef& ref = targets[i].second;
+      if (ref.group->durable_chunk_count() > ref.loc.group_chunk_index) {
+        continue;
+      }
+      if (oldest_pending == nullptr) oldest_pending = &targets[i];
+      lanes[lane_of[i]].wants = true;
+    }
+    if (oldest_pending == nullptr) return OkStatus();
+    if (FanOutPass(lanes) == 0) {
+      // Every pending lane's window is full or its work is in flight on
+      // another handler: sleep until the oldest pending chunk is durable
+      // or its log can take another batch.
+      (void)oldest_pending->first->WaitChunkDurableOrIdle(
+          oldest_pending->second);
+      continue;
+    }
+    Status failure = OkStatus();
+    for (FanOutLane& lane : lanes) {
+      // kUnavailable after an evacuation is retryable: the refs moved to
+      // a fresh segment targeting live backups.
+      if (lane.status.ok() ||
+          (lane.status.code() == StatusCode::kUnavailable &&
+           ++lane.evacuations <= 4)) {
+        continue;
+      }
+      if (failure.ok()) failure = lane.status;
+    }
+    if (!failure.ok()) return failure;
+  }
+}
+
+size_t Broker::FanOutPass(std::vector<FanOutLane>& lanes) {
+  size_t issued = 0;
+  for (FanOutLane& lane : lanes) {
+    lane.status = OkStatus();
+    lane.batch.reset();
+    if (lane.wants) lane.batch = lane.vlog->Poll();
+    if (!lane.batch.has_value()) continue;
+    IssueBatch(*lane.batch, lane.send.emplace());
+    ++issued;
+  }
+  // Every issued batch is finished before returning, even after a
+  // failure: its frame memory must outlive its futures, and a batch left
+  // in flight would hold its log's window slot forever.
+  for (FanOutLane& lane : lanes) {
+    if (!lane.batch.has_value()) continue;
+    lane.status = FinishBatch(*lane.vlog, *lane.batch, *lane.send);
+    lane.send.reset();
+  }
+  return issued;
 }
 
 bool Broker::DrainReplication(int max_failed_batches) {
@@ -787,24 +832,37 @@ std::vector<std::byte> Broker::BuildReplicateFrame(
 }
 
 Status Broker::ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch) {
+  ReplicaSend send;
+  IssueBatch(batch, send);
+  return FinishBatch(vlog, batch, send);
+}
+
+void Broker::IssueBatch(const ReplicationBatch& batch, ReplicaSend& send) {
   // The frame stays in parts form: the encoder's inline runs plus spans
-  // into segment memory (pinned until Complete/Abort). All futures are
-  // consumed before `body` leaves scope, satisfying CallAsyncParts'
-  // lifetime contract across every retry round.
-  rpc::Writer body(64);
-  EncodeReplicateBody(batch, body);
-  std::array<std::byte, 2> opcode;
-  const rpc::BytesRefParts parts =
-      rpc::FrameAsParts(rpc::Opcode::kReplicate, body, opcode);
+  // into segment memory (pinned until Complete/Abort). FinishBatch
+  // consumes every future before `send` is released, satisfying
+  // CallAsyncParts' lifetime contract across every retry round.
+  EncodeReplicateBody(batch, send.body);
+  send.parts =
+      rpc::FrameAsParts(rpc::Opcode::kReplicate, send.body, send.opcode);
+  SendReplicateAttempt(batch, send);
+}
+
+void Broker::SendReplicateAttempt(const ReplicationBatch& batch,
+                                  ReplicaSend& send) {
+  send.futures.clear();
+  send.futures.reserve(batch.backups.size());
+  for (NodeId backup : batch.backups) {
+    send.futures.push_back(network_.CallAsyncParts(backup, send.parts));
+  }
+}
+
+Status Broker::FinishBatch(VirtualLog& vlog, const ReplicationBatch& batch,
+                           ReplicaSend& send) {
   Status failure = OkStatus();
-  for (int attempt = 0; attempt <= config_.replication_retries; ++attempt) {
-    std::vector<std::future<Result<std::vector<std::byte>>>> futures;
-    futures.reserve(batch.backups.size());
-    for (NodeId backup : batch.backups) {
-      futures.push_back(network_.CallAsyncParts(backup, parts));
-    }
+  for (int attempt = 0;; ++attempt) {
     bool all_ok = true;
-    for (auto& f : futures) {
+    for (auto& f : send.futures) {
       auto result = [&]() -> Result<std::vector<std::byte>> {
         try {
           return f.get();
@@ -852,6 +910,8 @@ Status Broker::ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch) {
       }
       return OkStatus();
     }
+    if (attempt >= config_.replication_retries) break;
+    SendReplicateAttempt(batch, send);
   }
   vlog.Abort(batch);
   if (failure.code() == StatusCode::kUnavailable) {

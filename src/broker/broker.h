@@ -8,10 +8,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
-#include <set>
 #include <mutex>
+#include <optional>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -61,7 +63,8 @@ struct BrokerConfig {
   uint32_t replication_window = 1;
   /// Background replication worker threads. 0 disables the background
   /// replicator: produce handlers drive replication synchronously on the
-  /// RPC thread (the original behavior; also what the DES needs).
+  /// RPC thread, fanning out over every vlog the request touched (the
+  /// original behavior; also what the DES needs).
   uint32_t replication_workers = 0;
   /// Server-side cap on ConsumeRequest::max_wait_us (long-poll): a parked
   /// consume request never outlives this, no matter what the client asks
@@ -175,7 +178,8 @@ class Broker final : public rpc::RpcHandler {
   // ----- replication plumbing -----
 
   /// Ships one batch to its backup set (parallel RPCs) and completes or
-  /// aborts it on the vlog. Returns the replication status.
+  /// aborts it on the vlog: IssueBatch followed by FinishBatch. Returns
+  /// the replication status.
   Status ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch);
 
   /// Serializes a batch into a materialized kReplicate frame (for callers
@@ -446,11 +450,67 @@ class Broker final : public rpc::RpcHandler {
                         std::vector<DuplicateWait>& duplicate_waits,
                         rpc::ProduceResponse& resp);
 
-  /// Synchronous-replication drive loop: polls and ships `vlog`'s batches
-  /// on the calling thread until `ref` is durable (only ref.group and
-  /// ref.loc.group_chunk_index are consulted), tolerating a bounded number
-  /// of segment evacuations after backup failures before giving up.
-  Status DriveUntilDurable(VirtualLog& vlog, const ChunkRef& ref);
+  /// The wire side of one issued replication batch: the encoder's inline
+  /// runs, the opcode, the parts list referencing both, and the current
+  /// attempt's futures. CallAsyncParts needs the referenced memory to
+  /// stay put until every future is collected, so a ReplicaSend never
+  /// moves between IssueBatch and FinishBatch.
+  struct ReplicaSend {
+    ReplicaSend() = default;
+    ReplicaSend(const ReplicaSend&) = delete;
+    ReplicaSend& operator=(const ReplicaSend&) = delete;
+
+    rpc::Writer body{64};
+    std::array<std::byte, 2> opcode{};
+    rpc::BytesRefParts parts;
+    std::vector<std::future<Result<std::vector<std::byte>>>> futures;
+  };
+
+  /// First half of ShipBatch: encodes `batch` into `send` and starts the
+  /// first attempt on every backup without waiting for any of them.
+  void IssueBatch(const ReplicationBatch& batch, ReplicaSend& send);
+  /// Sends one attempt of an encoded batch to every backup.
+  void SendReplicateAttempt(const ReplicationBatch& batch, ReplicaSend& send);
+  /// Second half of ShipBatch: collects the responses, retries the whole
+  /// batch up to replication_retries times, then either completes it
+  /// (waking consume waiters and pumping tiered memory) or aborts it,
+  /// evacuating its segment on kUnavailable.
+  Status FinishBatch(VirtualLog& vlog, const ReplicationBatch& batch,
+                     ReplicaSend& send);
+
+  /// One touched virtual log of a synchronous produce request. The
+  /// request's lanes are built once, in first-appearance order, and never
+  /// move, so `send` keeps a stable address while its batch is in flight.
+  struct FanOutLane {
+    VirtualLog* vlog = nullptr;
+    /// Set by the caller: poll this lane in the next pass.
+    bool wants = false;
+    /// Filled by the pass: the batch issued on this lane (if any) and its
+    /// outcome.
+    std::optional<ReplicationBatch> batch;
+    Status status = OkStatus();
+    std::optional<ReplicaSend> send;
+    /// Segment evacuations this request has retried on this lane.
+    int evacuations = 0;
+  };
+
+  /// One fan-out pass: polls one batch from every lane that wants one
+  /// (a lane whose window is full or whose work is already issued yields
+  /// nothing), issues them all, then finishes them in issue order, so
+  /// the lanes' replication round trips overlap. Returns the number of
+  /// batches issued.
+  size_t FanOutPass(std::vector<FanOutLane>& lanes);
+
+  /// Synchronous-replication drive loop of one produce request: runs
+  /// fan-out passes over the lanes of every target that is not durable
+  /// yet until all `targets` are durable (only ref.group and
+  /// ref.loc.group_chunk_index are consulted). When no lane can issue,
+  /// blocks on the oldest pending target's vlog. Tolerates a bounded
+  /// number of segment evacuations per lane after backup failures before
+  /// giving up.
+  Status DriveUntilDurable(
+      const std::vector<std::pair<VirtualLog*, ChunkRef>>& targets,
+      std::vector<FanOutLane>& lanes);
 
   const BrokerConfig config_;
   const uint32_t shards_;

@@ -2,6 +2,8 @@
 // exactly-once dedup, durability gate on consume, vlog policies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string_view>
 #include <thread>
 
@@ -29,6 +31,31 @@ std::vector<std::byte> MakeChunk(StreamId stream, StreamletId streamlet,
   auto bytes = b.Seal(seq);
   return {bytes.begin(), bytes.end()};
 }
+
+/// Forwards every frame to a backup, reporting each replicate request's
+/// vlog id before the backup handles it.
+class ReplicateSpy final : public rpc::RpcHandler {
+ public:
+  ReplicateSpy(rpc::RpcHandler& backup, std::function<void(VlogId)> hook)
+      : backup_(backup), hook_(std::move(hook)) {}
+
+  std::vector<std::byte> HandleRpc(
+      std::span<const std::byte> request) override {
+    rpc::Opcode op;
+    std::span<const std::byte> body;
+    if (rpc::ParseFrame(request, op, body).ok() &&
+        op == rpc::Opcode::kReplicate) {
+      rpc::Reader r(body);
+      auto req = rpc::ReplicateRequest::Decode(r);
+      if (req.ok()) hook_(req->vlog);
+    }
+    return backup_.HandleRpc(request);
+  }
+
+ private:
+  rpc::RpcHandler& backup_;
+  std::function<void(VlogId)> hook_;
+};
 
 class BrokerTest : public ::testing::Test {
  protected:
@@ -241,6 +268,57 @@ TEST_F(BrokerTest, ConsumeRespectsDurabilityGate) {
     ASSERT_TRUE(broker_->ShipBatch(*touched[0], *batch).ok());
   }
   EXPECT_EQ(broker_->HandleConsume(creq).entries[0].chunks.size(), 1u);
+}
+
+// The synchronous produce path fans replication out over the vlogs a
+// request touched: every log's first batch is on the wire before any of
+// them completes, so the request pays one replication round trip, not
+// one per log.
+TEST_F(BrokerTest, ProduceIssuesEveryVlogBeforeAnyCompletes) {
+  constexpr StreamletId kStreamlets = 8;  // spread over the 2-vlog pool
+  auto info = MakeStream("s", kStreamlets, 1, 3,
+                         rpc::VlogPolicy::kSharedPerBroker);
+  std::vector<std::vector<std::byte>> chunks;
+  rpc::ProduceRequest req;
+  req.stream = info.stream;
+  for (StreamletId sl = 0; sl < kStreamlets; ++sl) {
+    chunks.push_back(MakeChunk(info.stream, sl, 1, 1));
+  }
+  req.chunks.assign(chunks.begin(), chunks.end());
+
+  Stream* stream = broker_->GetStream(info.stream);
+  auto durable_chunks = [&] {
+    uint64_t n = 0;
+    for (StreamletId sl = 0; sl < kStreamlets; ++sl) {
+      n += stream->GetStreamlet(sl)->GetGroup(0)->durable_chunk_count();
+    }
+    return n;
+  };
+  std::vector<VlogId> first_seen;  // vlogs in first-replicate order
+  uint64_t durable_at_second_vlog = ~uint64_t(0);
+  auto hook = [&](VlogId vlog) {
+    if (std::find(first_seen.begin(), first_seen.end(), vlog) !=
+        first_seen.end()) {
+      return;
+    }
+    first_seen.push_back(vlog);
+    if (first_seen.size() == 2) durable_at_second_vlog = durable_chunks();
+  };
+  ReplicateSpy spy2(*backup2_, hook);
+  ReplicateSpy spy3(*backup3_, hook);
+  net_.Register(BackupServiceId(2), &spy2);
+  net_.Register(BackupServiceId(3), &spy3);
+
+  auto resp = broker_->HandleProduce(req);
+  net_.Register(BackupServiceId(2), backup2_.get());
+  net_.Register(BackupServiceId(3), backup3_.get());
+  ASSERT_EQ(resp.status, StatusCode::kOk);
+  EXPECT_EQ(resp.appended, kStreamlets);
+  ASSERT_EQ(first_seen.size(), 2u) << "the request must touch both vlogs";
+  // When the second log's first replicate arrived, no chunk of the
+  // request was durable yet: the first log's batch was still in flight.
+  EXPECT_EQ(durable_at_second_vlog, 0u);
+  EXPECT_EQ(durable_chunks(), uint64_t(kStreamlets));
 }
 
 TEST_F(BrokerTest, ConsumeFromBackupFailureReturnsError) {

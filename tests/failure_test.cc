@@ -5,11 +5,15 @@
 // chaos::ChaosNetwork edge policies, over DirectNetwork and SocketNetwork.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 
 #include "backup/backup.h"
 #include "broker/broker.h"
@@ -246,6 +250,163 @@ TEST_F(FlakyProduceTest, DuplicateRequestRetransmissionsAreAbsorbed) {
   EXPECT_GE(duplicates, 1);
   EXPECT_EQ(broker_->GetStats().chunks_appended, 1u);
   EXPECT_EQ(backup2_.GetStats().chunks_received, 1u);
+}
+
+/// Counts replicate requests per (vlog, vseg, start offset) as they reach
+/// a backup, then lets the backup handle them.
+class ReplicateCounter final : public rpc::RpcHandler {
+ public:
+  explicit ReplicateCounter(Backup& backup) : backup_(backup) {}
+
+  std::vector<std::byte> HandleRpc(
+      std::span<const std::byte> request) override {
+    rpc::Opcode op;
+    std::span<const std::byte> body;
+    if (rpc::ParseFrame(request, op, body).ok() &&
+        op == rpc::Opcode::kReplicate) {
+      rpc::Reader r(body);
+      auto req = rpc::ReplicateRequest::Decode(r);
+      if (req.ok()) ++arrivals[{req->vlog, req->vseg, req->start_offset}];
+    }
+    return backup_.HandleRpc(request);
+  }
+
+  std::map<std::tuple<VlogId, VirtualSegmentId, uint64_t>, int> arrivals;
+
+ private:
+  Backup& backup_;
+};
+
+/// (streamlet, seq) of every chunk `backup` holds for primary `primary`.
+std::set<std::pair<StreamletId, ChunkSeq>> HeldChunks(Backup& backup,
+                                                      NodeId primary) {
+  std::set<std::pair<StreamletId, ChunkSeq>> held;
+  for (const auto& seg : backup.HandleList({.crashed = primary}).segments) {
+    std::vector<std::byte> storage;
+    auto read = backup.HandleRead(
+        {.crashed = primary, .vlog = seg.vlog, .vseg = seg.vseg}, storage);
+    std::span<const std::byte> rest = read.payload;
+    while (!rest.empty()) {
+      auto chunk = ChunkView::Parse(rest);
+      if (!chunk.ok()) break;
+      held.emplace(chunk->streamlet_id(), chunk->chunk_seq());
+      rest = rest.subspan(chunk->total_size());
+    }
+  }
+  return held;
+}
+
+/// One produce request fans out over both vlogs of the pool while one
+/// vlog's backup set includes a partitioned backup: the failing batch
+/// evacuates onto live backups and ships again, the healthy vlog's batch
+/// completes once, and the request still acks with every chunk on R-1
+/// live backups.
+TEST(FanOutFailureTest, OneFailingVlogDoesNotReshipTheOthers) {
+  constexpr StreamletId kStreamlets = 8;
+  rpc::DirectNetwork inner;
+  chaos::ChaosNetwork net(inner, 7);
+  std::vector<std::unique_ptr<Backup>> backups;
+  std::vector<std::unique_ptr<ReplicateCounter>> counters;
+  std::vector<NodeId> backup_ids;
+  for (NodeId n = 2; n <= 4; ++n) {
+    backups.push_back(std::make_unique<Backup>(
+        BackupConfig{.node = n, .storage_dir = "", .log = {}}));
+    counters.push_back(std::make_unique<ReplicateCounter>(*backups.back()));
+    inner.Register(BackupServiceId(n), counters.back().get());
+    backup_ids.push_back(BackupServiceId(n));
+  }
+  BrokerConfig bc;
+  bc.node = 1;
+  bc.memory_bytes = 16 << 20;
+  bc.segment_size = 64 << 10;
+  bc.virtual_segment_capacity = 64 << 10;
+  bc.vlogs_per_broker = 2;
+  bc.backup_nodes = backup_ids;
+  Broker broker(bc, net);
+  rpc::StreamInfo info;
+  info.stream = 1;
+  info.options.num_streamlets = kStreamlets;
+  info.options.replication_factor = 3;
+  info.streamlet_brokers.assign(kStreamlets, 1);
+  ASSERT_TRUE(broker.AddStream("s", info).ok());
+  for (StreamletId sl = 0; sl < kStreamlets; ++sl) {
+    ASSERT_TRUE(broker.AddStreamlet(1, sl).ok());
+  }
+  auto produce = [&](ChunkSeq seq) {
+    std::vector<std::vector<std::byte>> chunks;
+    rpc::ProduceRequest req;
+    req.producer = 3;
+    req.stream = 1;
+    for (StreamletId sl = 0; sl < kStreamlets; ++sl) {
+      chunks.push_back(MakeChunk(1, sl, 3, seq));
+    }
+    req.chunks.assign(chunks.begin(), chunks.end());
+    return broker.HandleProduce(req);
+  };
+
+  // Healthy round: opens a virtual segment on both vlogs.
+  ASSERT_EQ(produce(1).status, StatusCode::kOk);
+  std::vector<VirtualLog*> vlogs = broker.VirtualLogs();
+  ASSERT_EQ(vlogs.size(), 2u);
+  ASSERT_FALSE(vlogs[0]->Segments().empty());
+  ASSERT_FALSE(vlogs[1]->Segments().empty());
+  // Partition a backup only the first vlog's open segment targets.
+  const std::vector<NodeId> failing_set =
+      vlogs[0]->Segments().back()->backups();
+  const std::vector<NodeId> healthy_set =
+      vlogs[1]->Segments().back()->backups();
+  NodeId victim = 0;
+  for (NodeId b : failing_set) {
+    if (std::find(healthy_set.begin(), healthy_set.end(), b) ==
+        healthy_set.end()) {
+      victim = b;
+    }
+  }
+  ASSERT_NE(victim, 0u) << "the two vlogs must not share a backup set";
+  net.SetPartitioned(victim, true);
+  std::vector<NodeId> live;
+  for (NodeId b : backup_ids) {
+    if (b != victim) live.push_back(b);
+  }
+  broker.SetLiveBackups(live);
+  for (auto& c : counters) c->arrivals.clear();
+  const uint64_t failing_issued = vlogs[0]->GetStats().batches_issued;
+  const uint64_t healthy_issued = vlogs[1]->GetStats().batches_issued;
+
+  auto resp = produce(2);
+  ASSERT_EQ(resp.status, StatusCode::kOk);
+  EXPECT_EQ(resp.appended, kStreamlets);
+
+  // The failing vlog aborted, evacuated onto live backups and re-shipped.
+  EXPECT_GT(net.GetStats().partitioned_calls, 0u);
+  EXPECT_GE(vlogs[0]->GetStats().batches_issued, failing_issued + 2);
+  for (NodeId b : vlogs[0]->Segments().back()->backups()) {
+    EXPECT_NE(b, victim);
+  }
+  // The healthy vlog's one batch completed on the first fan-out: each of
+  // its backups saw it exactly once.
+  EXPECT_EQ(vlogs[1]->GetStats().batches_issued, healthy_issued + 1);
+  for (size_t i = 0; i < backup_ids.size(); ++i) {
+    int healthy_batches = 0;
+    for (const auto& [key, count] : counters[i]->arrivals) {
+      if (std::get<0>(key) != vlogs[1]->id()) continue;
+      ++healthy_batches;
+      EXPECT_EQ(count, 1) << "healthy batch re-shipped to backup "
+                          << backup_ids[i];
+    }
+    const bool targeted = std::find(healthy_set.begin(), healthy_set.end(),
+                                    backup_ids[i]) != healthy_set.end();
+    EXPECT_EQ(healthy_batches, targeted ? 1 : 0) << backup_ids[i];
+  }
+  // Every chunk of the request is held by both live backups (R-1 = 2).
+  for (size_t i = 0; i < backup_ids.size(); ++i) {
+    if (backup_ids[i] == victim) continue;
+    auto held = HeldChunks(*backups[i], 1);
+    for (StreamletId sl = 0; sl < kStreamlets; ++sl) {
+      EXPECT_EQ(held.count({sl, ChunkSeq(2)}), 1u)
+          << "streamlet " << sl << " missing on backup " << backup_ids[i];
+    }
+  }
 }
 
 }  // namespace
