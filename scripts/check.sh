@@ -7,6 +7,10 @@
 # buffers; sanitizers catch lifetime mistakes), and the core
 # micro-benchmark emitting machine-readable JSON.
 #
+# Every stage that runs the socket cluster or a long sweep outside ctest
+# (the e2ebench selfcheck, the chaos soaks, every bench) runs under
+# `timeout`, so a hang fails the script instead of wedging it.
+#
 #   ./scripts/check.sh [build_dir] [tsan_build_dir] [asan_build_dir]
 set -euo pipefail
 
@@ -24,19 +28,20 @@ echo "== end-to-end benchmark selfcheck (socket cluster, every record checked) =
 # Builds e2e_bench in Release under the regular build dir, then runs the
 # record-checker test and all three workloads at tiny scale, untraced and
 # traced, over real sockets; every record must arrive exactly once.
-(cd "$repo" && CARGO_TARGET_DIR="$build/e2e" python3 e2ebench/run.py --selfcheck)
+(cd "$repo" && CARGO_TARGET_DIR="$build/e2e" \
+  timeout 1800 python3 e2ebench/run.py --selfcheck)
 
-echo "== ThreadSanitizer build (vlog + broker + client + socket-cluster suites) =="
+echo "== ThreadSanitizer build (common, vlog, broker, client, cluster suites) =="
 # MiniCluster defaults to the socket transport, so the integration, soak
 # and bounded-stream suites run real dispatch/worker threads too.
 cmake -B "$tsan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build "$tsan_build" -j --target \
-  vlog_test vlog_property_test broker_test client_test client_edge_test \
-  consume_protocol_test transport_test exactly_once_test integration_test \
-  soak_test bounded_stream_test failure_test
-for t in vlog_test vlog_property_test broker_test client_test \
+  common_test vlog_test vlog_property_test broker_test client_test \
+  client_edge_test consume_protocol_test transport_test exactly_once_test \
+  integration_test soak_test bounded_stream_test failure_test
+for t in common_test vlog_test vlog_property_test broker_test client_test \
          client_edge_test consume_protocol_test transport_test \
          exactly_once_test integration_test soak_test bounded_stream_test \
          failure_test; do
@@ -150,37 +155,37 @@ echo "== recovery MTTR benchmark (JSON to BENCH_recovery.json) =="
 # wall-clock run (honest numbers; batched-read RPC reduction is the
 # deterministic claim there).
 cmake --build "$build" -j --target bench_recovery_mttr
-"$build/bench/bench_recovery_mttr" \
+timeout 900 "$build/bench/bench_recovery_mttr" \
   --benchmark_out="$repo/BENCH_recovery.json" \
   --benchmark_out_format=json
 
 echo "== chaos soak (JSON to BENCH_chaos.json) =="
 cmake --build "$build" -j --target chaos_soak
-"$build/tools/chaos_soak" --schedules=400 --events=60 \
+timeout 1800 "$build/tools/chaos_soak" --schedules=400 --events=60 \
   --out="$repo/BENCH_chaos.json"
 
 echo "== exactly-once chaos soak (JSON to BENCH_chaos_eo.json) =="
 # Same seed band with end-to-end exactly-once on: the JSON adds the
 # dedup-hit / fence / offset-commit counters and the redelivery total
 # (which the tightened invariant holds at zero).
-"$build/tools/chaos_soak" --schedules=400 --events=60 --exactly_once \
-  --out="$repo/BENCH_chaos_eo.json"
+timeout 1800 "$build/tools/chaos_soak" --schedules=400 --events=60 \
+  --exactly_once --out="$repo/BENCH_chaos_eo.json"
 
 echo "== micro-benchmark (JSON to BENCH_micro_core.json) =="
 cmake --build "$build" -j --target bench_micro_core
-"$build/bench/bench_micro_core" \
+timeout 900 "$build/bench/bench_micro_core" \
   --benchmark_out="$repo/BENCH_micro_core.json" \
   --benchmark_out_format=json
 
 echo "== transport benchmark (JSON to BENCH_transport.json) =="
 cmake --build "$build" -j --target bench_transport
-"$build/bench/bench_transport" \
+timeout 900 "$build/bench/bench_transport" \
   --benchmark_out="$repo/BENCH_transport.json" \
   --benchmark_out_format=json
 
 echo "== consume benchmark (JSON to BENCH_consume.json) =="
 cmake --build "$build" -j --target bench_consume
-"$build/bench/bench_consume" \
+timeout 900 "$build/bench/bench_consume" \
   --benchmark_out="$repo/BENCH_consume.json" \
   --benchmark_out_format=json
 
@@ -188,7 +193,7 @@ echo "== backup store benchmark (JSON to BENCH_backup.json) =="
 # Group-commit flush vs one-file-per-segment baseline (fsyncs_per_mb is
 # the headline counter) and cold-restart scan time vs segment count.
 cmake --build "$build" -j --target bench_backup_store
-"$build/bench/bench_backup_store" \
+timeout 900 "$build/bench/bench_backup_store" \
   --benchmark_out="$repo/BENCH_backup.json" \
   --benchmark_out_format=json
 
@@ -197,7 +202,7 @@ echo "== tiered memory benchmark (JSON to BENCH_coldread.json) =="
 # hot-tail produce percentiles with/without a concurrent cold scanner
 # (scan resistance: the scanner runs out of the cold cache's own pool).
 cmake --build "$build" -j --target bench_coldread
-"$build/bench/bench_coldread" \
+timeout 900 "$build/bench/bench_coldread" \
   --benchmark_out="$repo/BENCH_coldread.json" \
   --benchmark_out_format=json
 
@@ -206,7 +211,7 @@ echo "== multicore scaling benchmark (JSON to BENCH_multicore.json) =="
 # context records nproc and the CPU model, so single-CPU runs are
 # self-documenting (no scaling is expected there, only routing counters).
 cmake --build "$build" -j --target bench_multicore
-"$build/bench/bench_multicore" \
+timeout 900 "$build/bench/bench_multicore" \
   --benchmark_out="$repo/BENCH_multicore.json" \
   --benchmark_out_format=json
 

@@ -492,6 +492,22 @@ Backup::Stats Backup::GetStats() const {
   return s;
 }
 
+Backup::Stats& Backup::Stats::operator+=(const Stats& other) {
+  replicate_rpcs += other.replicate_rpcs;
+  bytes_received += other.bytes_received;
+  chunks_received += other.chunks_received;
+  checksum_failures += other.checksum_failures;
+  segments_sealed += other.segments_sealed;
+  segments_flushed += other.segments_flushed;
+  flush_groups += other.flush_groups;
+  fsyncs += other.fsyncs;
+  bytes_flushed += other.bytes_flushed;
+  gc_bytes_reclaimed += other.gc_bytes_reclaimed;
+  restart_scan_ms += other.restart_scan_ms;
+  io_errors += other.io_errors;
+  return *this;
+}
+
 size_t Backup::SegmentCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return segments_.size();

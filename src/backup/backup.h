@@ -87,6 +87,10 @@ class Backup final : public rpc::RpcHandler {
     uint64_t gc_bytes_reclaimed = 0;
     uint64_t restart_scan_ms = 0;
     uint64_t io_errors = 0;  // sticky segment-log IO failure (0 or 1)
+
+    /// Adds every field of `other`: the one merge of per-backup stats
+    /// into a cluster total.
+    Stats& operator+=(const Stats& other);
   };
   [[nodiscard]] Stats GetStats() const;
 

@@ -77,13 +77,13 @@ void Broker::ExecuteOnShard(uint32_t shard, std::function<void()> op) {
     op();
     return;
   }
-  stats_.cross_shard_ops.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.cross_shard_ops;
   shard_rt_[shard]->mailbox.Execute(std::move(op));
 }
 
 void Broker::EnterShardFrame(uint32_t shard) {
   ShardRuntime& rt = *shard_rt_[shard];
-  rt.frames.fetch_add(1, std::memory_order_relaxed);
+  ++rt.frames;
   rt.mailbox.Drain();
 }
 
@@ -396,7 +396,7 @@ Status Broker::AppendOneChunk(
   auto chunk = ChunkView::Parse(frame);
   if (!chunk.ok()) return chunk.status();
   if (config_.verify_chunk_checksums && !chunk->VerifyChecksum()) {
-    stats_.checksum_failures.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.checksum_failures;
     return Status(StatusCode::kCorruption, "chunk checksum mismatch");
   }
   if (chunk->stream_id() != req.stream) {
@@ -408,7 +408,7 @@ Status Broker::AppendOneChunk(
     // A producer batched chunks of differently-homed streamlets into one
     // request: still correct (the shard lock protects from any thread),
     // just off the fast path.
-    stats_.cross_shard_ops.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.cross_shard_ops;
   }
   auto key = std::make_pair(streamlet_id, chunk->producer_id());
   const uint32_t epoch = chunk->producer_epoch();
@@ -436,14 +436,14 @@ Status Broker::AppendOneChunk(
       // under a newer epoch (the epoch rides in every accepted chunk's
       // header, so replication and recovery carry it to any new leader).
       // An instance still stamping the old epoch must not append.
-      stats_.chunks_fenced.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.chunks_fenced;
       return Status(StatusCode::kFenced, "producer epoch fenced");
     }
     if (!inserted && epoch == it->second.epoch &&
         chunk->chunk_seq() <= it->second.seq) {
       ++resp.duplicates;
       ++ss.dedup_hits[key];
-      stats_.chunks_duplicate.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.chunks_duplicate;
       // A retry of the LATEST sequence must not be acked before the
       // original copy is durable (the producer is retrying because it
       // never saw an ack). Older sequences were below the latest when it
@@ -512,17 +512,16 @@ Status Broker::AppendOneChunk(
       // cursor table. Appends include recovery replays, so the table
       // rebuilds from the log on the new leader with no extra machinery.
       ApplyOffsetChunk(ss, streamlet_id, *chunk);
-      stats_.offset_commits.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.offset_commits;
     }
   }
 
   ++resp.appended;
-  stats_.chunks_appended.fetch_add(1, std::memory_order_relaxed);
-  stats_.bytes_appended.fetch_add(frame.size(), std::memory_order_relaxed);
+  ++stats_.chunks_appended;
+  stats_.bytes_appended += frame.size();
   if (req.recovery) {
-    stats_.recovery_chunks_appended.fetch_add(1, std::memory_order_relaxed);
-    stats_.recovery_bytes_appended.fetch_add(frame.size(),
-                                             std::memory_order_relaxed);
+    ++stats_.recovery_chunks_appended;
+    stats_.recovery_bytes_appended += frame.size();
   }
   return OkStatus();
 }
@@ -531,9 +530,9 @@ rpc::ProduceResponse Broker::HandleProduceNoSync(
     const rpc::ProduceRequest& req,
     std::vector<std::pair<VirtualLog*, ChunkRef>>* appended) {
   rpc::ProduceResponse resp;
-  stats_.produce_rpcs.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.produce_rpcs;
   if (req.recovery) {
-    stats_.recovery_produce_rpcs.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.recovery_produce_rpcs;
   }
   StreamEntry* entry = FindStream(req.stream);
   if (entry == nullptr) {
@@ -576,9 +575,9 @@ rpc::ProduceResponse Broker::HandleProduceNoSync(
 
 rpc::ProduceResponse Broker::HandleProduce(const rpc::ProduceRequest& req) {
   rpc::ProduceResponse resp;
-  stats_.produce_rpcs.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.produce_rpcs;
   if (req.recovery) {
-    stats_.recovery_produce_rpcs.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.recovery_produce_rpcs;
   }
   StreamEntry* entry = FindStream(req.stream);
   if (entry == nullptr) {
@@ -885,11 +884,9 @@ Status Broker::FinishBatch(VirtualLog& vlog, const ReplicationBatch& batch,
                             : resp.status();
       }
     }
-    stats_.replication_batches.fetch_add(1, std::memory_order_relaxed);
-    stats_.replication_rpcs.fetch_add(batch.backups.size(),
-                                      std::memory_order_relaxed);
-    stats_.replication_bytes.fetch_add(batch.bytes * batch.backups.size(),
-                                       std::memory_order_relaxed);
+    ++stats_.replication_batches;
+    stats_.replication_rpcs += batch.backups.size();
+    stats_.replication_bytes += batch.bytes * batch.backups.size();
     if (all_ok) {
       vlog.Complete(batch);
       // The durable prefix of every group in the batch just advanced:
@@ -1026,14 +1023,14 @@ rpc::ConsumeResponse Broker::GatherConsume(StreamEntry& entry,
         group->closed() && out.next_chunk >= group->chunk_count();
     if (out.group_closed && served == 0) *rotated = true;
     if (!out.stream_sealed || !out.group_closed) *all_terminal = false;
-    stats_.chunks_served.fetch_add(served, std::memory_order_relaxed);
+    stats_.chunks_served += served;
     resp.entries.push_back(std::move(out));
   }
   return resp;
 }
 
 rpc::ConsumeResponse Broker::HandleConsume(const rpc::ConsumeRequest& req) {
-  stats_.consume_rpcs.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.consume_rpcs;
   StreamEntry* entry = FindStream(req.stream);
   if (entry == nullptr) {
     rpc::ConsumeResponse resp;
@@ -1071,7 +1068,7 @@ rpc::ConsumeResponse Broker::HandleConsume(const rpc::ConsumeRequest& req) {
     }
   } cross_guard;
   if (spans) {
-    stats_.cross_shard_ops.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.cross_shard_ops;
     if (wait_us > 0) {
       entry->cross_parked.fetch_add(1);
       cross_guard.counter = &entry->cross_parked;
@@ -1102,7 +1099,7 @@ rpc::ConsumeResponse Broker::HandleConsume(const rpc::ConsumeRequest& req) {
     }
     if (!parked) {
       parked = true;
-      stats_.consume_long_polls.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.consume_long_polls;
     }
     std::unique_lock<std::mutex> lock(home_ss.mu);
     while (home_ss.consume_epoch == epoch &&
@@ -1297,38 +1294,11 @@ std::map<std::pair<StreamletId, ProducerId>, uint64_t> Broker::DedupHitsByKey(
 }
 
 Broker::Stats Broker::GetStats() const {
-  Stats out;
-  out.produce_rpcs = stats_.produce_rpcs.load(std::memory_order_relaxed);
-  out.chunks_appended =
-      stats_.chunks_appended.load(std::memory_order_relaxed);
-  out.chunks_duplicate =
-      stats_.chunks_duplicate.load(std::memory_order_relaxed);
-  out.chunks_fenced = stats_.chunks_fenced.load(std::memory_order_relaxed);
-  out.offset_commits = stats_.offset_commits.load(std::memory_order_relaxed);
-  out.bytes_appended = stats_.bytes_appended.load(std::memory_order_relaxed);
-  out.consume_rpcs = stats_.consume_rpcs.load(std::memory_order_relaxed);
-  out.chunks_served = stats_.chunks_served.load(std::memory_order_relaxed);
-  out.consume_long_polls =
-      stats_.consume_long_polls.load(std::memory_order_relaxed);
-  out.replication_batches =
-      stats_.replication_batches.load(std::memory_order_relaxed);
-  out.replication_rpcs =
-      stats_.replication_rpcs.load(std::memory_order_relaxed);
-  out.replication_bytes =
-      stats_.replication_bytes.load(std::memory_order_relaxed);
-  out.checksum_failures =
-      stats_.checksum_failures.load(std::memory_order_relaxed);
-  out.cross_shard_ops = stats_.cross_shard_ops.load(std::memory_order_relaxed);
-  out.recovery_produce_rpcs =
-      stats_.recovery_produce_rpcs.load(std::memory_order_relaxed);
-  out.recovery_chunks_appended =
-      stats_.recovery_chunks_appended.load(std::memory_order_relaxed);
-  out.recovery_bytes_appended =
-      stats_.recovery_bytes_appended.load(std::memory_order_relaxed);
+  Stats out = stats_;
   out.shard_frames.reserve(shards_);
   for (const auto& rt : shard_rt_) {
     out.shard_mailbox_enqueues += rt->mailbox.enqueues();
-    out.shard_frames.push_back(rt->frames.load(std::memory_order_relaxed));
+    out.shard_frames.push_back(rt->frames);
   }
   MemoryManager::Stats ms = memory_.GetStats();
   out.memory_buffers_outstanding = ms.buffers_outstanding;
@@ -1345,6 +1315,44 @@ Broker::Stats Broker::GetStats() const {
     out.readahead_hits = ts.readahead_hits;
   }
   return out;
+}
+
+Broker::Stats& Broker::Stats::operator+=(const Stats& other) {
+  produce_rpcs += other.produce_rpcs;
+  chunks_appended += other.chunks_appended;
+  chunks_duplicate += other.chunks_duplicate;
+  chunks_fenced += other.chunks_fenced;
+  offset_commits += other.offset_commits;
+  bytes_appended += other.bytes_appended;
+  consume_rpcs += other.consume_rpcs;
+  chunks_served += other.chunks_served;
+  consume_long_polls += other.consume_long_polls;
+  replication_batches += other.replication_batches;
+  replication_rpcs += other.replication_rpcs;
+  replication_bytes += other.replication_bytes;
+  checksum_failures += other.checksum_failures;
+  recovery_produce_rpcs += other.recovery_produce_rpcs;
+  recovery_chunks_appended += other.recovery_chunks_appended;
+  recovery_bytes_appended += other.recovery_bytes_appended;
+  shard_mailbox_enqueues += other.shard_mailbox_enqueues;
+  cross_shard_ops += other.cross_shard_ops;
+  if (shard_frames.size() < other.shard_frames.size()) {
+    shard_frames.resize(other.shard_frames.size());
+  }
+  for (size_t i = 0; i < other.shard_frames.size(); ++i) {
+    shard_frames[i] += other.shard_frames[i];
+  }
+  segments_spilled += other.segments_spilled;
+  segments_evicted += other.segments_evicted;
+  spill_bytes += other.spill_bytes;
+  cold_reads += other.cold_reads;
+  cold_cache_hits += other.cold_cache_hits;
+  cold_cache_misses += other.cold_cache_misses;
+  readahead_hits += other.readahead_hits;
+  memory_buffers_outstanding += other.memory_buffers_outstanding;
+  memory_peak_buffers += other.memory_peak_buffers;
+  memory_bytes_resident += other.memory_bytes_resident;
+  return *this;
 }
 
 Stream* Broker::GetStream(StreamId id) const {

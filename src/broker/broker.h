@@ -23,6 +23,7 @@
 #include "broker/shard_mailbox.h"
 #include "broker/tiered_store.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "common/types.h"
 #include "rpc/messages.h"
 #include "rpc/transport.h"
@@ -190,30 +191,33 @@ class Broker final : public rpc::RpcHandler {
 
   // ----- introspection / maintenance -----
 
+  /// Counter fields are counted live (the broker's stats_ is this
+  /// struct); plain fields are filled by GetStats from the shard
+  /// runtimes, the segment pool and the tiered store.
   struct Stats {
-    uint64_t produce_rpcs = 0;
-    uint64_t chunks_appended = 0;
-    uint64_t chunks_duplicate = 0;
+    Counter produce_rpcs;
+    Counter chunks_appended;
+    Counter chunks_duplicate;
     /// Chunks rejected because their producer epoch is older than the
     /// broker's known epoch for that (streamlet, producer) — a fenced
     /// zombie from before a coordinator re-allocation.
-    uint64_t chunks_fenced = 0;
+    Counter chunks_fenced;
     /// Consumer offset-commit system chunks appended (dedup hits on commit
     /// retries count under chunks_duplicate like any other chunk).
-    uint64_t offset_commits = 0;
-    uint64_t bytes_appended = 0;
-    uint64_t consume_rpcs = 0;
-    uint64_t chunks_served = 0;
-    uint64_t consume_long_polls = 0;  // consume RPCs that parked at least once
-    uint64_t replication_batches = 0;
-    uint64_t replication_rpcs = 0;
-    uint64_t replication_bytes = 0;  // bytes * (R-1), i.e. network cost
-    uint64_t checksum_failures = 0;
+    Counter offset_commits;
+    Counter bytes_appended;
+    Counter consume_rpcs;
+    Counter chunks_served;
+    Counter consume_long_polls;  // consume RPCs that parked at least once
+    Counter replication_batches;
+    Counter replication_rpcs;
+    Counter replication_bytes;  // bytes * (R-1), i.e. network cost
+    Counter checksum_failures;
     /// Crash-recovery re-ingest (ProduceRequest::recovery): requests,
     /// chunks and frame bytes applied through the recovery-produce path.
-    uint64_t recovery_produce_rpcs = 0;
-    uint64_t recovery_chunks_appended = 0;
-    uint64_t recovery_bytes_appended = 0;
+    Counter recovery_produce_rpcs;
+    Counter recovery_chunks_appended;
+    Counter recovery_bytes_appended;
     /// Shared-nothing contention telemetry: ops posted through the
     /// per-shard mailboxes, data-plane items (chunks/consume entries)
     /// that landed on a thread handling a different shard's frame plus
@@ -221,7 +225,7 @@ class Broker final : public rpc::RpcHandler {
     /// (produce + consume; size == config().shards). Mis-routing shows
     /// up as cross_shard_ops > 0 or a lopsided shard_frames.
     uint64_t shard_mailbox_enqueues = 0;
-    uint64_t cross_shard_ops = 0;
+    Counter cross_shard_ops;
     std::vector<uint64_t> shard_frames;
     /// Tiered broker memory: spill/eviction activity and the cold-read
     /// path (all zero while memory_budget_bytes == 0).
@@ -236,6 +240,10 @@ class Broker final : public rpc::RpcHandler {
     uint64_t memory_buffers_outstanding = 0;
     uint64_t memory_peak_buffers = 0;
     uint64_t memory_bytes_resident = 0;
+
+    /// Adds every field of `other` (shard_frames element-wise): the one
+    /// merge of per-broker stats into a cluster total.
+    Stats& operator+=(const Stats& other);
   };
   [[nodiscard]] Stats GetStats() const;
 
@@ -521,7 +529,7 @@ class Broker final : public rpc::RpcHandler {
   /// counter. Heap-allocated so shards never share a cache line.
   struct alignas(64) ShardRuntime {
     ShardMailbox mailbox;
-    std::atomic<uint64_t> frames{0};
+    Counter frames;
   };
   std::vector<std::unique_ptr<ShardRuntime>> shard_rt_;
 
@@ -552,28 +560,9 @@ class Broker final : public rpc::RpcHandler {
   mutable std::mutex live_backups_mu_;
   std::vector<NodeId> live_backups_;
 
-  /// Stats counters are lock-free so the produce/consume/replication hot
-  /// paths never serialize on a stats mutex.
-  struct AtomicStats {
-    std::atomic<uint64_t> produce_rpcs{0};
-    std::atomic<uint64_t> chunks_appended{0};
-    std::atomic<uint64_t> chunks_duplicate{0};
-    std::atomic<uint64_t> chunks_fenced{0};
-    std::atomic<uint64_t> offset_commits{0};
-    std::atomic<uint64_t> bytes_appended{0};
-    std::atomic<uint64_t> consume_rpcs{0};
-    std::atomic<uint64_t> chunks_served{0};
-    std::atomic<uint64_t> consume_long_polls{0};
-    std::atomic<uint64_t> replication_batches{0};
-    std::atomic<uint64_t> replication_rpcs{0};
-    std::atomic<uint64_t> replication_bytes{0};
-    std::atomic<uint64_t> checksum_failures{0};
-    std::atomic<uint64_t> cross_shard_ops{0};
-    std::atomic<uint64_t> recovery_produce_rpcs{0};
-    std::atomic<uint64_t> recovery_chunks_appended{0};
-    std::atomic<uint64_t> recovery_bytes_appended{0};
-  };
-  AtomicStats stats_;
+  /// Live counters (relaxed, so the produce/consume/replication hot paths
+  /// never serialize on a stats mutex); GetStats fills the derived fields.
+  Stats stats_;
 
   /// Set by StopConsumeWaits: long-poll parking is disabled and parked
   /// handlers return on their next wake.

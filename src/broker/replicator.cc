@@ -50,14 +50,6 @@ void Replicator::Stop() {
   }
 }
 
-Replicator::Stats Replicator::GetStats() const {
-  Stats out;
-  out.batches_shipped = batches_shipped_.load(std::memory_order_relaxed);
-  out.batch_failures = batch_failures_.load(std::memory_order_relaxed);
-  out.wakeups = wakeups_.load(std::memory_order_relaxed);
-  return out;
-}
-
 void Replicator::WorkerLoop(Lane& lane) {
   while (true) {
     VirtualLog* vlog = nullptr;
@@ -70,7 +62,7 @@ void Replicator::WorkerLoop(Lane& lane) {
       vlog = lane.queue.front();
       lane.queue.pop_front();
       lane.queued.erase(vlog);
-      wakeups_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.wakeups;
     }
     auto batch = vlog->Poll();
     if (!batch.has_value()) continue;
@@ -82,10 +74,10 @@ void Replicator::WorkerLoop(Lane& lane) {
     if (vlog->HasWork()) Notify(vlog);
     Status s = broker_.ShipBatch(*vlog, *batch);
     if (s.ok()) {
-      batches_shipped_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.batches_shipped;
       if (vlog->HasWork()) Notify(vlog);
     } else {
-      batch_failures_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.batch_failures;
       if (vlog->NoteReplicationFailure(s)) {
         // Retry budget left: the failed range was requeued (and possibly
         // evacuated onto live backups); try again.

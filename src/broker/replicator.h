@@ -26,6 +26,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/sync.h"
+
 namespace kera {
 
 class Broker;
@@ -50,11 +52,11 @@ class Replicator {
   void Stop();
 
   struct Stats {
-    uint64_t batches_shipped = 0;
-    uint64_t batch_failures = 0;
-    uint64_t wakeups = 0;
+    Counter batches_shipped;
+    Counter batch_failures;
+    Counter wakeups;
   };
-  [[nodiscard]] Stats GetStats() const;
+  [[nodiscard]] Stats GetStats() const { return stats_; }
 
  private:
   /// One notification queue plus the workers draining it. The shared
@@ -74,9 +76,7 @@ class Replicator {
   Broker& broker_;
   const bool shard_affine_;
   std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> batches_shipped_{0};
-  std::atomic<uint64_t> batch_failures_{0};
-  std::atomic<uint64_t> wakeups_{0};
+  Stats stats_;
   std::vector<std::unique_ptr<Lane>> lanes_;
 };
 

@@ -20,6 +20,7 @@
 #include <thread>
 
 #include "common/queue.h"
+#include "common/sync.h"
 
 namespace kera {
 
@@ -30,7 +31,7 @@ class ShardMailbox {
   /// Enqueues `op` to run at the shard's next drain point. Lock-free.
   void Post(Op op) {
     queue_.Push(std::move(op));
-    enqueues_.fetch_add(1, std::memory_order_relaxed);
+    ++enqueues_;
   }
 
   /// Runs queued ops if any are pending and the token is free. Called at
@@ -62,9 +63,7 @@ class ShardMailbox {
   }
 
   /// Total ops ever posted (contention telemetry).
-  [[nodiscard]] uint64_t enqueues() const {
-    return enqueues_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] uint64_t enqueues() const { return enqueues_; }
 
  private:
   void DrainLocked() {
@@ -73,7 +72,7 @@ class ShardMailbox {
 
   MpscQueue<Op> queue_;
   std::atomic<bool> token_{false};
-  std::atomic<uint64_t> enqueues_{0};
+  Counter enqueues_;
 };
 
 }  // namespace kera

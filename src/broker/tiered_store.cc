@@ -122,8 +122,8 @@ void TieredStore::SpillSegmentLocked(Shard& sh, StreamId stream,
   sh.resident_sealed += view.size();
   sh.spilled[{stream, streamlet, group}] = uint32_t(segment_id) + 1;
 
-  segments_spilled_.fetch_add(1, std::memory_order_relaxed);
-  spill_bytes_.fetch_add(view.size(), std::memory_order_relaxed);
+  ++stats_.segments_spilled;
+  stats_.spill_bytes += view.size();
 }
 
 void TieredStore::EvictLocked(Shard& sh) {
@@ -169,7 +169,7 @@ void TieredStore::EvictLocked(Shard& sh) {
     Buffer buf = seg->DetachBuffer();
     if (buf.capacity() > 0) memory_.Release(std::move(buf));
     sh.resident_sealed -= c.bytes;
-    segments_evicted_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.segments_evicted;
   }
   sh.candidates = std::move(keep);
 }
@@ -230,12 +230,12 @@ Result<std::shared_ptr<const TieredStore::ColdSegment>> TieredStore::ReadCold(
         // First demand touch of a speculatively loaded segment: the
         // readahead turned a would-be miss into a hit.
         entry->from_readahead = false;
-        readahead_hits_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.readahead_hits;
       }
-      cold_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.cold_cache_hits;
       return std::shared_ptr<const ColdSegment>(std::move(entry));
     }
-    cold_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.cold_cache_misses;
     auto loaded = LoadLocked(key, /*from_readahead=*/false);
     if (!loaded.ok()) return loaded.status();
     entry = std::move(*loaded);
@@ -252,7 +252,7 @@ Result<std::shared_ptr<const TieredStore::ColdSegment>> TieredStore::ReadCold(
       } else {
         auto ra = LoadLocked(next, /*from_readahead=*/true);
         if (!ra.ok()) break;
-        readahead_loads_.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.readahead_loads;
       }
     }
   }
@@ -313,7 +313,7 @@ void TieredStore::ReadaheadWorker() {
       std::lock_guard<std::mutex> cl(cache_mu_);
       if (cache_.count(key) == 0) {
         if (auto r = LoadLocked(key, /*from_readahead=*/true); r.ok()) {
-          readahead_loads_.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.readahead_loads;
         }
       }
     }
@@ -324,15 +324,7 @@ void TieredStore::ReadaheadWorker() {
 // -------------------------------------------------------------------- stats
 
 TieredStore::Stats TieredStore::GetStats() const {
-  Stats s;
-  s.segments_spilled = segments_spilled_.load(std::memory_order_relaxed);
-  s.segments_evicted = segments_evicted_.load(std::memory_order_relaxed);
-  s.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
-  s.cold_reads = cold_reads_.load(std::memory_order_relaxed);
-  s.cold_cache_hits = cold_cache_hits_.load(std::memory_order_relaxed);
-  s.cold_cache_misses = cold_cache_misses_.load(std::memory_order_relaxed);
-  s.readahead_hits = readahead_hits_.load(std::memory_order_relaxed);
-  s.readahead_loads = readahead_loads_.load(std::memory_order_relaxed);
+  Stats s = stats_;
   for (const auto& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh->mu);
     s.resident_sealed_bytes += sh->resident_sealed;

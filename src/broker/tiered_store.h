@@ -29,7 +29,6 @@
 // the durability protocol.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <map>
@@ -40,6 +39,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/sync.h"
 #include "common/types.h"
 #include "storage/memory_manager.h"
 #include "storage/segment_log.h"
@@ -120,14 +120,14 @@ class TieredStore {
       SegmentId segment);
 
   struct Stats {
-    uint64_t segments_spilled = 0;
-    uint64_t segments_evicted = 0;
-    uint64_t spill_bytes = 0;
-    uint64_t cold_reads = 0;        // consume chunks served from cold tier
-    uint64_t cold_cache_hits = 0;   // segment lookups resolved in cache
-    uint64_t cold_cache_misses = 0; // segment lookups that hit the disk
-    uint64_t readahead_hits = 0;    // misses avoided by an earlier prefetch
-    uint64_t readahead_loads = 0;   // segments loaded speculatively
+    Counter segments_spilled;
+    Counter segments_evicted;
+    Counter spill_bytes;
+    Counter cold_reads;         // consume chunks served from cold tier
+    Counter cold_cache_hits;    // segment lookups resolved in cache
+    Counter cold_cache_misses;  // segment lookups that hit the disk
+    Counter readahead_hits;     // misses avoided by an earlier prefetch
+    Counter readahead_loads;    // segments loaded speculatively
     uint64_t resident_sealed_bytes = 0;  // unevicted sealed bytes (tracked)
     SegmentLog::Stats log;
   };
@@ -136,7 +136,7 @@ class TieredStore {
   /// Counts one chunk served from cold memory (the broker's consume path
   /// calls it; kept here so the counter rides the tier's stats).
   void NoteColdChunksServed(uint64_t n) {
-    cold_reads_.fetch_add(n, std::memory_order_relaxed);
+    stats_.cold_reads += n;
   }
 
   [[nodiscard]] uint32_t ShardOf(StreamletId streamlet) const {
@@ -203,14 +203,7 @@ class TieredStore {
   std::map<SegmentLog::CopyKey, std::shared_ptr<ColdSegment>> cache_;
   uint64_t cache_clock_ = 0;
 
-  std::atomic<uint64_t> segments_spilled_{0};
-  std::atomic<uint64_t> segments_evicted_{0};
-  std::atomic<uint64_t> spill_bytes_{0};
-  std::atomic<uint64_t> cold_reads_{0};
-  std::atomic<uint64_t> cold_cache_hits_{0};
-  std::atomic<uint64_t> cold_cache_misses_{0};
-  std::atomic<uint64_t> readahead_hits_{0};
-  std::atomic<uint64_t> readahead_loads_{0};
+  Stats stats_;  // live counters; GetStats fills the derived fields
 
   // Async readahead (socket transport only).
   std::mutex ra_mu_;

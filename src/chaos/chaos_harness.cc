@@ -233,34 +233,9 @@ class Harness {
     result_.net = net_.GetStats();
     result_.dedup_hits = CurrentDedupHits();
     if (cluster_ != nullptr) {
-      Coordinator::RecoveryStats rs =
-          cluster_->coordinator().GetRecoveryStats();
-      result_.recovery_tasks = rs.tasks_issued;
-      result_.recovery_bytes = rs.bytes_replayed;
-      result_.recovery_read_rpcs = rs.read_rpcs;
-      result_.recovery_read_rpcs_saved = rs.read_rpcs_saved;
-      result_.recovery_peak_fanout = rs.peak_fanout;
-      result_.recovery_task_p50_us = rs.task_replay_us.Quantile(0.50);
-      result_.recovery_task_p99_us = rs.task_replay_us.Quantile(0.99);
-    }
-    if (sched_.power_loss && cluster_ != nullptr) {
-      Backup::Stats bs = cluster_->TotalBackupStats();
-      result_.backup_flush_groups = bs.flush_groups;
-      result_.backup_fsyncs = bs.fsyncs;
-      result_.backup_bytes_flushed = bs.bytes_flushed;
-    }
-    if (options_.memory_budget_bytes > 0 && cluster_ != nullptr) {
-      Broker::Stats ts = cluster_->TotalBrokerStats();
-      result_.segments_spilled = ts.segments_spilled;
-      result_.segments_evicted = ts.segments_evicted;
-      result_.cold_reads = ts.cold_reads;
-      result_.cold_cache_hits = ts.cold_cache_hits;
-      result_.cold_cache_misses = ts.cold_cache_misses;
-    }
-    if (options_.exactly_once && cluster_ != nullptr) {
-      Broker::Stats ts = cluster_->TotalBrokerStats();
-      result_.fenced_rejections = ts.chunks_fenced;
-      result_.offset_commits = ts.offset_commits;
+      result_.broker = cluster_->TotalBrokerStats();
+      result_.backup = cluster_->TotalBackupStats();
+      result_.recovery = cluster_->coordinator().GetRecoveryStats();
     }
     return std::move(result_);
   }

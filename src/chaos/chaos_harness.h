@@ -18,8 +18,11 @@
 #include <map>
 #include <string>
 
+#include "backup/backup.h"
+#include "broker/broker.h"
 #include "chaos/chaos_net.h"
 #include "chaos/fault_schedule.h"
+#include "coordinator/coordinator.h"
 
 namespace kera::chaos {
 
@@ -43,42 +46,23 @@ struct RunResult {
   uint64_t retried_sends = 0;       // producer resends of a chunk frame
   uint64_t abandoned_sends = 0;     // chunks never acked within the event
   uint64_t dedup_hits = 0;          // broker exactly-once rejections
-  // Exactly-once mode (RunOptions::exactly_once) totals: epoch-fence
-  // rejections and offset-commit system chunks applied, summed over the
-  // brokers alive at run end. Both stay 0 when the mode is off.
-  uint64_t fenced_rejections = 0;
-  uint64_t offset_commits = 0;
   uint64_t recovery_replayed = 0;   // chunks replayed by crash/migration
-  // Parallel-recovery engine totals (Coordinator::RecoveryStats). Task,
-  // RPC and fan-out counts are deterministic (the engine executes
-  // serially under the single-threaded chaos network and only MODELS the
-  // fan-out); the p50/p99 per-task replay times are wall-clock —
-  // report-only, never compare them.
-  uint64_t recovery_tasks = 0;         // one per (vlog, vseg) replayed
-  uint64_t recovery_bytes = 0;         // chunk-frame bytes re-ingested
-  uint64_t recovery_read_rpcs = 0;     // batched backup reads issued
-  uint64_t recovery_read_rpcs_saved = 0;  // vs one read RPC per segment
-  uint64_t recovery_peak_fanout = 0;      // modeled concurrent lanes
-  uint64_t recovery_task_p50_us = 0;      // NOT deterministic
-  uint64_t recovery_task_p99_us = 0;      // NOT deterministic
-  uint64_t power_loss_events = 0;      // executed power-loss faults
-  uint64_t power_loss_recovered = 0;   // copies rebuilt by post-cut scans
-  // Backup segment-log flush totals at run end (power-loss mode only).
-  // Group-commit boundaries depend on flusher wakeup timing, so these are
-  // NOT deterministic across runs — report them, never compare them.
-  uint64_t backup_flush_groups = 0;
-  uint64_t backup_fsyncs = 0;
-  uint64_t backup_bytes_flushed = 0;
-  // Tiered broker memory totals (RunOptions::memory_budget_bytes > 0
-  // only). Spill/evict/cold-read counts are deterministic — eviction is a
-  // pure function of the schedule (the evictor forces the spill record
-  // durable rather than racing the flusher) — but they are reported, not
-  // traced, so trace comparison stays byte-stable across modes.
-  uint64_t segments_spilled = 0;
-  uint64_t segments_evicted = 0;
-  uint64_t cold_reads = 0;
-  uint64_t cold_cache_hits = 0;
-  uint64_t cold_cache_misses = 0;
+  uint64_t power_loss_events = 0;     // executed power-loss faults
+  uint64_t power_loss_recovered = 0;  // copies rebuilt by post-cut scans
+  // MiniCluster totals and recovery stats at run end: reported, never
+  // traced, so traces stay byte-stable across modes. All are
+  // deterministic except the backups' segment-log flush totals
+  // (group-commit boundaries depend on flusher wakeups) and the recovery
+  // times (task_replay_us and the MTTR fields are wall-clock): recovery
+  // executes serially under the single-threaded chaos network and only
+  // MODELS its fan-out, and eviction is a pure function of the schedule
+  // (the evictor forces the spill record durable rather than racing the
+  // flusher). A mode's counters stay zero with the mode off: fences and
+  // offset commits without exactly_once, spill/evict/cold reads without
+  // memory_budget_bytes, backup flushes without power loss.
+  Broker::Stats broker;
+  Backup::Stats backup;
+  Coordinator::RecoveryStats recovery;
   ChaosNetwork::Stats net;
 };
 

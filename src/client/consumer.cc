@@ -274,8 +274,8 @@ void Consumer::HandleEntry(
     fc.broker = broker;
     fc.bytes = chunk_bytes;  // aliases the shared response buffer
     fc.response = buf;
-    chunks_received_.fetch_add(1, std::memory_order_relaxed);
-    bytes_received_.fetch_add(fc.bytes.size(), std::memory_order_relaxed);
+    ++stats_.chunks_received;
+    stats_.bytes_received += fc.bytes.size();
     fetched_.Push(std::move(fc));
     *got_data = true;
   }
@@ -315,7 +315,7 @@ bool Consumer::ProcessResponse(NodeId broker, std::vector<std::byte> raw) {
     }
     HandleEntry(broker, state, entry, shared, &got_data);
   }
-  if (!got_data) empty_responses_.fetch_add(1, std::memory_order_relaxed);
+  if (!got_data) ++stats_.empty_responses;
   return got_data;
 }
 
@@ -417,7 +417,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
       req.Encode(body);
       inf.future =
           network_.CallAsync(broker, rpc::Frame(rpc::Opcode::kConsume, body));
-      requests_sent_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.requests_sent;
       inflight.push_back(std::move(inf));
     }
 
@@ -476,7 +476,7 @@ void Consumer::IngestChunk(StreamletId streamlet, const ChunkView& chunk) {
   // again, never delivered).
   if ((chunk.flags() & kChunkFlagOffsetCommit) != 0) {
     // Cursor metadata, not user data.
-    system_chunks_skipped_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.system_chunks_skipped;
     return;
   }
   for (auto it = chunk.records(); !it.Done(); it.Next()) {
@@ -489,8 +489,7 @@ void Consumer::IngestChunk(StreamletId streamlet, const ChunkView& chunk) {
     cr.value.assign(rec.value().begin(), rec.value().end());
     buffered_.push_back(std::move(cr));
   }
-  records_consumed_.fetch_add(chunk.record_count(),
-                              std::memory_order_relaxed);
+  stats_.records_consumed += chunk.record_count();
 }
 
 namespace {
@@ -541,7 +540,7 @@ std::vector<ConsumedRecord> Consumer::Poll(size_t max_records) {
     if (!fetched) break;
     auto chunk = ChunkView::Parse(fetched->bytes);
     if (!chunk.ok() || !chunk->VerifyChecksum()) {
-      checksum_failures_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.checksum_failures;
       continue;
     }
     IngestChunk(fetched->streamlet, *chunk);
@@ -607,7 +606,7 @@ Status Consumer::Commit() {
     }
   }
   if (first.ok()) {
-    offset_commits_.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.offset_commits;
   }
   return first;
 }
@@ -626,18 +625,8 @@ void Consumer::Close() {
 }
 
 Consumer::Stats Consumer::GetStats() const {
-  Stats out;
-  out.records_consumed = records_consumed_.load(std::memory_order_relaxed);
-  out.chunks_received = chunks_received_.load(std::memory_order_relaxed);
-  out.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-  out.requests_sent = requests_sent_.load(std::memory_order_relaxed);
-  out.empty_responses = empty_responses_.load(std::memory_order_relaxed);
-  out.checksum_failures =
-      checksum_failures_.load(std::memory_order_relaxed);
+  Stats out = stats_;
   out.flow_control_pauses = fetched_.pauses();
-  out.offset_commits = offset_commits_.load(std::memory_order_relaxed);
-  out.system_chunks_skipped =
-      system_chunks_skipped_.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -30,6 +30,7 @@
 
 #include "client/client_config.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "rpc/messages.h"
 #include "rpc/transport.h"
 #include "wire/chunk.h"
@@ -81,19 +82,19 @@ class Consumer {
   [[nodiscard]] bool Finished() const;
 
   struct Stats {
-    uint64_t records_consumed = 0;
-    uint64_t chunks_received = 0;
-    uint64_t bytes_received = 0;
-    uint64_t requests_sent = 0;
-    uint64_t empty_responses = 0;
-    uint64_t checksum_failures = 0;
+    Counter records_consumed;
+    Counter chunks_received;
+    Counter bytes_received;
+    Counter requests_sent;
+    Counter empty_responses;
+    Counter checksum_failures;
     /// Times a broker's prefetch blocked on the fetch_buffer_bytes budget.
     uint64_t flow_control_pauses = 0;
     /// Successful Commit() rounds (exactly_once only).
-    uint64_t offset_commits = 0;
+    Counter offset_commits;
     /// Offset-commit system chunks skipped (their records are cursor
     /// metadata, never handed to the application).
-    uint64_t system_chunks_skipped = 0;
+    Counter system_chunks_skipped;
   };
   [[nodiscard]] Stats GetStats() const;
 
@@ -204,15 +205,8 @@ class Consumer {
   uint64_t commit_seq_ = 0;
   std::map<StreamletId, DeliveredPos> delivered_;
 
-  // Hot-path counters are relaxed atomics (touched per chunk / per poll).
-  std::atomic<uint64_t> records_consumed_{0};
-  std::atomic<uint64_t> chunks_received_{0};
-  std::atomic<uint64_t> bytes_received_{0};
-  std::atomic<uint64_t> requests_sent_{0};
-  std::atomic<uint64_t> empty_responses_{0};
-  std::atomic<uint64_t> checksum_failures_{0};
-  std::atomic<uint64_t> offset_commits_{0};
-  std::atomic<uint64_t> system_chunks_skipped_{0};
+  // Hot-path counters are relaxed (touched per chunk / per poll).
+  Stats stats_;
 };
 
 }  // namespace kera

@@ -142,7 +142,7 @@ Status Producer::SendRecord(std::span<const std::byte> key,
       return Status(StatusCode::kInvalidArgument, "record exceeds chunk size");
     }
   }
-  records_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.records_sent;
   return OkStatus();
 }
 
@@ -159,7 +159,7 @@ Status Producer::SealAndEnqueue(StreamletId streamlet, OpenChunk& open) {
   sealed.builder = std::move(open.builder);
   chunks_enqueued_.fetch_add(1, std::memory_order_release);
   sealed_.Push(std::move(sealed));
-  chunks_sent_.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.chunks_sent;
   return OkStatus();
 }
 
@@ -266,7 +266,7 @@ void Producer::RequestsLoop() {
             if (moved) break;
           }
           if (moved) {
-            retry_repartitions_.fetch_add(1, std::memory_order_relaxed);
+            ++stats_.retry_repartitions;
             std::map<NodeId, std::vector<SealedChunk>> regrouped;
             for (size_t i : pending) {
               for (auto& c : requests[i].chunks) {
@@ -327,18 +327,15 @@ void Producer::RequestsLoop() {
             fenced = true;
           }
           if (resp.ok() && resp->status == StatusCode::kOk) {
-            requests_sent_.fetch_add(1, std::memory_order_relaxed);
-            duplicates_reported_.fetch_add(resp->duplicates,
-                                           std::memory_order_relaxed);
-            bytes_sent_.fetch_add(inflight.opcode.size() +
-                                      inflight.body.size(),
-                                  std::memory_order_relaxed);
+            ++stats_.requests_sent;
+            stats_.duplicates_reported += resp->duplicates;
+            stats_.bytes_sent += inflight.opcode.size() + inflight.body.size();
             auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - start)
                           .count();
             {
               std::lock_guard<std::mutex> lock(latency_mu_);
-              request_latency_us_.Record(uint64_t(us));
+              stats_.request_latency_us.Record(uint64_t(us));
             }
             ok = true;
           }
@@ -346,8 +343,8 @@ void Producer::RequestsLoop() {
         if (ok) {
           AckChunks(inflight.chunks);
         } else if (fenced) {
-          fenced_rejections_.fetch_add(1, std::memory_order_relaxed);
-          request_failures_.fetch_add(1, std::memory_order_relaxed);
+          ++stats_.fenced_rejections;
+          ++stats_.request_failures;
           failed_.store(true, std::memory_order_release);
           AckChunks(inflight.chunks);
         } else {
@@ -357,7 +354,7 @@ void Producer::RequestsLoop() {
       pending = std::move(still_pending);
     }
     for (size_t i : pending) {
-      request_failures_.fetch_add(1, std::memory_order_relaxed);
+      ++stats_.request_failures;
       failed_.store(true, std::memory_order_release);
       // Recycle builders even on failure: the producer is now failed and
       // Send() will refuse further records.
@@ -422,22 +419,9 @@ Status Producer::Close() {
 }
 
 Producer::Stats Producer::GetStats() const {
-  Stats out;
-  out.records_sent = records_sent_.load(std::memory_order_relaxed);
-  out.chunks_sent = chunks_sent_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(latency_mu_);
+  Stats out = stats_;
   out.chunks_acked = chunks_acked_.load(std::memory_order_relaxed);
-  out.duplicates_reported =
-      duplicates_reported_.load(std::memory_order_relaxed);
-  out.requests_sent = requests_sent_.load(std::memory_order_relaxed);
-  out.request_failures = request_failures_.load(std::memory_order_relaxed);
-  out.fenced_rejections = fenced_rejections_.load(std::memory_order_relaxed);
-  out.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-  out.retry_repartitions =
-      retry_repartitions_.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(latency_mu_);
-    out.request_latency_us = request_latency_us_;
-  }
   return out;
 }
 

@@ -19,6 +19,7 @@
 #include "common/histogram.h"
 #include "common/queue.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "rpc/messages.h"
 #include "rpc/transport.h"
 #include "wire/chunk.h"
@@ -52,19 +53,19 @@ class Producer {
   Status Close();
 
   struct Stats {
-    uint64_t records_sent = 0;
-    uint64_t chunks_sent = 0;
-    uint64_t chunks_acked = 0;
-    uint64_t duplicates_reported = 0;
-    uint64_t requests_sent = 0;
-    uint64_t request_failures = 0;
+    Counter records_sent;
+    Counter chunks_sent;
+    uint64_t chunks_acked = 0;  // read from chunks_acked_ by GetStats
+    Counter duplicates_reported;
+    Counter requests_sent;
+    Counter request_failures;
     /// Requests rejected with kFenced: a newer instance of this producer
     /// id was allocated, so this one stopped permanently (no retries).
-    uint64_t fenced_rejections = 0;
-    uint64_t bytes_sent = 0;
+    Counter fenced_rejections;
+    Counter bytes_sent;
     /// Retry rounds that re-partitioned pending sealed chunks to moved
     /// streamlet leaders (crash recovery / migration while in flight).
-    uint64_t retry_repartitions = 0;
+    Counter retry_repartitions;
     Histogram request_latency_us;
   };
   [[nodiscard]] Stats GetStats() const;
@@ -130,19 +131,11 @@ class Producer {
 
   std::thread requests_thread_;
 
-  // Hot-path counters are relaxed atomics (Send/Seal touch them per record
-  // or per chunk); only the latency histogram — one Record per request —
-  // stays behind a mutex.
-  std::atomic<uint64_t> records_sent_{0};
-  std::atomic<uint64_t> chunks_sent_{0};
-  std::atomic<uint64_t> duplicates_reported_{0};
-  std::atomic<uint64_t> requests_sent_{0};
-  std::atomic<uint64_t> request_failures_{0};
-  std::atomic<uint64_t> fenced_rejections_{0};
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> retry_repartitions_{0};
+  // Hot-path counters are relaxed Counters (Send/Seal touch them per
+  // record or per chunk); only the latency histogram — one Record per
+  // request — stays behind a mutex.
   mutable std::mutex latency_mu_;
-  Histogram request_latency_us_;
+  Stats stats_;  // request_latency_us guarded by latency_mu_
 };
 
 }  // namespace kera

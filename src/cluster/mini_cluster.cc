@@ -265,62 +265,14 @@ void MiniCluster::RestartBackup(NodeId node) {
 
 Broker::Stats MiniCluster::TotalBrokerStats() const {
   Broker::Stats total;
-  for (const auto& b : brokers_) {
-    Broker::Stats s = b->GetStats();
-    total.produce_rpcs += s.produce_rpcs;
-    total.chunks_appended += s.chunks_appended;
-    total.chunks_duplicate += s.chunks_duplicate;
-    total.chunks_fenced += s.chunks_fenced;
-    total.offset_commits += s.offset_commits;
-    total.bytes_appended += s.bytes_appended;
-    total.consume_rpcs += s.consume_rpcs;
-    total.chunks_served += s.chunks_served;
-    total.consume_long_polls += s.consume_long_polls;
-    total.replication_batches += s.replication_batches;
-    total.replication_rpcs += s.replication_rpcs;
-    total.replication_bytes += s.replication_bytes;
-    total.checksum_failures += s.checksum_failures;
-    total.recovery_produce_rpcs += s.recovery_produce_rpcs;
-    total.recovery_chunks_appended += s.recovery_chunks_appended;
-    total.recovery_bytes_appended += s.recovery_bytes_appended;
-    total.shard_mailbox_enqueues += s.shard_mailbox_enqueues;
-    total.cross_shard_ops += s.cross_shard_ops;
-    total.segments_spilled += s.segments_spilled;
-    total.segments_evicted += s.segments_evicted;
-    total.spill_bytes += s.spill_bytes;
-    total.cold_reads += s.cold_reads;
-    total.cold_cache_hits += s.cold_cache_hits;
-    total.cold_cache_misses += s.cold_cache_misses;
-    total.readahead_hits += s.readahead_hits;
-    total.memory_buffers_outstanding += s.memory_buffers_outstanding;
-    total.memory_peak_buffers += s.memory_peak_buffers;
-    total.memory_bytes_resident += s.memory_bytes_resident;
-    if (total.shard_frames.size() < s.shard_frames.size()) {
-      total.shard_frames.resize(s.shard_frames.size());
-    }
-    for (size_t i = 0; i < s.shard_frames.size(); ++i) {
-      total.shard_frames[i] += s.shard_frames[i];
-    }
-  }
+  for (const auto& b : brokers_) total += b->GetStats();
   return total;
 }
 
 Backup::Stats MiniCluster::TotalBackupStats() const {
   Backup::Stats total;
   for (const auto& b : backups_) {
-    Backup::Stats s = b->GetStats();
-    total.replicate_rpcs += s.replicate_rpcs;
-    total.bytes_received += s.bytes_received;
-    total.chunks_received += s.chunks_received;
-    total.checksum_failures += s.checksum_failures;
-    total.segments_sealed += s.segments_sealed;
-    total.segments_flushed += s.segments_flushed;
-    total.flush_groups += s.flush_groups;
-    total.fsyncs += s.fsyncs;
-    total.bytes_flushed += s.bytes_flushed;
-    total.gc_bytes_reclaimed += s.gc_bytes_reclaimed;
-    total.restart_scan_ms += s.restart_scan_ms;
-    total.io_errors += s.io_errors;
+    if (b != nullptr) total += b->GetStats();  // null mid power cut
   }
   return total;
 }

@@ -465,15 +465,15 @@ SocketNetwork::FlushStatus SocketNetwork::FlushFrameQueue(
       if (errno == EAGAIN || errno == EWOULDBLOCK) return FlushStatus::kPartial;
       return FlushStatus::kError;
     }
-    stats_.sendmsg_calls.fetch_add(1, std::memory_order_relaxed);
-    stats_.bytes_sent.fetch_add(uint64_t(sent), std::memory_order_relaxed);
+    ++stats_.sendmsg_calls;
+    stats_.bytes_sent += uint64_t(sent);
     size_t rem = size_t(sent);
     while (rem > 0 && !wq.empty()) {
       OutFrame& f = wq.front();
       size_t left = f.total - f.written;
       if (rem >= left) {
         rem -= left;
-        stats_.frames_sent.fetch_add(1, std::memory_order_relaxed);
+        ++stats_.frames_sent;
         wq.pop_front();
       } else {
         f.written += rem;
@@ -516,7 +516,7 @@ bool SocketNetwork::ServerReadConn(ServerNode* node, ServerShard* shard,
                      conn->rbuf.size() - conn->rlen);
     if (n > 0) {
       conn->rlen += size_t(n);
-      stats_.bytes_received.fetch_add(uint64_t(n), std::memory_order_relaxed);
+      stats_.bytes_received += uint64_t(n);
       continue;
     }
     if (n == 0) return destroy();  // peer closed
@@ -730,7 +730,7 @@ SocketNetwork::ClientConn* SocketNetwork::GetOrConnectLocked(NodeId to,
   ClientConn* raw = conn.get();
   AddToEpoll(client_epoll_fd_, fd, EPOLLIN, uint64_t(to) + kClientConnTagBase);
   conns_[to] = std::move(conn);
-  stats_.connections_opened.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.connections_opened;
   return raw;
 }
 
@@ -828,7 +828,7 @@ bool SocketNetwork::ReadClientConnLocked(ClientConn* conn) {
                      conn->rbuf.size() - conn->rlen);
     if (n > 0) {
       conn->rlen += size_t(n);
-      stats_.bytes_received.fetch_add(uint64_t(n), std::memory_order_relaxed);
+      stats_.bytes_received += uint64_t(n);
       continue;
     }
     if (n == 0) return destroy();
@@ -925,8 +925,8 @@ void SocketNetwork::ClientIoLoop() {
 
 std::future<Result<std::vector<std::byte>>> SocketNetwork::CallAsync(
     NodeId to, std::span<const std::byte> request) {
-  stats_.calls.fetch_add(1, std::memory_order_relaxed);
-  stats_.tx_copied_bytes.fetch_add(request.size(), std::memory_order_relaxed);
+  ++stats_.calls;
+  stats_.tx_copied_bytes += request.size();
   OutFrame frame;
   frame.owned.assign(request.begin(), request.end());
   frame.total = kHeaderBytes + frame.owned.size();
@@ -957,7 +957,7 @@ std::future<Result<std::vector<std::byte>>> SocketNetwork::CallAsync(
 
 std::future<Result<std::vector<std::byte>>> SocketNetwork::CallAsyncParts(
     NodeId to, const BytesRefParts& parts) {
-  stats_.parts_calls.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.parts_calls;
   // Zero-copy send path: the pieces go from caller memory (segment
   // buffers, sealed chunks, the encoder's inline runs) straight into the
   // vectored send — nothing is materialized, so parts_copied_bytes and
@@ -994,22 +994,6 @@ std::future<Result<std::vector<std::byte>>> SocketNetwork::CallAsyncParts(
 Result<std::vector<std::byte>> SocketNetwork::Call(
     NodeId to, std::span<const std::byte> request) {
   return CallAsync(to, request).get();
-}
-
-SocketNetwork::Stats SocketNetwork::GetStats() const {
-  Stats out;
-  out.calls = stats_.calls.load(std::memory_order_relaxed);
-  out.parts_calls = stats_.parts_calls.load(std::memory_order_relaxed);
-  out.bytes_sent = stats_.bytes_sent.load(std::memory_order_relaxed);
-  out.bytes_received = stats_.bytes_received.load(std::memory_order_relaxed);
-  out.connections_opened =
-      stats_.connections_opened.load(std::memory_order_relaxed);
-  out.sendmsg_calls = stats_.sendmsg_calls.load(std::memory_order_relaxed);
-  out.frames_sent = stats_.frames_sent.load(std::memory_order_relaxed);
-  out.tx_copied_bytes = stats_.tx_copied_bytes.load(std::memory_order_relaxed);
-  out.parts_copied_bytes =
-      stats_.parts_copied_bytes.load(std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace kera::rpc

@@ -49,6 +49,7 @@
 
 #include "common/queue.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "common/types.h"
 #include "rpc/transport.h"
 
@@ -143,25 +144,25 @@ class SocketNetwork final : public Network {
   void Shutdown();
 
   struct Stats {
-    uint64_t calls = 0;        // CallAsync (span) requests issued
-    uint64_t parts_calls = 0;  // CallAsyncParts requests issued
-    uint64_t bytes_sent = 0;
-    uint64_t bytes_received = 0;
-    uint64_t connections_opened = 0;  // outbound connects
+    Counter calls;        // CallAsync (span) requests issued
+    Counter parts_calls;  // CallAsyncParts requests issued
+    Counter bytes_sent;
+    Counter bytes_received;
+    Counter connections_opened;  // outbound connects
     /// Vectored flushes and frames fully written, across both sides of
     /// this instance (requests it sends plus responses its registered
     /// nodes send).
-    uint64_t sendmsg_calls = 0;
-    uint64_t frames_sent = 0;
+    Counter sendmsg_calls;
+    Counter frames_sent;
     /// Payload bytes memcpy'd into transport-owned buffers on the send
     /// path. CallAsync copies its span once (same contract as the other
     /// transports); CallAsyncParts never adds here — its pieces go from
     /// caller memory straight into the vectored send. The transport-level
     /// mirror of PR 2's bytes-per-record accounting.
-    uint64_t tx_copied_bytes = 0;
-    uint64_t parts_copied_bytes = 0;  // parts-path share of the above: 0
+    Counter tx_copied_bytes;
+    Counter parts_copied_bytes;  // parts-path share of the above: 0
   };
-  [[nodiscard]] Stats GetStats() const;
+  [[nodiscard]] Stats GetStats() const { return stats_; }
 
   // ----- deterministic test hooks (eventfd wake-race regressions) -----
 
@@ -287,18 +288,7 @@ class SocketNetwork final : public Network {
   std::function<void()> server_hook_before_drain_;
   std::function<void()> server_hook_after_drain_;
 
-  struct AtomicStats {
-    std::atomic<uint64_t> calls{0};
-    std::atomic<uint64_t> parts_calls{0};
-    std::atomic<uint64_t> bytes_sent{0};
-    std::atomic<uint64_t> bytes_received{0};
-    std::atomic<uint64_t> connections_opened{0};
-    std::atomic<uint64_t> sendmsg_calls{0};
-    std::atomic<uint64_t> frames_sent{0};
-    std::atomic<uint64_t> tx_copied_bytes{0};
-    std::atomic<uint64_t> parts_copied_bytes{0};
-  };
-  mutable AtomicStats stats_;
+  mutable Stats stats_;
 };
 
 }  // namespace kera::rpc

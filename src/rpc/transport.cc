@@ -18,8 +18,7 @@ std::future<Result<std::vector<std::byte>>> Network::CallAsyncParts(
     std::memcpy(frame.data() + off, p.data(), p.size());
     off += p.size();
   }
-  materialized_parts_bytes_.fetch_add(frame.size(),
-                                      std::memory_order_relaxed);
+  materialized_parts_bytes_ += frame.size();
   return CallAsync(to, frame);
 }
 
@@ -41,10 +40,10 @@ Result<std::vector<std::byte>> DirectNetwork::Call(
   if (it == handlers_.end()) {
     return Status(StatusCode::kUnavailable, "node down");
   }
-  calls_.fetch_add(1, std::memory_order_relaxed);
-  bytes_sent_.fetch_add(request.size(), std::memory_order_relaxed);
+  ++stats_.calls;
+  stats_.bytes_sent += request.size();
   std::vector<std::byte> response = it->second->HandleRpc(request);
-  bytes_received_.fetch_add(response.size(), std::memory_order_relaxed);
+  stats_.bytes_received += response.size();
   return response;
 }
 

@@ -10,13 +10,13 @@
 // Fault injection wraps either one (chaos::ChaosNetwork).
 #pragma once
 
-#include <atomic>
 #include <future>
 #include <map>
 #include <span>
 #include <vector>
 
 #include "common/status.h"
+#include "common/sync.h"
 #include "common/types.h"
 #include "rpc/serialize.h"
 
@@ -63,11 +63,11 @@ class Network {
   /// frames with writev never add to it — tests pin the produce/replicate
   /// parts path to zero materialization copies with this counter.
   [[nodiscard]] uint64_t materialized_parts_bytes() const {
-    return materialized_parts_bytes_.load(std::memory_order_relaxed);
+    return materialized_parts_bytes_;
   }
 
  protected:
-  std::atomic<uint64_t> materialized_parts_bytes_{0};
+  Counter materialized_parts_bytes_;
 };
 
 /// Synchronous direct-dispatch network. Registration is not thread-safe;
@@ -85,25 +85,18 @@ class DirectNetwork final : public Network {
       NodeId to, std::span<const std::byte> request) override;
 
   struct Stats {
-    uint64_t calls = 0;
-    uint64_t bytes_sent = 0;
-    uint64_t bytes_received = 0;
+    Counter calls;
+    Counter bytes_sent;
+    Counter bytes_received;
   };
-  [[nodiscard]] Stats GetStats() const {
-    Stats out;
-    out.calls = calls_.load(std::memory_order_relaxed);
-    out.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
-    out.bytes_received = bytes_received_.load(std::memory_order_relaxed);
-    return out;
-  }
+  [[nodiscard]] Stats GetStats() const { return stats_; }
 
  private:
   std::map<NodeId, RpcHandler*> handlers_;
-  // Relaxed atomics: handlers may be invoked from concurrent callers (the
-  // DES harness and tests drive one DirectNetwork from several threads).
-  std::atomic<uint64_t> calls_{0};
-  std::atomic<uint64_t> bytes_sent_{0};
-  std::atomic<uint64_t> bytes_received_{0};
+  // Counters, not plain fields: handlers may be invoked from concurrent
+  // callers (the DES harness and tests drive one DirectNetwork from
+  // several threads).
+  Stats stats_;
 };
 
 }  // namespace kera::rpc

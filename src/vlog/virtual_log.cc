@@ -50,7 +50,7 @@ VirtualSegment* VirtualLog::FindSegmentLocked(VirtualSegmentId vseg) const {
 }
 
 VirtualLog::AppendPosition VirtualLog::Append(const ChunkRef& ref) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   VirtualSegment* seg =
       segments_.empty() ? OpenSegmentLocked() : segments_.back().get();
   if (!seg->TryAppend(ref)) {
@@ -67,6 +67,11 @@ VirtualLog::AppendPosition VirtualLog::Append(const ChunkRef& ref) {
   if (config_.replication_factor == 1) {
     // No backups: the broker's copy is the only copy; expose immediately.
     seg->MarkReplicatedUpTo(seg->ref_count());
+    // Group chunk indices are taken before the vlog append, so appends
+    // can reach the log out of index order: this one may complete the
+    // durable prefix a waiter on a later chunk of its group sleeps on.
+    lock.unlock();
+    durable_cv_.notify_all();
   }
   return pos;
 }
@@ -231,21 +236,6 @@ bool VirtualLog::HasUnissuedWorkLocked() const {
 
 bool VirtualLog::IsDurable(AppendPosition pos) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return DurableLocked(pos);
-}
-
-void VirtualLog::WaitDurable(AppendPosition pos) {
-  std::unique_lock<std::mutex> lock(mu_);
-  durable_cv_.wait(lock, [&] { return DurableLocked(pos); });
-}
-
-bool VirtualLog::WaitDurableOrIdle(AppendPosition pos) {
-  std::unique_lock<std::mutex> lock(mu_);
-  durable_cv_.wait(lock, [&] {
-    return DurableLocked(pos) ||
-           (inflight_.size() < config_.replication_window &&
-            HasUnissuedWorkLocked());
-  });
   return DurableLocked(pos);
 }
 

@@ -14,10 +14,14 @@
 // requeues its range and every batch issued after it.
 //
 // Threading: appends and replication-state transitions are internally
-// synchronized; producers block in WaitDurable / WaitChunkDurable until
-// the replication pipeline (driven by whichever thread polls batches —
-// typically the broker's background Replicator) confirms their chunks.
-// The DES harness drives Poll/Complete with simulated time.
+// synchronized. A broker's produce handler normally drives replication
+// itself: it polls batches on every vlog its request touched, ships them
+// concurrently, and sleeps in WaitChunkDurableOrIdle while another
+// handler owns the window. With a background Replicator, handlers only
+// park in WaitChunkDurable until its workers confirm their chunks. Every
+// path that advances a durable prefix (Append at R=1, Complete,
+// EvacuateSegment) wakes the waiters. The DES harness drives
+// Poll/Complete with simulated time.
 #pragma once
 
 #include <condition_variable>
@@ -113,28 +117,21 @@ class VirtualLog {
   /// re-polled, possibly after the selector re-targets backups.
   void Abort(const ReplicationBatch& batch);
 
-  /// Blocks until the chunk at `pos` is durably replicated. Threaded
-  /// deployments call this from produce handlers; the DES never blocks.
-  void WaitDurable(AppendPosition pos);
-
-  /// Blocks until `pos` is durable OR the caller could usefully drive
+  /// Blocks until the chunk is durable OR the caller could usefully drive
   /// replication itself (unissued work pending and a window slot free).
-  /// Returns IsDurable(pos). This is the building block of the
-  /// synchronous produce handler's replicate-or-wait loop: whichever
-  /// worker thread finds the vlog pollable ships the next batch, and the
-  /// others sleep.
-  [[nodiscard]] bool WaitDurableOrIdle(AppendPosition pos);
-
-  /// Like WaitDurableOrIdle but tracks durability through the chunk's
-  /// group (robust to segment evacuation, which renumbers positions).
-  /// Returns whether the chunk is durable.
+  /// Durability is tracked through the chunk's group (robust to segment
+  /// evacuation, which renumbers positions). Returns whether the chunk is
+  /// durable. This is the building block of the synchronous produce
+  /// handler's replicate-or-wait loop: whichever worker thread finds the
+  /// vlog pollable ships the next batch, and the others sleep.
   [[nodiscard]] bool WaitChunkDurableOrIdle(const ChunkRef& ref);
 
   /// Blocks until the chunk is durable or replication of this log fails
   /// persistently (see NoteReplicationFailure). Returns OkStatus() when
   /// durable, the replication error otherwise. Producers parked on the
   /// background replicator use this: they never drive replication
-  /// themselves, so plain WaitDurable could hang on a dead backup set.
+  /// themselves, so a wait for durability alone could hang on a dead
+  /// backup set.
   [[nodiscard]] Status WaitChunkDurable(const ChunkRef& ref);
 
   /// Records a failed shipping attempt. Returns true if the caller should

@@ -182,7 +182,7 @@ TEST(ChaosSweep, ParallelRecoverySchedulesHoldInvariants) {
     RunResult r = RunSeed(seed, g_events, options);
     total_checks += r.checks;
     total_acked += r.acked_chunks;
-    total_tasks += r.recovery_tasks;
+    total_tasks += r.recovery.tasks_issued;
     if (!r.ok) {
       std::string path = DumpFailureTrace(seed, r);
       FAIL() << "chaos schedule violated an invariant with "
@@ -223,9 +223,11 @@ TEST(ChaosSweep, TraceIdenticalAcrossRecoveryParallelism) {
         << ": trace diverged between recovery_parallelism 1 and 8";
     // The deterministic recovery counters must agree too (timing
     // percentiles are exempt — they are wall-clock, report-only).
-    EXPECT_EQ(a.recovery_tasks, b.recovery_tasks) << "seed " << seed;
-    EXPECT_EQ(a.recovery_bytes, b.recovery_bytes) << "seed " << seed;
-    EXPECT_EQ(a.recovery_read_rpcs, b.recovery_read_rpcs)
+    EXPECT_EQ(a.recovery.tasks_issued, b.recovery.tasks_issued)
+        << "seed " << seed;
+    EXPECT_EQ(a.recovery.bytes_replayed, b.recovery.bytes_replayed)
+        << "seed " << seed;
+    EXPECT_EQ(a.recovery.read_rpcs, b.recovery.read_rpcs)
         << "seed " << seed;
   }
 }
@@ -256,9 +258,9 @@ TEST(ChaosSweep, TieredMemorySchedulesHoldInvariants) {
     total_checks += r.checks;
     total_acked += r.acked_chunks;
     total_consumed += r.consumed_chunks;
-    total_spilled += r.segments_spilled;
-    total_evicted += r.segments_evicted;
-    total_cold_reads += r.cold_reads;
+    total_spilled += r.broker.segments_spilled;
+    total_evicted += r.broker.segments_evicted;
+    total_cold_reads += r.broker.cold_reads;
     if (!r.ok) {
       std::string path = DumpFailureTrace(seed, r);
       FAIL() << "chaos schedule violated an invariant with "
@@ -312,14 +314,18 @@ TEST(ChaosDeterminism, TieredTraceIdenticalToUnbounded) {
     ASSERT_EQ(unbounded.trace, a.trace)
         << "seed " << seed
         << ": trace diverged between unbounded and tiered memory";
-    EXPECT_EQ(unbounded.segments_evicted, 0u) << "seed " << seed;
+    EXPECT_EQ(unbounded.broker.segments_evicted, 0u) << "seed " << seed;
     ASSERT_EQ(a.trace, b.trace)
         << "seed " << seed << ": tiered trace diverged across reruns";
-    EXPECT_EQ(a.segments_spilled, b.segments_spilled) << "seed " << seed;
-    EXPECT_EQ(a.segments_evicted, b.segments_evicted) << "seed " << seed;
-    EXPECT_EQ(a.cold_reads, b.cold_reads) << "seed " << seed;
-    EXPECT_EQ(a.cold_cache_hits, b.cold_cache_hits) << "seed " << seed;
-    EXPECT_EQ(a.cold_cache_misses, b.cold_cache_misses) << "seed " << seed;
+    EXPECT_EQ(a.broker.segments_spilled, b.broker.segments_spilled)
+        << "seed " << seed;
+    EXPECT_EQ(a.broker.segments_evicted, b.broker.segments_evicted)
+        << "seed " << seed;
+    EXPECT_EQ(a.broker.cold_reads, b.broker.cold_reads) << "seed " << seed;
+    EXPECT_EQ(a.broker.cold_cache_hits, b.broker.cold_cache_hits)
+        << "seed " << seed;
+    EXPECT_EQ(a.broker.cold_cache_misses, b.broker.cold_cache_misses)
+        << "seed " << seed;
     EXPECT_EQ(CounterSummary(a), CounterSummary(b));
   }
 }
@@ -345,7 +351,7 @@ TEST(ChaosSweep, TieredBrokerCrashRecoversFromBackups) {
     if (!has_crash && !g_single_seed) continue;
     RunResult r = RunSchedule(s, options);
     replayed += r.recovery_replayed;
-    if (r.recovery_tasks > 0) ++crashes;
+    if (r.recovery.tasks_issued > 0) ++crashes;
     if (!r.ok) {
       std::string path = DumpFailureTrace(s.seed, r);
       FAIL() << "tiered broker-crash schedule violated an invariant\n"
@@ -582,8 +588,8 @@ TEST(ChaosSweep, ExactlyOnceSchedulesHoldInvariants) {
     total_acked += r.acked_chunks;
     total_consumed += r.consumed_chunks;
     total_redelivered += r.redelivered_chunks;
-    total_commits += r.offset_commits;
-    total_fenced += r.fenced_rejections;
+    total_commits += r.broker.offset_commits;
+    total_fenced += r.broker.chunks_fenced;
     pl_events += r.power_loss_events;
     if (!r.ok) {
       std::string path = DumpFailureTrace(seed, r);
@@ -641,8 +647,8 @@ TEST(ChaosSweep, ExactlyOnceOffIsInert) {
   for (uint32_t i = 0; i < n; ++i) {
     const uint64_t seed = g_single_seed ? g_seed : kSweepSeedBase + i;
     RunResult r = RunSeed(seed, g_events);
-    EXPECT_EQ(r.offset_commits, 0u) << "seed " << seed;
-    EXPECT_EQ(r.fenced_rejections, 0u) << "seed " << seed;
+    EXPECT_EQ(r.broker.offset_commits, 0u) << "seed " << seed;
+    EXPECT_EQ(r.broker.chunks_fenced, 0u) << "seed " << seed;
     EXPECT_EQ(r.trace.find("# commit c="), std::string::npos)
         << "commit annotation in an exactly-once-off trace, seed " << seed;
   }

@@ -255,6 +255,54 @@ TEST(SpinLockTest, MutualExclusion) {
   EXPECT_EQ(counter, 40000);
 }
 
+TEST(CounterTest, ConcurrentIncrementsSumExactly) {
+  Counter counter;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 10000; ++i) {
+        ++counter;
+        counter += 2;
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(counter, 4u * 10000u * 3u);
+}
+
+TEST(CounterTest, CopyIsASnapshot) {
+  Counter live;
+  live += 5;
+  Counter snapshot = live;
+  ++live;
+  EXPECT_EQ(snapshot, 5u);
+  EXPECT_EQ(live, 6u);
+  snapshot = live;
+  live += 10;
+  EXPECT_EQ(snapshot, 6u);
+  EXPECT_EQ(live, 16u);
+}
+
+TEST(CounterTest, StatsStructCopiesAsSnapshot) {
+  struct Stats {
+    Counter requests;
+    Counter bytes;
+    uint64_t derived = 0;
+  };
+  Stats live;
+  ++live.requests;
+  live.bytes += 100;
+  Stats snapshot = live;
+  snapshot.derived = 7;
+  ++live.requests;
+  live.bytes += 50;
+  EXPECT_EQ(snapshot.requests, 1u);
+  EXPECT_EQ(snapshot.bytes, 100u);
+  EXPECT_EQ(live.requests, 2u);
+  EXPECT_EQ(live.bytes, 150u);
+  EXPECT_EQ(live.derived, 0u);
+}
+
 TEST(HistogramTest, BasicStats) {
   Histogram h;
   for (uint64_t v = 1; v <= 100; ++v) h.Record(v);

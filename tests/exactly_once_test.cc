@@ -484,7 +484,7 @@ TEST(ExactlyOnceChaosBand, ZeroRedeliveryAcrossShapes) {
       ASSERT_TRUE(r.ok) << "seed " << seed << " shards "
                         << options.broker_shards << ": " << r.failure;
       EXPECT_EQ(r.redelivered_chunks, 0u) << "seed " << seed;
-      total_commits += r.offset_commits;
+      total_commits += r.broker.offset_commits;
     }
   }
   EXPECT_GT(total_commits, 0u);

@@ -2,7 +2,10 @@
 // batching, durability propagation into physical storage, ordering.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <future>
 #include <string_view>
+#include <thread>
 
 #include "common/crc32c.h"
 #include "storage/group.h"
@@ -425,7 +428,7 @@ TEST_F(VirtualLogTest, TrimDropsFullyReplicatedSegments) {
   EXPECT_EQ(log.Segments().size(), 1u);
 }
 
-TEST_F(VirtualLogTest, WaitDurableReturnsForTrimmedSegments) {
+TEST_F(VirtualLogTest, TrimmedSegmentsReadAsDurable) {
   config_.virtual_segment_capacity = 150;
   VirtualLog log = MakeLog();
   auto pos = log.Append(AppendAndRef(group_, 1, 0, 1, 1));
@@ -433,7 +436,36 @@ TEST_F(VirtualLogTest, WaitDurableReturnsForTrimmedSegments) {
   while (auto b = log.Poll()) log.Complete(*b);
   log.TrimReplicatedSegments();
   EXPECT_TRUE(log.IsDurable(pos));
-  log.WaitDurable(pos);  // must not hang
+}
+
+// At R=1 Append itself advances the group's durable prefix. Two produce
+// handlers on one streamlet take group chunk indices in one order and can
+// reach the vlog in the other: the handler with the later index then
+// sleeps until the earlier chunk's Append fills the gap, so that Append
+// must wake it.
+TEST_F(VirtualLogTest, ReplicationFactorOneAppendWakesOutOfOrderWaiter) {
+  config_.replication_factor = 1;
+  VirtualLog log = MakeLog();
+  ChunkRef first = AppendAndRef(group_, 1, 0, 1, 1);
+  ChunkRef second = AppendAndRef(group_, 1, 0, 1, 2);
+  const auto pos = log.Append(second);
+  ASSERT_EQ(group_.durable_chunk_count(), 0u);  // chunk 0 is not in yet
+
+  std::promise<bool> durable;
+  std::future<bool> waited = durable.get_future();
+  std::thread waiter(
+      [&] { durable.set_value(log.WaitChunkDurableOrIdle(second)); });
+  // Let the waiter park on the unfilled prefix before the gap is filled.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  log.Append(first);
+  const bool woke =
+      waited.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  // A lost wakeup must fail the test, not hang it: evacuation notifies.
+  if (!woke) log.EvacuateSegment(pos.vseg);
+  waiter.join();
+  EXPECT_TRUE(woke) << "Append completed the prefix but woke no waiter";
+  EXPECT_TRUE(waited.get());
+  EXPECT_EQ(group_.durable_chunk_count(), 2u);
 }
 
 }  // namespace

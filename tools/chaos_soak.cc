@@ -117,6 +117,10 @@ int main(int argc, char** argv) {
 
   std::map<std::string, uint64_t> faults_by_kind;
   kera::chaos::RunResult total;
+  // Per-run task replay percentiles are wall-clock; the JSON reports the
+  // worst run's.
+  uint64_t task_p50_us_max = 0;
+  uint64_t task_p99_us_max = 0;
   uint64_t ran = 0;
   for (uint64_t i = 0; i < schedules; ++i) {
     uint64_t seed = seed_base + i;
@@ -151,35 +155,27 @@ int main(int argc, char** argv) {
     total.retried_sends += r.retried_sends;
     total.abandoned_sends += r.abandoned_sends;
     total.dedup_hits += r.dedup_hits;
-    total.fenced_rejections += r.fenced_rejections;
-    total.offset_commits += r.offset_commits;
     total.recovery_replayed += r.recovery_replayed;
-    total.recovery_tasks += r.recovery_tasks;
-    total.recovery_bytes += r.recovery_bytes;
-    total.recovery_read_rpcs += r.recovery_read_rpcs;
-    total.recovery_read_rpcs_saved += r.recovery_read_rpcs_saved;
-    total.recovery_peak_fanout =
-        std::max(total.recovery_peak_fanout, r.recovery_peak_fanout);
-    total.recovery_task_p50_us =
-        std::max(total.recovery_task_p50_us, r.recovery_task_p50_us);
-    total.recovery_task_p99_us =
-        std::max(total.recovery_task_p99_us, r.recovery_task_p99_us);
     total.power_loss_events += r.power_loss_events;
     total.power_loss_recovered += r.power_loss_recovered;
-    total.backup_flush_groups += r.backup_flush_groups;
-    total.backup_fsyncs += r.backup_fsyncs;
-    total.backup_bytes_flushed += r.backup_bytes_flushed;
+    total.broker += r.broker;
+    total.backup += r.backup;
+    total.recovery.tasks_issued += r.recovery.tasks_issued;
+    total.recovery.bytes_replayed += r.recovery.bytes_replayed;
+    total.recovery.read_rpcs += r.recovery.read_rpcs;
+    total.recovery.read_rpcs_saved += r.recovery.read_rpcs_saved;
+    total.recovery.peak_fanout =
+        std::max(total.recovery.peak_fanout, r.recovery.peak_fanout);
+    task_p50_us_max = std::max(task_p50_us_max,
+                               r.recovery.task_replay_us.Quantile(0.50));
+    task_p99_us_max = std::max(task_p99_us_max,
+                               r.recovery.task_replay_us.Quantile(0.99));
     total.net.calls += r.net.calls;
     total.net.dropped_requests += r.net.dropped_requests;
     total.net.dropped_responses += r.net.dropped_responses;
     total.net.duplicated_requests += r.net.duplicated_requests;
     total.net.partitioned_calls += r.net.partitioned_calls;
     total.net.delays_injected += r.net.delays_injected;
-    total.segments_spilled += r.segments_spilled;
-    total.segments_evicted += r.segments_evicted;
-    total.cold_reads += r.cold_reads;
-    total.cold_cache_hits += r.cold_cache_hits;
-    total.cold_cache_misses += r.cold_cache_misses;
     if (ran % 100 == 0) {
       std::fprintf(stderr, "chaos_soak: %" PRIu64 "/%" PRIu64 " schedules\n",
                    ran, schedules);
@@ -230,35 +226,35 @@ int main(int argc, char** argv) {
                total.abandoned_sends);
   std::fprintf(out, "  \"dedup_hits\": %" PRIu64 ",\n", total.dedup_hits);
   std::fprintf(out, "  \"fenced_rejections\": %" PRIu64 ",\n",
-               total.fenced_rejections);
+               uint64_t(total.broker.chunks_fenced));
   std::fprintf(out, "  \"offset_commits\": %" PRIu64 ",\n",
-               total.offset_commits);
+               uint64_t(total.broker.offset_commits));
   std::fprintf(out, "  \"recovery_replayed\": %" PRIu64 ",\n",
                total.recovery_replayed);
   std::fprintf(out, "  \"recovery_tasks\": %" PRIu64 ",\n",
-               total.recovery_tasks);
+               total.recovery.tasks_issued);
   std::fprintf(out, "  \"recovery_bytes\": %" PRIu64 ",\n",
-               total.recovery_bytes);
+               total.recovery.bytes_replayed);
   std::fprintf(out, "  \"recovery_read_rpcs\": %" PRIu64 ",\n",
-               total.recovery_read_rpcs);
+               total.recovery.read_rpcs);
   std::fprintf(out, "  \"recovery_read_rpcs_saved\": %" PRIu64 ",\n",
-               total.recovery_read_rpcs_saved);
+               total.recovery.read_rpcs_saved);
   std::fprintf(out, "  \"recovery_peak_fanout\": %" PRIu64 ",\n",
-               total.recovery_peak_fanout);
+               total.recovery.peak_fanout);
   std::fprintf(out, "  \"recovery_task_p50_us_max\": %" PRIu64 ",\n",
-               total.recovery_task_p50_us);
+               task_p50_us_max);
   std::fprintf(out, "  \"recovery_task_p99_us_max\": %" PRIu64 ",\n",
-               total.recovery_task_p99_us);
+               task_p99_us_max);
   std::fprintf(out, "  \"power_loss_events\": %" PRIu64 ",\n",
                total.power_loss_events);
   std::fprintf(out, "  \"power_loss_recovered\": %" PRIu64 ",\n",
                total.power_loss_recovered);
   std::fprintf(out, "  \"backup_flush_groups\": %" PRIu64 ",\n",
-               total.backup_flush_groups);
+               total.backup.flush_groups);
   std::fprintf(out, "  \"backup_fsyncs\": %" PRIu64 ",\n",
-               total.backup_fsyncs);
+               total.backup.fsyncs);
   std::fprintf(out, "  \"backup_bytes_flushed\": %" PRIu64 ",\n",
-               total.backup_bytes_flushed);
+               total.backup.bytes_flushed);
   std::fprintf(out, "  \"net_calls\": %" PRIu64 ",\n", total.net.calls);
   std::fprintf(out, "  \"net_dropped_requests\": %" PRIu64 ",\n",
                total.net.dropped_requests);
@@ -271,14 +267,15 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"net_delays_injected\": %" PRIu64 ",\n",
                total.net.delays_injected);
   std::fprintf(out, "  \"segments_spilled\": %" PRIu64 ",\n",
-               total.segments_spilled);
+               total.broker.segments_spilled);
   std::fprintf(out, "  \"segments_evicted\": %" PRIu64 ",\n",
-               total.segments_evicted);
-  std::fprintf(out, "  \"cold_reads\": %" PRIu64 ",\n", total.cold_reads);
+               total.broker.segments_evicted);
+  std::fprintf(out, "  \"cold_reads\": %" PRIu64 ",\n",
+               total.broker.cold_reads);
   std::fprintf(out, "  \"cold_cache_hits\": %" PRIu64 ",\n",
-               total.cold_cache_hits);
+               total.broker.cold_cache_hits);
   std::fprintf(out, "  \"cold_cache_misses\": %" PRIu64 "\n",
-               total.cold_cache_misses);
+               total.broker.cold_cache_misses);
   std::fprintf(out, "}\n");
   std::fclose(out);
 
