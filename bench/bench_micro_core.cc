@@ -1,14 +1,17 @@
 // Microbenchmarks of the core data structures on the hot paths: CRC32C,
 // record/chunk building and parsing, segment and group appends, virtual
-// log reference appends and batch polling. These are wall-clock
-// measurements of the real code (not the DES).
+// log reference appends and batch polling, and the producer's Send. These
+// are wall-clock measurements of the real code (not the DES).
 #include <benchmark/benchmark.h>
 
 #include "bench_host_context.h"
 
+#include <chrono>
 #include <string_view>
 #include <vector>
 
+#include "client/producer.h"
+#include "cluster/mini_cluster.h"
 #include "common/crc32c.h"
 #include "rpc/messages.h"
 #include "rpc/serialize.h"
@@ -231,6 +234,76 @@ void BM_VlogAppendPollComplete(benchmark::State& state) {
   state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_VlogAppendPollComplete)->Iterations(300000);
+
+// Producer::Send on the source thread alone, over 1 node at R=1 on the
+// Direct transport. The linger never expires, the pool has one builder
+// more than there are streamlets, and a round gives each streamlet 16
+// records of 100 B (under a 16 KiB chunk), so no record waits for a seal
+// or a builder; the Flush between rounds is not timed. A round writes
+// under 2 MiB even at 1024 streamlets, so the figure is the source path's
+// work rather than cache misses on more chunk memory. ns_per_record must
+// not grow with the streamlet count: a Send's work is O(1) in it.
+void BM_ProducerSend(benchmark::State& state) {
+  constexpr size_t kRecordsPerStreamlet = 16;
+  constexpr size_t kRecords = size_t(1) << 18;
+  const auto streamlets = uint32_t(state.range(0));
+  MiniClusterConfig cfg;
+  cfg.nodes = 1;
+  cfg.transport = MiniClusterTransport::kDirect;
+  cfg.segment_size = 64 << 10;
+  cfg.virtual_segment_capacity = 64 << 10;
+  cfg.broker_memory_bytes = size_t(256) << 20;
+  MiniCluster cluster(cfg);
+  rpc::StreamOptions opts;
+  opts.num_streamlets = streamlets;
+  opts.replication_factor = 1;
+  if (!cluster.coordinator().CreateStream("s", opts).ok()) {
+    state.SkipWithError("CreateStream failed");
+    return;
+  }
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.linger_us = uint64_t(3600) * 1'000'000;
+  pc.chunk_pool_size = size_t(streamlets) + 1;
+  Producer producer(pc, cluster.network());
+  if (!producer.Connect().ok()) {
+    state.SkipWithError("Connect failed");
+    return;
+  }
+  const std::vector<std::byte> value(100, std::byte{0x42});
+  const size_t per_round = kRecordsPerStreamlet * streamlets;
+  double send_ns = 0;
+  size_t sent = 0;
+  for (auto _ : state) {
+    for (size_t round = 0; round < kRecords / per_round; ++round) {
+      bool ok = true;
+      auto start = std::chrono::steady_clock::now();
+      for (size_t i = 0; i < per_round && ok; ++i) {
+        ok = producer.Send(value).ok();
+      }
+      send_ns += std::chrono::duration<double, std::nano>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+      sent += per_round;
+      if (!ok || !producer.Flush().ok()) {
+        state.SkipWithError("Send or Flush failed");
+        break;
+      }
+    }
+    state.SetIterationTime(send_ns * 1e-9);
+  }
+  state.counters["ns_per_record"] = send_ns / double(sent);
+  state.SetItemsProcessed(int64_t(sent));
+  (void)producer.Close();
+}
+BENCHMARK(BM_ProducerSend)
+    ->ArgName("streamlets")
+    ->Arg(16)
+    ->Arg(128)
+    ->Arg(1024)
+    ->Iterations(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace kera

@@ -176,6 +176,17 @@ cmake --build "$build" -j --target bench_micro_core
 timeout 900 "$build/bench/bench_micro_core" \
   --benchmark_out="$repo/BENCH_micro_core.json" \
   --benchmark_out_format=json
+# Producer::Send is O(1) in the streamlet count: its ns per record at 1024
+# streamlets stays within 2x of 16 (a scan over open chunks made it ~30x).
+python3 - "$repo/BENCH_micro_core.json" <<'EOF'
+import json, sys
+ns = {b["name"].split("/")[1]: b["ns_per_record"]
+      for b in json.load(open(sys.argv[1]))["benchmarks"]
+      if b["name"].startswith("BM_ProducerSend/")}
+ratio = ns["streamlets:1024"] / ns["streamlets:16"]
+print(f"BM_ProducerSend ns per record, 1024 vs 16 streamlets: {ratio:.2f}x")
+sys.exit(0 if ratio < 2 else 1)
+EOF
 
 echo "== transport benchmark (JSON to BENCH_transport.json) =="
 cmake --build "$build" -j --target bench_transport

@@ -1,7 +1,7 @@
 #include "client/producer.h"
 
 #include <array>
-#include <cassert>
+#include <map>
 
 #include "common/logging.h"
 
@@ -16,6 +16,13 @@ uint64_t HashBytes(std::span<const std::byte> data) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+bool AppendTo(ChunkBuilder& builder, std::span<const std::byte> key,
+              std::span<const std::byte> value) {
+  if (key.empty()) return builder.AppendValue(value);
+  std::span<const std::byte> keys[] = {key};
+  return builder.AppendRecord(keys, value);
 }
 
 }  // namespace
@@ -63,17 +70,10 @@ Status Producer::Connect() {
     }
     epoch_ = aresp->epoch;
   }
+  open_ = std::vector<OpenChunk>(info_.streamlet_brokers.size());
   running_.store(true, std::memory_order_release);
   requests_thread_ = std::thread([this] { RequestsLoop(); });
   return OkStatus();
-}
-
-std::unique_ptr<ChunkBuilder> Producer::AcquireBuilder() {
-  // Blocking pop implements producer backpressure when the broker falls
-  // behind (all pooled chunks are in flight).
-  auto builder = pool_.Pop();
-  if (!builder) return nullptr;
-  return std::move(*builder);
 }
 
 Status Producer::Send(std::span<const std::byte> value) {
@@ -102,43 +102,13 @@ Status Producer::SendRecord(std::span<const std::byte> key,
   // on new records (the source waits no more than linger_us for a chunk
   // to fill, then marks it ready).
   MaybeLingerFlush();
-  auto it = open_chunks_.find(streamlet);
-  if (it == open_chunks_.end()) {
-    auto builder = AcquireBuilder();
-    if (builder == nullptr) {
-      return Status(StatusCode::kUnavailable, "producer shut down");
-    }
-    builder->Start(info_.stream, streamlet, config_.producer_id, epoch_);
-    OpenChunk open;
-    open.builder = std::move(builder);
-    it = open_chunks_.emplace(streamlet, std::move(open)).first;
-  }
-  OpenChunk& open = it->second;
-  if (open.builder->empty()) {
-    open.first_record_at = std::chrono::steady_clock::now();
-  }
-
-  bool appended =
-      key.empty()
-          ? open.builder->AppendValue(value)
-          : [&] {
-              std::span<const std::byte> keys[] = {key};
-              return open.builder->AppendRecord(keys, value);
-            }();
-  if (!appended) {
-    // Chunk full: seal it, enqueue, and retry in a fresh chunk.
-    KERA_RETURN_IF_ERROR(SealAndEnqueue(streamlet, open));
-    auto builder = AcquireBuilder();
-    if (builder == nullptr) {
-      return Status(StatusCode::kUnavailable, "producer shut down");
-    }
-    builder->Start(info_.stream, streamlet, config_.producer_id, epoch_);
-    open.builder = std::move(builder);
-    open.first_record_at = std::chrono::steady_clock::now();
-    if (!(key.empty() ? open.builder->AppendValue(value) : [&] {
-          std::span<const std::byte> keys[] = {key};
-          return open.builder->AppendRecord(keys, value);
-        }())) {
+  OpenChunk& open = open_[streamlet];
+  if (open.builder == nullptr || !AppendTo(*open.builder, key, value)) {
+    // No records yet, or the chunk is full: seal it and start a fresh one.
+    if (open.builder != nullptr) SealAndEnqueue(streamlet);
+    KERA_RETURN_IF_ERROR(StartChunk(streamlet));
+    if (!AppendTo(*open.builder, key, value)) {
+      pool_.Push(TakeChunk(streamlet));
       return Status(StatusCode::kInvalidArgument, "record exceeds chunk size");
     }
   }
@@ -146,39 +116,61 @@ Status Producer::SendRecord(std::span<const std::byte> key,
   return OkStatus();
 }
 
-Status Producer::SealAndEnqueue(StreamletId streamlet, OpenChunk& open) {
-  if (open.builder == nullptr || open.builder->empty()) return OkStatus();
-  ChunkSeq seq = ++next_seq_[streamlet];  // sequences start at 1
-  auto bytes = open.builder->Seal(seq);
-
-  SealedChunk sealed;
-  sealed.streamlet = streamlet;
-  sealed.broker = info_.streamlet_brokers[streamlet];
-  sealed.bytes = bytes.size();
-  sealed.records = open.builder->record_count();
-  sealed.builder = std::move(open.builder);
-  chunks_enqueued_.fetch_add(1, std::memory_order_release);
-  sealed_.Push(std::move(sealed));
-  ++stats_.chunks_sent;
+Status Producer::StartChunk(StreamletId streamlet) {
+  // When every pooled builder sits in an open chunk, no ack can return
+  // one: seal the oldest open chunk so the pop below can complete (Kafka's
+  // accumulator likewise drains batches once its buffer is exhausted).
+  if (open_count_ == config_.chunk_pool_size && linger_head_ != kNoStreamlet) {
+    SealAndEnqueue(linger_head_);
+  }
+  // Blocking pop implements producer backpressure when the broker falls
+  // behind (all pooled chunks are in flight).
+  auto builder = pool_.Pop();
+  if (!builder) return Status(StatusCode::kUnavailable, "producer shut down");
+  (*builder)->Start(info_.stream, streamlet, config_.producer_id, epoch_);
+  OpenChunk& open = open_[streamlet];
+  open.builder = std::move(*builder);
+  open.first_record_at = std::chrono::steady_clock::now();
+  open.prev = linger_tail_;
+  (linger_tail_ == kNoStreamlet ? linger_head_ : open_[linger_tail_].next) =
+      streamlet;
+  linger_tail_ = streamlet;
+  ++open_count_;
   return OkStatus();
 }
 
+std::unique_ptr<ChunkBuilder> Producer::TakeChunk(StreamletId streamlet) {
+  OpenChunk& open = open_[streamlet];
+  (open.prev == kNoStreamlet ? linger_head_ : open_[open.prev].next) =
+      open.next;
+  (open.next == kNoStreamlet ? linger_tail_ : open_[open.next].prev) =
+      open.prev;
+  open.prev = open.next = kNoStreamlet;
+  --open_count_;
+  return std::move(open.builder);
+}
+
+void Producer::SealAndEnqueue(StreamletId streamlet) {
+  ChunkSeq seq = ++open_[streamlet].last_seq;
+  SealedChunk sealed;
+  sealed.builder = TakeChunk(streamlet);
+  sealed.bytes = sealed.builder->Seal(seq).size();
+  sealed.records = sealed.builder->record_count();
+  sealed.streamlet = streamlet;
+  sealed.broker = info_.streamlet_brokers[streamlet];
+  chunks_enqueued_.fetch_add(1, std::memory_order_release);
+  sealed_.Push(std::move(sealed));
+  ++stats_.chunks_sent;
+}
+
 void Producer::MaybeLingerFlush() {
-  // The source waits no more than linger before marking a chunk ready.
+  // The list is in first-record order, so the expired chunks are a prefix.
   auto now = std::chrono::steady_clock::now();
-  for (auto& [streamlet, open] : open_chunks_) {
-    if (open.builder == nullptr || open.builder->empty()) continue;
-    auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
-                      now - open.first_record_at)
-                      .count();
-    if (waited >= int64_t(config_.linger_us)) {
-      (void)SealAndEnqueue(streamlet, open);
-      open.builder = AcquireBuilder();
-      if (open.builder != nullptr) {
-        open.builder->Start(info_.stream, streamlet, config_.producer_id,
-                            epoch_);
-      }
-    }
+  while (linger_head_ != kNoStreamlet &&
+         std::chrono::duration_cast<std::chrono::microseconds>(
+             now - open_[linger_head_].first_record_at)
+                 .count() >= int64_t(config_.linger_us)) {
+    SealAndEnqueue(linger_head_);
   }
 }
 
@@ -390,11 +382,7 @@ void Producer::AckChunks(std::vector<SealedChunk>& chunks) {
 }
 
 Status Producer::Flush() {
-  for (auto& [streamlet, open] : open_chunks_) {
-    KERA_RETURN_IF_ERROR(SealAndEnqueue(streamlet, open));
-    open.builder = nullptr;
-  }
-  open_chunks_.clear();
+  while (linger_head_ != kNoStreamlet) SealAndEnqueue(linger_head_);
   uint64_t target = chunks_enqueued_.load(std::memory_order_acquire);
   {
     std::unique_lock<std::mutex> lock(ack_mu_);

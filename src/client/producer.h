@@ -1,16 +1,16 @@
 // Producer client (paper Fig. 6): two threads communicating through
 // shared memory. The caller's thread acts as the Source — Send() appends
 // records into per-streamlet chunk builders (recycled through a pool) and
-// hands filled or lingered chunks over an internal queue. The Requests
-// thread batches one chunk per streamlet into a request per broker (up to
-// request_size) and pushes them over the network, retrying on errors
-// (exactly-once is guaranteed by broker-side dedup on chunk sequences).
+// hands filled or lingered chunks over an internal queue, doing O(1) work
+// per record whatever the streamlet count. The Requests thread batches
+// one chunk per streamlet into a request per broker (up to request_size)
+// and pushes them over the network, retrying on errors (exactly-once is
+// guaranteed by broker-side dedup on chunk sequences).
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -37,8 +37,11 @@ class Producer {
   /// Fetches stream metadata and starts the requests thread.
   Status Connect();
 
-  /// Appends one non-keyed record (round-robin over streamlets).
-  /// Blocks when the chunk pool is exhausted (backpressure).
+  /// Appends one non-keyed record (round-robin over streamlets). First
+  /// seals every chunk whose first record is at least linger_us old.
+  /// Blocks when the chunk pool is exhausted (backpressure); when every
+  /// pooled builder is held by an open chunk, the oldest open chunk is
+  /// sealed first, so no streamlet count can deadlock the pool.
   Status Send(std::span<const std::byte> value);
 
   /// Appends one keyed record (streamlet = hash(key) % M).
@@ -83,9 +86,17 @@ class Producer {
     size_t bytes = 0;
     uint32_t records = 0;
   };
+  static constexpr StreamletId kNoStreamlet = ~StreamletId{0};
+  /// Per-streamlet source state. A chunk holds a pooled builder only while
+  /// it has records; those chunks form the linger list, an intrusive
+  /// doubly linked list over the slots in first-record order, so the
+  /// expired chunks are always a prefix of it.
   struct OpenChunk {
     std::unique_ptr<ChunkBuilder> builder;
     std::chrono::steady_clock::time_point first_record_at{};
+    ChunkSeq last_seq = 0;  // sequences start at 1
+    StreamletId prev = kNoStreamlet;
+    StreamletId next = kNoStreamlet;
   };
 
   Status SendRecord(std::span<const std::byte> key,
@@ -94,9 +105,15 @@ class Producer {
   /// coordinator into `leaders` (requests-thread only; info_ itself stays
   /// immutable after Connect so the source thread reads it without locks).
   bool FetchLeaders(std::vector<NodeId>* leaders);
-  Status SealAndEnqueue(StreamletId streamlet, OpenChunk& open);
+  /// Gives the streamlet's empty slot a started builder and links it at
+  /// the linger list's tail.
+  Status StartChunk(StreamletId streamlet);
+  /// Unlinks the streamlet's open chunk and hands over its builder.
+  std::unique_ptr<ChunkBuilder> TakeChunk(StreamletId streamlet);
+  /// Seals the streamlet's open (non-empty) chunk and queues it.
+  void SealAndEnqueue(StreamletId streamlet);
+  /// Seals the expired prefix of the linger list.
   void MaybeLingerFlush();
-  std::unique_ptr<ChunkBuilder> AcquireBuilder();
   void RequestsLoop();
   /// Recycles the chunks' builders into the pool, bumps chunks_acked_ and
   /// wakes any Flush() waiter.
@@ -110,9 +127,12 @@ class Producer {
   /// Connect, so both threads read it freely.
   uint32_t epoch_ = 0;
 
-  // Source-thread state (single caller thread by contract).
-  std::map<StreamletId, OpenChunk> open_chunks_;
-  std::map<StreamletId, ChunkSeq> next_seq_;
+  // Source-thread state (single caller thread by contract). open_ is
+  // indexed by streamlet id and sized at Connect.
+  std::vector<OpenChunk> open_;
+  StreamletId linger_head_ = kNoStreamlet;  // oldest first record
+  StreamletId linger_tail_ = kNoStreamlet;
+  size_t open_count_ = 0;  // chunks holding a builder (linger list length)
   size_t round_robin_ = 0;
 
   // Shared: sealed chunks flowing to the requests thread, empty builders

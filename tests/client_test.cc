@@ -1,12 +1,16 @@
 // Tests for the producer/consumer clients against a socket MiniCluster.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
 
 #include "client/consumer.h"
 #include "client/producer.h"
 #include "cluster/mini_cluster.h"
+#include "watchdog.h"
 
 namespace kera {
 namespace {
@@ -32,6 +36,38 @@ rpc::StreamInfo MakeStream(MiniCluster& cluster, const std::string& name,
   auto info = cluster.coordinator().CreateStream(name, opts);
   EXPECT_TRUE(info.ok());
   return *info;
+}
+
+/// Consumes `expected` records of `stream` and maps each (distinct) value
+/// to the streamlet it was read from; every value must arrive exactly once.
+std::map<std::string, StreamletId> ConsumeAll(MiniCluster& cluster,
+                                              const std::string& stream,
+                                              size_t expected) {
+  ConsumerConfig cc;
+  cc.stream = stream;
+  Consumer consumer(cc, cluster.network());
+  EXPECT_TRUE(consumer.Connect().ok());
+  std::map<std::string, StreamletId> streamlet_of;
+  size_t total = 0;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (total < expected && std::chrono::steady_clock::now() < deadline) {
+    auto records = consumer.Poll(256);
+    if (records.empty()) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      continue;
+    }
+    for (auto& rec : records) {
+      streamlet_of.emplace(
+          std::string(reinterpret_cast<const char*>(rec.value.data()),
+                      rec.value.size()),
+          rec.streamlet);
+      ++total;
+    }
+  }
+  consumer.Close();
+  EXPECT_EQ(total, expected);
+  EXPECT_EQ(streamlet_of.size(), expected);
+  return streamlet_of;
 }
 
 TEST(ProducerTest, ConnectFailsForUnknownStream) {
@@ -88,6 +124,123 @@ TEST(ProducerTest, LingerPushesPartialChunks) {
   ASSERT_TRUE(producer.Flush().ok());
   EXPECT_GE(producer.GetStats().chunks_sent, 2u);
   ASSERT_TRUE(producer.Close().ok());
+}
+
+// Keys "a" and "b" hash to different streamlets of a 2-streamlet stream;
+// ConsumeAll checks that at the end.
+TEST(ProducerTest, LingerSealsAnIdleStreamletsChunkOnSendToAnother) {
+  MiniCluster cluster(SocketConfig());
+  MakeStream(cluster, "s", 2, 1);
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.chunk_size = 64 << 10;  // never fills here
+  pc.linger_us = 100'000;
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  const std::string a = "a", b = "b";
+  ASSERT_TRUE(producer.SendKeyed(AsBytes(a), AsBytes(std::string("a0"))).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // a's streamlet gets no more records: the first Send past its chunk's
+  // deadline seals it, though that Send goes to another streamlet.
+  ASSERT_TRUE(producer.SendKeyed(AsBytes(b), AsBytes(std::string("b0"))).ok());
+  EXPECT_EQ(producer.GetStats().chunks_sent, 1u);
+  ASSERT_TRUE(producer.Flush().ok());
+  EXPECT_EQ(producer.GetStats().chunks_sent, 2u);
+  ASSERT_TRUE(producer.Close().ok());
+  auto streamlet_of = ConsumeAll(cluster, "s", 2);
+  EXPECT_NE(streamlet_of["a0"], streamlet_of["b0"]);
+}
+
+TEST(ProducerTest, FullChunkDoesNotPassItsDeadlineToItsSuccessor) {
+  // Steps are 0.6 linger apart, so every check has 0.4 linger of margin.
+  constexpr auto kStep = std::chrono::milliseconds(600);
+  MiniCluster cluster(SocketConfig());
+  MakeStream(cluster, "s", 2, 1);
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.chunk_size = 1024;
+  pc.linger_us = 1'000'000;
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  const std::string a = "a", b = "b";
+  int sent = 0;
+  auto send = [&](const std::string& key) {
+    return producer.SendKeyed(AsBytes(key),
+                              AsBytes(key + std::to_string(sent++)));
+  };
+  ASSERT_TRUE(send(a).ok());
+  std::this_thread::sleep_for(kStep);
+  // Fill a's first chunk: the record that does not fit starts its
+  // successor, whose deadline is one linger from now.
+  while (producer.GetStats().chunks_sent == 0) ASSERT_TRUE(send(a).ok());
+  std::this_thread::sleep_for(kStep);
+  // Past the first chunk's deadline, not past the successor's.
+  ASSERT_TRUE(send(b).ok());
+  EXPECT_EQ(producer.GetStats().chunks_sent, 1u);
+  std::this_thread::sleep_for(kStep);
+  // Past the successor's deadline; b's chunk is 0.6 linger old.
+  ASSERT_TRUE(send(b).ok());
+  EXPECT_EQ(producer.GetStats().chunks_sent, 2u);
+  ASSERT_TRUE(producer.Close().ok());
+  EXPECT_EQ(producer.GetStats().chunks_sent, 3u);
+  auto streamlet_of = ConsumeAll(cluster, "s", size_t(sent));
+  EXPECT_NE(streamlet_of["a0"], streamlet_of["b" + std::to_string(sent - 1)]);
+}
+
+// An open chunk holds a pooled builder. Round-robin over more streamlets
+// than the pool has builders must still deliver every record: the oldest
+// open chunk is sealed when no builder is left to wait for.
+TEST(ProducerTest, MoreStreamletsThanPooledBuildersDeliversEverything) {
+  for (uint32_t streamlets : {257u, 512u}) {
+    SCOPED_TRACE(streamlets);
+    MiniCluster cluster(SocketConfig());
+    MakeStream(cluster, "s", streamlets, 1);
+    ProducerConfig pc;
+    pc.stream = "s";
+    ASSERT_LT(pc.chunk_pool_size, streamlets);
+    Watchdog watchdog(std::chrono::seconds(60),
+                      "producer over " + std::to_string(streamlets) +
+                          " streamlets");
+    Producer producer(pc, cluster.network());
+    ASSERT_TRUE(producer.Connect().ok());
+    const size_t records = 3 * size_t(streamlets);
+    for (size_t i = 0; i < records; ++i) {
+      ASSERT_TRUE(producer.Send(AsBytes("r" + std::to_string(i))).ok());
+    }
+    ASSERT_TRUE(producer.Flush().ok());
+    auto stats = producer.GetStats();
+    EXPECT_EQ(stats.records_sent, records);
+    EXPECT_EQ(stats.chunks_acked, stats.chunks_sent);
+    EXPECT_EQ(stats.request_failures, 0u);
+    ASSERT_TRUE(producer.Close().ok());
+    ConsumeAll(cluster, "s", records);
+  }
+}
+
+// Flush must hand every builder back to the pool: a streamlet whose chunk
+// lingered out earlier holds no builder that Flush could drop.
+TEST(ProducerTest, FlushKeepsEveryPooledBuilder) {
+  MiniCluster cluster(SocketConfig());
+  MakeStream(cluster, "s", 2, 1);
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.chunk_pool_size = 4;
+  pc.linger_us = 1000;
+  Watchdog watchdog(std::chrono::seconds(60), "Send/Flush cycles");
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  constexpr int kCycles = 8;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    ASSERT_TRUE(producer.Send(AsBytes("x" + std::to_string(cycle))).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    // Round-robin: this one goes to the other streamlet, and lingers the
+    // first record's chunk out.
+    ASSERT_TRUE(producer.Send(AsBytes("y" + std::to_string(cycle))).ok());
+    ASSERT_TRUE(producer.Flush().ok());
+  }
+  EXPECT_EQ(producer.GetStats().chunks_acked, uint64_t(2 * kCycles));
+  ASSERT_TRUE(producer.Close().ok());
+  ConsumeAll(cluster, "s", 2 * kCycles);
 }
 
 TEST(ClientRoundTripTest, ProduceThenConsumeEverything) {

@@ -15,6 +15,7 @@
 #include "client/consumer.h"
 #include "client/producer.h"
 #include "cluster/mini_cluster.h"
+#include "watchdog.h"
 
 namespace kera {
 namespace {
@@ -33,18 +34,32 @@ MiniClusterConfig FourNodeConfig() {
   return cfg;
 }
 
-TEST(IntegrationTest, MultiProducerMultiConsumerNoLossNoDuplication) {
-  MiniCluster cluster(FourNodeConfig());
+// A shape of the multi-producer test: R=3 scattered over 4 nodes, or
+// several producers whose produce handlers race on one R=1 node.
+struct MultiProducerShape {
+  uint32_t nodes;
+  uint32_t replication;
+  int producers;
+};
+
+void MultiProducerMultiConsumer(const MultiProducerShape& shape) {
+  const std::string name = std::to_string(shape.producers) + " producers, " +
+                           std::to_string(shape.nodes) + " nodes, R=" +
+                           std::to_string(shape.replication);
+  SCOPED_TRACE(name);
+  Watchdog watchdog(std::chrono::seconds(120), name);
+  MiniClusterConfig cfg = FourNodeConfig();
+  cfg.nodes = shape.nodes;
+  MiniCluster cluster(cfg);
   rpc::StreamOptions opts;
   opts.num_streamlets = 8;
-  opts.replication_factor = 3;
+  opts.replication_factor = shape.replication;
   ASSERT_TRUE(cluster.coordinator().CreateStream("events", opts).ok());
 
-  constexpr int kProducers = 3;
   constexpr int kRecordsEach = 1500;
 
   std::vector<std::thread> producer_threads;
-  for (int p = 0; p < kProducers; ++p) {
+  for (int p = 0; p < shape.producers; ++p) {
     producer_threads.emplace_back([&, p] {
       ProducerConfig pc;
       pc.producer_id = ProducerId(p + 1);
@@ -77,7 +92,7 @@ TEST(IntegrationTest, MultiProducerMultiConsumerNoLossNoDuplication) {
       ASSERT_TRUE(consumer.Connect().ok());
       auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(30);
-      while (total.load() < kProducers * kRecordsEach &&
+      while (total.load() < shape.producers * kRecordsEach &&
              std::chrono::steady_clock::now() < deadline) {
         auto records = consumer.Poll(256);
         if (records.empty()) {
@@ -96,20 +111,26 @@ TEST(IntegrationTest, MultiProducerMultiConsumerNoLossNoDuplication) {
   }
   for (auto& t : consumer_threads) t.join();
 
-  ASSERT_EQ(received.size(), size_t(kProducers * kRecordsEach));
-  for (int p = 0; p < kProducers; ++p) {
+  ASSERT_EQ(received.size(), size_t(shape.producers * kRecordsEach));
+  for (int p = 0; p < shape.producers; ++p) {
     for (int i = 0; i < kRecordsEach; ++i) {
       std::string v = "p" + std::to_string(p) + "-" + std::to_string(i);
       ASSERT_EQ(received.count(v), 1u) << v;
     }
   }
-  // Every node replicated data (R3 scatters backups over the cluster).
+  // Backups hold R-1 copies of every chunk (R=3 scatters them over the
+  // cluster).
   uint64_t backup_chunks = 0;
-  for (NodeId n = 1; n <= 4; ++n) {
+  for (NodeId n = 1; n <= shape.nodes; ++n) {
     backup_chunks += cluster.backup(n).GetStats().chunks_received;
   }
   auto totals = cluster.TotalBrokerStats();
-  EXPECT_EQ(backup_chunks, 2 * totals.chunks_appended);  // two copies each
+  EXPECT_EQ(backup_chunks, (shape.replication - 1) * totals.chunks_appended);
+}
+
+TEST(IntegrationTest, MultiProducerMultiConsumerNoLossNoDuplication) {
+  MultiProducerMultiConsumer({.nodes = 4, .replication = 3, .producers = 3});
+  MultiProducerMultiConsumer({.nodes = 1, .replication = 1, .producers = 4});
 }
 
 TEST(IntegrationTest, RetransmittedRequestsAreDeduplicated) {
