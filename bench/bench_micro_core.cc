@@ -1,6 +1,7 @@
 // Microbenchmarks of the core data structures on the hot paths: CRC32C,
-// record/chunk building and parsing, segment and group appends, virtual
-// log reference appends and batch polling, and the producer's Send. These
+// record/chunk building and parsing, segment and group appends, the
+// produce/consume/replicate message codec, virtual log reference appends
+// and batch polling, and the producer's Send. These
 // are wall-clock measurements of the real code (not the DES).
 #include <benchmark/benchmark.h>
 
@@ -205,6 +206,92 @@ void BM_ProduceFrameEncodeScatterGather(benchmark::State& state) {
   ProduceFrameEncodeBench(state, true);
 }
 BENCHMARK(BM_ProduceFrameEncodeScatterGather)->Arg(16384)->Arg(65536);
+
+// Hot-path message codec: decoding a produce request of N chunk frames
+// (each 1 KiB; decoding records spans, so the chunk size does not matter),
+// encoding and decoding a consume response of 16 entries of 2 chunks, and
+// decoding a replicate request. Bodies are materialized once, outside the
+// timed loop.
+template <typename M>
+std::vector<std::byte> EncodeBody(const M& msg) {
+  rpc::Writer w;
+  msg.Encode(w);
+  return std::move(w).Take();
+}
+
+template <typename M>
+void DecodeBench(benchmark::State& state, const std::vector<std::byte>& body) {
+  for (auto _ : state) {
+    rpc::Reader r(body);
+    auto decoded = M::Decode(r);
+    if (!decoded.ok()) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()));
+}
+
+void BM_ProduceRequestDecode(benchmark::State& state) {
+  auto chunk = MakeChunkFrame(1024, 100);
+  rpc::ProduceRequest req;
+  req.producer = 1;
+  req.stream = 1;
+  req.chunks.assign(size_t(state.range(0)), chunk);
+  DecodeBench<rpc::ProduceRequest>(state, EncodeBody(req));
+}
+BENCHMARK(BM_ProduceRequestDecode)
+    ->ArgName("chunks")
+    ->Arg(1)
+    ->Arg(28)
+    ->Arg(128);
+
+rpc::ConsumeResponse SampleConsumeResponse(std::span<const std::byte> chunk) {
+  rpc::ConsumeResponse resp;
+  for (uint32_t i = 0; i < 16; ++i) {
+    rpc::ConsumeEntryResponse e;
+    e.streamlet = i;
+    e.group = 1;
+    e.next_chunk = 2;
+    e.group_exists = true;
+    e.groups_created = 1;
+    e.chunks = {chunk, chunk};
+    resp.entries.push_back(std::move(e));
+  }
+  return resp;
+}
+
+void BM_ConsumeResponseEncode(benchmark::State& state) {
+  auto chunk = MakeChunkFrame(1024, 100);
+  auto resp = SampleConsumeResponse(chunk);
+  for (auto _ : state) {
+    rpc::Writer w;
+    resp.Encode(w);
+    benchmark::DoNotOptimize(w);
+  }
+  state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_ConsumeResponseEncode);
+
+void BM_ConsumeResponseDecode(benchmark::State& state) {
+  auto chunk = MakeChunkFrame(1024, 100);
+  DecodeBench<rpc::ConsumeResponse>(
+      state, EncodeBody(SampleConsumeResponse(chunk)));
+}
+BENCHMARK(BM_ConsumeResponseDecode);
+
+void BM_ReplicateRequestDecode(benchmark::State& state) {
+  auto chunk = MakeChunkFrame(16384, 100);
+  rpc::ReplicateRequest req;
+  req.primary = 1;
+  req.vlog = 2;
+  req.vseg = 3;
+  req.chunk_count = 1;
+  req.payload = chunk;
+  DecodeBench<rpc::ReplicateRequest>(state, EncodeBody(req));
+}
+BENCHMARK(BM_ReplicateRequestDecode);
 
 void BM_VlogAppendPollComplete(benchmark::State& state) {
   auto frame = MakeChunkFrame(1024, 100);

@@ -2,6 +2,7 @@
 
 #include "common/crc32c.h"
 #include "common/logging.h"
+#include "rpc/call.h"
 #include "wire/chunk.h"
 
 namespace kera {
@@ -309,37 +310,6 @@ rpc::ListRecoverySegmentsResponse Backup::HandleList(
   return resp;
 }
 
-rpc::ReadRecoverySegmentResponse Backup::HandleRead(
-    const rpc::ReadRecoverySegmentRequest& req,
-    std::vector<std::byte>& payload_storage) {
-  rpc::ReadRecoverySegmentResponse resp;
-  std::lock_guard<std::mutex> lock(mu_);
-  Key key{req.crashed, req.vlog, req.vseg};
-  auto it = segments_.find(key);
-  if (it == segments_.end()) {
-    resp.status = StatusCode::kNotFound;
-    return resp;
-  }
-  ReplicatedSegment& seg = it->second;
-  if (seg.evicted) {
-    Status s = log_->ReadSegment(LogKey(key), payload_storage);
-    if (!s.ok()) {
-      resp.status = s.code();
-      return resp;
-    }
-    if (payload_storage.size() != seg.durable_size) {
-      payload_storage.clear();
-      resp.status = StatusCode::kCorruption;
-      return resp;
-    }
-  } else {
-    payload_storage = seg.data;
-  }
-  resp.chunk_count = seg.chunk_count;
-  resp.payload = payload_storage;
-  return resp;
-}
-
 rpc::ReadRecoverySegmentBatchResponse Backup::HandleReadBatch(
     const rpc::ReadRecoverySegmentBatchRequest& req,
     std::vector<std::vector<std::byte>>& payload_storage) {
@@ -397,79 +367,22 @@ size_t Backup::DropSegmentsForPrimary(NodeId primary) {
 }
 
 std::vector<std::byte> Backup::HandleRpc(std::span<const std::byte> request) {
-  rpc::Opcode op;
-  std::span<const std::byte> body;
-  rpc::Writer out;
-  Status s = rpc::ParseFrame(request, op, body);
-  if (!s.ok()) {
-    out.U8(uint8_t(s.code()));
-    return std::move(out).Take();
-  }
-  rpc::Reader r(body);
-  // Outlives the switch: responses reference this storage until Take().
-  std::vector<std::byte> read_storage;
-  std::vector<std::vector<std::byte>> batch_storage;
-  switch (op) {
-    case rpc::Opcode::kReplicate: {
-      auto req = rpc::ReplicateRequest::Decode(r);
-      if (!req.ok()) {
-        rpc::ReplicateResponse resp;
-        resp.status = req.status().code();
-        resp.Encode(out);
-      } else {
-        HandleReplicate(*req).Encode(out);
-      }
-      break;
-    }
-    case rpc::Opcode::kListRecoverySegments: {
-      auto req = rpc::ListRecoverySegmentsRequest::Decode(r);
-      if (!req.ok()) {
-        rpc::ListRecoverySegmentsResponse resp;
-        resp.status = req.status().code();
-        resp.Encode(out);
-      } else {
-        HandleList(*req).Encode(out);
-      }
-      break;
-    }
-    case rpc::Opcode::kReadRecoverySegment: {
-      auto req = rpc::ReadRecoverySegmentRequest::Decode(r);
-      if (!req.ok()) {
-        rpc::ReadRecoverySegmentResponse resp;
-        resp.status = req.status().code();
-        resp.Encode(out);
-      } else {
-        HandleRead(*req, read_storage).Encode(out);
-      }
-      break;
-    }
-    case rpc::Opcode::kReadRecoverySegmentBatch: {
-      auto req = rpc::ReadRecoverySegmentBatchRequest::Decode(r);
-      if (!req.ok()) {
-        rpc::ReadRecoverySegmentBatchResponse resp;
-        resp.status = req.status().code();
-        resp.Encode(out);
-      } else {
-        HandleReadBatch(*req, batch_storage).Encode(out);
-      }
-      break;
-    }
-    case rpc::Opcode::kEvacuateBackupSegments: {
-      auto req = rpc::EvacuateBackupSegmentsRequest::Decode(r);
-      rpc::EvacuateBackupSegmentsResponse resp;
-      if (!req.ok()) {
-        resp.status = req.status().code();
-      } else {
-        resp.dropped = uint32_t(DropSegmentsForPrimary(req->primary));
-      }
-      resp.Encode(out);
-      break;
-    }
-    default:
-      out.U8(uint8_t(StatusCode::kInvalidArgument));
-      break;
-  }
-  return std::move(out).Take();
+  // Outlives the dispatch: read replies reference this storage until
+  // Dispatch materializes them.
+  std::vector<std::vector<std::byte>> read_storage;
+  return rpc::Dispatch(
+      request,
+      rpc::Serve<rpc::ReplicateRequest>(
+          [this](const auto& req) { return HandleReplicate(req); }),
+      rpc::Serve<rpc::ListRecoverySegmentsRequest>(
+          [this](const auto& req) { return HandleList(req); }),
+      rpc::Serve<rpc::ReadRecoverySegmentBatchRequest>(
+          [&](const auto& req) { return HandleReadBatch(req, read_storage); }),
+      rpc::Serve<rpc::EvacuateBackupSegmentsRequest>([this](const auto& req) {
+        rpc::EvacuateBackupSegmentsResponse resp;
+        resp.dropped = uint32_t(DropSegmentsForPrimary(req.primary));
+        return resp;
+      }));
 }
 
 void Backup::WaitForFlushes() {

@@ -49,11 +49,6 @@ class Backup final : public rpc::RpcHandler {
   rpc::ReplicateResponse HandleReplicate(const rpc::ReplicateRequest& req);
   rpc::ListRecoverySegmentsResponse HandleList(
       const rpc::ListRecoverySegmentsRequest& req);
-  /// `payload_storage` receives the segment bytes the response span points
-  /// into (the caller owns lifetime across serialization).
-  rpc::ReadRecoverySegmentResponse HandleRead(
-      const rpc::ReadRecoverySegmentRequest& req,
-      std::vector<std::byte>& payload_storage);
   /// Batched recovery read: serves several virtual segments in one round
   /// trip (parallel recovery pulls `recovery_read_batch` segments per
   /// RPC). `payload_storage` receives one buffer per requested segment;
@@ -106,7 +101,8 @@ class Backup final : public rpc::RpcHandler {
   size_t EvictFlushed();
 
   /// Copy descriptors for test/chaos oracles (the power-loss invariant
-  /// re-reads and re-validates every recovered copy through HandleRead).
+  /// re-reads and re-validates every recovered copy through
+  /// HandleReadBatch).
   struct DebugCopy {
     NodeId primary = 0;
     VlogId vlog = 0;

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "rpc/call.h"
 #include "wire/chunk.h"
 #include "wire/layout.h"
 
@@ -827,7 +828,7 @@ std::vector<std::byte> Broker::BuildReplicateFrame(
     const ReplicationBatch& batch) const {
   rpc::Writer body(64);
   EncodeReplicateBody(batch, body);
-  return rpc::Frame(rpc::Opcode::kReplicate, body);
+  return rpc::Frame(rpc::ReplicateRequest::kOpcode, body);
 }
 
 Status Broker::ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch) {
@@ -842,8 +843,8 @@ void Broker::IssueBatch(const ReplicationBatch& batch, ReplicaSend& send) {
   // consumes every future before `send` is released, satisfying
   // CallAsyncParts' lifetime contract across every retry round.
   EncodeReplicateBody(batch, send.body);
-  send.parts =
-      rpc::FrameAsParts(rpc::Opcode::kReplicate, send.body, send.opcode);
+  send.parts = rpc::FrameAsParts(rpc::ReplicateRequest::kOpcode, send.body,
+                                 send.opcode);
   SendReplicateAttempt(batch, send);
 }
 
@@ -1214,70 +1215,19 @@ rpc::FetchOffsetsResponse Broker::HandleFetchOffsets(
 }
 
 std::vector<std::byte> Broker::HandleRpc(std::span<const std::byte> request) {
-  rpc::Opcode op;
-  std::span<const std::byte> body;
-  rpc::Writer out;
-  Status s = rpc::ParseFrame(request, op, body);
-  if (!s.ok()) {
-    out.U8(uint8_t(s.code()));
-    return std::move(out).Take();
-  }
-  rpc::Reader r(body);
-  switch (op) {
-    case rpc::Opcode::kProduce: {
-      auto req = rpc::ProduceRequest::Decode(r);
-      if (!req.ok()) {
-        rpc::ProduceResponse resp;
-        resp.status = req.status().code();
-        resp.Encode(out);
-      } else {
-        HandleProduce(*req).Encode(out);
-      }
-      break;
-    }
-    case rpc::Opcode::kConsume: {
-      auto req = rpc::ConsumeRequest::Decode(r);
-      rpc::ConsumeResponse resp;
-      if (!req.ok()) {
-        resp.status = req.status().code();
-      } else {
-        resp = HandleConsume(*req);
-      }
-      // The Writer holds the chunk spans BY REFERENCE until Take()
-      // materializes the frame, so the response — whose `holds` pin the
-      // hot segments and cold-cache entries those spans alias — must
-      // outlive the splice. Encoding a temporary here would release the
-      // pins first and let the evictor recycle the buffers mid-encode.
-      resp.Encode(out);
-      return std::move(out).Take();
-    }
-    case rpc::Opcode::kCommitOffsets: {
-      auto req = rpc::CommitOffsetsRequest::Decode(r);
-      rpc::CommitOffsetsResponse resp;
-      if (!req.ok()) {
-        resp.status = req.status().code();
-      } else {
-        resp = HandleCommitOffsets(*req);
-      }
-      resp.Encode(out);
-      break;
-    }
-    case rpc::Opcode::kFetchOffsets: {
-      auto req = rpc::FetchOffsetsRequest::Decode(r);
-      rpc::FetchOffsetsResponse resp;
-      if (!req.ok()) {
-        resp.status = req.status().code();
-      } else {
-        resp = HandleFetchOffsets(*req);
-      }
-      resp.Encode(out);
-      break;
-    }
-    default:
-      out.U8(uint8_t(StatusCode::kInvalidArgument));
-      break;
-  }
-  return std::move(out).Take();
+  // Dispatch encodes each reply while the handler's response is alive: a
+  // consume response's `holds` pin the hot segments and cold-cache entries
+  // its chunk spans alias until the frame is materialized.
+  return rpc::Dispatch(
+      request,
+      rpc::Serve<rpc::ProduceRequest>(
+          [this](const auto& req) { return HandleProduce(req); }),
+      rpc::Serve<rpc::ConsumeRequest>(
+          [this](const auto& req) { return HandleConsume(req); }),
+      rpc::Serve<rpc::CommitOffsetsRequest>(
+          [this](const auto& req) { return HandleCommitOffsets(req); }),
+      rpc::Serve<rpc::FetchOffsetsRequest>(
+          [this](const auto& req) { return HandleFetchOffsets(req); }));
 }
 
 std::map<std::pair<StreamletId, ProducerId>, uint64_t> Broker::DedupHitsByKey(

@@ -408,9 +408,7 @@ class Harness {
     req.producer = pid;
     req.stream = info_.stream;
     req.chunks.push_back(chunk);
-    rpc::Writer body;
-    req.Encode(body);
-    auto frame = rpc::Frame(rpc::Opcode::kProduce, body);
+    auto frame = rpc::Frame(req);
 
     uint64_t& attempts = p.attempts[sl];
     bool acked = false;
@@ -463,9 +461,7 @@ class Harness {
     er.start_chunk = cur.next_chunk;
     er.max_chunks = 16;
     req.entries.push_back(er);
-    rpc::Writer body;
-    req.Encode(body);
-    auto raw = net_.Call(leader, rpc::Frame(rpc::Opcode::kConsume, body));
+    auto raw = net_.Call(leader, rpc::Frame(req));
     if (!raw.ok()) return true;  // injected fault; no progress this round
     rpc::Reader r(*raw);
     auto resp = rpc::ConsumeResponse::Decode(r);
@@ -618,10 +614,7 @@ class Harness {
             ++retried_by_key_[{e.streamlet, syspid}];
           }
         }
-        rpc::Writer body;
-        req.Encode(body);
-        auto raw =
-            net_.Call(broker, rpc::Frame(rpc::Opcode::kCommitOffsets, body));
+        auto raw = net_.Call(broker, rpc::Frame(req));
         if (!raw.ok()) continue;
         rpc::Reader r(*raw);
         auto resp = rpc::CommitOffsetsResponse::Decode(r);
@@ -666,10 +659,7 @@ class Harness {
           req.streamlets.push_back(sl);
         }
         for (auto& [broker, req] : per_broker) {
-          rpc::Writer body;
-          req.Encode(body);
-          auto raw = net_.Call(broker,
-                               rpc::Frame(rpc::Opcode::kFetchOffsets, body));
+          auto raw = net_.Call(broker, rpc::Frame(req));
           if (!raw.ok()) continue;
           rpc::Reader r(*raw);
           auto resp = rpc::FetchOffsetsResponse::Decode(r);

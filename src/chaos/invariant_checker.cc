@@ -216,12 +216,11 @@ std::string InvariantChecker::CheckBackupDurableCopies(MiniCluster& cluster,
                                                        uint64_t* checks) {
   Backup& backup = cluster.backup(node);
   for (const Backup::DebugCopy& d : backup.DebugCopies()) {
-    rpc::ReadRecoverySegmentRequest req;
+    rpc::ReadRecoverySegmentBatchRequest req;
     req.crashed = d.primary;
-    req.vlog = d.vlog;
-    req.vseg = d.vseg;
-    std::vector<std::byte> storage;
-    auto resp = backup.HandleRead(req, storage);
+    req.items = {{d.vlog, d.vseg}};
+    std::vector<std::vector<std::byte>> storage;
+    const auto resp = backup.HandleReadBatch(req, storage).items.at(0);
     ++*checks;
     if (resp.status != StatusCode::kOk) {
       return Describe("backup %u copy p%u/v%u/s%" PRIu64

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "rpc/call.h"
 
 namespace kera {
 namespace {
@@ -113,19 +114,9 @@ Status Consumer::Connect() {
     return Status(StatusCode::kInvalidArgument,
                   "exactly_once requires share_count == 1");
   }
-  rpc::GetStreamInfoRequest req;
-  req.name = config_.stream;
-  rpc::Writer body;
-  req.Encode(body);
-  auto raw = network_.Call(
-      kCoordinatorNode, rpc::Frame(rpc::Opcode::kGetStreamInfo, body));
-  if (!raw.ok()) return raw.status();
-  rpc::Reader r(*raw);
-  auto resp = rpc::GetStreamInfoResponse::Decode(r);
+  auto resp = rpc::Call(network_, kCoordinatorNode,
+                        rpc::GetStreamInfoRequest{config_.stream});
   if (!resp.ok()) return resp.status();
-  if (resp->status != StatusCode::kOk) {
-    return Status(resp->status, "GetStreamInfo failed");
-  }
   info_ = resp->info;
   if (config_.exactly_once) {
     if (info_.options.active_groups_per_streamlet != 1) {
@@ -136,20 +127,12 @@ Status Consumer::Connect() {
     }
     // Session-epoch handshake under the consumer's system producer id:
     // a restarted consumer's commits fence its predecessor's.
-    rpc::AllocateProducerRequest areq;
-    areq.producer = ProducerId(0x80000000u | config_.consumer_id);
-    rpc::Writer abody;
-    areq.Encode(abody);
-    auto araw = network_.Call(
-        kCoordinatorNode, rpc::Frame(rpc::Opcode::kAllocateProducer, abody));
-    if (!araw.ok()) return araw.status();
-    rpc::Reader ar(*araw);
-    auto aresp = rpc::AllocateProducerResponse::Decode(ar);
-    if (!aresp.ok()) return aresp.status();
-    if (aresp->status != StatusCode::kOk) {
-      return Status(aresp->status, "AllocateProducer failed");
-    }
-    epoch_ = aresp->epoch;
+    auto session = rpc::Call(
+        network_, kCoordinatorNode,
+        rpc::AllocateProducerRequest{
+            ProducerId(0x80000000u | config_.consumer_id)});
+    if (!session.ok()) return session.status();
+    epoch_ = session->epoch;
   }
 
   assigned_ = config_.streamlets;
@@ -179,22 +162,12 @@ Status Consumer::Connect() {
       fetch_by_broker[info_.streamlet_brokers[sl]].push_back(sl);
     }
     for (auto& [broker, sls] : fetch_by_broker) {
-      rpc::FetchOffsetsRequest freq;
-      freq.stream = info_.stream;
-      freq.consumer = config_.consumer_id;
-      freq.streamlets = sls;
-      rpc::Writer fbody;
-      freq.Encode(fbody);
-      auto fraw = network_.Call(
-          broker, rpc::Frame(rpc::Opcode::kFetchOffsets, fbody));
-      if (!fraw.ok()) return fraw.status();
-      rpc::Reader fr(*fraw);
-      auto fresp = rpc::FetchOffsetsResponse::Decode(fr);
-      if (!fresp.ok()) return fresp.status();
-      if (fresp->status != StatusCode::kOk) {
-        return Status(fresp->status, "FetchOffsets failed");
-      }
-      for (const auto& e : fresp->entries) {
+      auto fetched = rpc::Call(network_, broker,
+                               rpc::FetchOffsetsRequest{info_.stream,
+                                                        config_.consumer_id,
+                                                        sls});
+      if (!fetched.ok()) return fetched.status();
+      for (const auto& e : fetched->entries) {
         if (!e.found) continue;
         auto sit = states_.find(e.streamlet);
         if (sit == states_.end()) continue;
@@ -413,10 +386,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
           inf.groups.push_back(keys[i]);
         }
       }
-      rpc::Writer body;
-      req.Encode(body);
-      inf.future =
-          network_.CallAsync(broker, rpc::Frame(rpc::Opcode::kConsume, body));
+      inf.future = network_.CallAsync(broker, rpc::Frame(req));
       ++stats_.requests_sent;
       inflight.push_back(std::move(inf));
     }
@@ -587,23 +557,8 @@ Status Consumer::Commit() {
   // frontier is idempotent broker-side).
   Status first = OkStatus();
   for (auto& [broker, req] : per_broker) {
-    rpc::Writer body;
-    req.Encode(body);
-    auto raw = network_.Call(
-        broker, rpc::Frame(rpc::Opcode::kCommitOffsets, body));
-    if (!raw.ok()) {
-      if (first.ok()) first = raw.status();
-      continue;
-    }
-    rpc::Reader r(*raw);
-    auto resp = rpc::CommitOffsetsResponse::Decode(r);
-    if (!resp.ok()) {
-      if (first.ok()) first = resp.status();
-      continue;
-    }
-    if (resp->status != StatusCode::kOk && first.ok()) {
-      first = Status(resp->status, "CommitOffsets failed");
-    }
+    auto resp = rpc::Call(network_, broker, req);
+    if (!resp.ok() && first.ok()) first = resp.status();
   }
   if (first.ok()) {
     ++stats_.offset_commits;

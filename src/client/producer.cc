@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/logging.h"
+#include "rpc/call.h"
 
 namespace kera {
 namespace {
@@ -37,38 +38,17 @@ Producer::Producer(ProducerConfig config, rpc::Network& network)
 Producer::~Producer() { (void)Close(); }
 
 Status Producer::Connect() {
-  rpc::GetStreamInfoRequest req;
-  req.name = config_.stream;
-  rpc::Writer body;
-  req.Encode(body);
-  auto raw =
-      network_.Call(kCoordinatorNode, rpc::Frame(rpc::Opcode::kGetStreamInfo,
-                                                 body));
-  if (!raw.ok()) return raw.status();
-  rpc::Reader r(*raw);
-  auto resp = rpc::GetStreamInfoResponse::Decode(r);
+  auto resp = rpc::Call(network_, kCoordinatorNode,
+                        rpc::GetStreamInfoRequest{config_.stream});
   if (!resp.ok()) return resp.status();
-  if (resp->status != StatusCode::kOk) {
-    return Status(resp->status, "GetStreamInfo failed");
-  }
   info_ = resp->info;
   if (config_.exactly_once) {
     // Idempotent-producer handshake: the coordinator bumps this producer
     // id's epoch, fencing any prior instance still in flight.
-    rpc::AllocateProducerRequest areq;
-    areq.producer = config_.producer_id;
-    rpc::Writer abody;
-    areq.Encode(abody);
-    auto araw = network_.Call(
-        kCoordinatorNode, rpc::Frame(rpc::Opcode::kAllocateProducer, abody));
-    if (!araw.ok()) return araw.status();
-    rpc::Reader ar(*araw);
-    auto aresp = rpc::AllocateProducerResponse::Decode(ar);
-    if (!aresp.ok()) return aresp.status();
-    if (aresp->status != StatusCode::kOk) {
-      return Status(aresp->status, "AllocateProducer failed");
-    }
-    epoch_ = aresp->epoch;
+    auto session = rpc::Call(network_, kCoordinatorNode,
+                             rpc::AllocateProducerRequest{config_.producer_id});
+    if (!session.ok()) return session.status();
+    epoch_ = session->epoch;
   }
   open_ = std::vector<OpenChunk>(info_.streamlet_brokers.size());
   running_.store(true, std::memory_order_release);
@@ -293,7 +273,7 @@ void Producer::RequestsLoop() {
       futures.reserve(pending.size());
       for (size_t i : pending) {
         rpc::BytesRefParts parts = rpc::FrameAsParts(
-            rpc::Opcode::kProduce, requests[i].body, requests[i].opcode);
+            rpc::ProduceRequest::kOpcode, requests[i].body, requests[i].opcode);
         futures.push_back(
             network_.CallAsyncParts(requests[i].broker, parts));
       }
@@ -356,16 +336,9 @@ void Producer::RequestsLoop() {
 }
 
 bool Producer::FetchLeaders(std::vector<NodeId>* leaders) {
-  rpc::GetStreamInfoRequest req;
-  req.name = config_.stream;
-  rpc::Writer body;
-  req.Encode(body);
-  auto raw = network_.Call(
-      kCoordinatorNode, rpc::Frame(rpc::Opcode::kGetStreamInfo, body));
-  if (!raw.ok()) return false;
-  rpc::Reader r(*raw);
-  auto resp = rpc::GetStreamInfoResponse::Decode(r);
-  if (!resp.ok() || resp->status != StatusCode::kOk) return false;
+  auto resp = rpc::Call(network_, kCoordinatorNode,
+                        rpc::GetStreamInfoRequest{config_.stream});
+  if (!resp.ok()) return false;
   *leaders = resp->info.streamlet_brokers;
   return true;
 }

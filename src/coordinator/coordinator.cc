@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "rpc/call.h"
 #include "wire/chunk.h"
 
 namespace kera {
@@ -292,18 +293,9 @@ uint64_t Coordinator::EvacuateBackups(NodeId primary) {
   }
   uint64_t dropped = 0;
   for (NodeId backup : backup_services) {
-    rpc::EvacuateBackupSegmentsRequest req;
-    req.primary = primary;
-    rpc::Writer body;
-    req.Encode(body);
-    auto raw = network_.Call(
-        backup, rpc::Frame(rpc::Opcode::kEvacuateBackupSegments, body));
-    if (!raw.ok()) continue;
-    rpc::Reader r(*raw);
-    auto resp = rpc::EvacuateBackupSegmentsResponse::Decode(r);
-    if (resp.ok() && resp->status == StatusCode::kOk) {
-      dropped += resp->dropped;
-    }
+    auto resp = rpc::Call(network_, backup,
+                          rpc::EvacuateBackupSegmentsRequest{primary});
+    if (resp.ok()) dropped += resp->dropped;
   }
   return dropped;
 }
@@ -413,17 +405,8 @@ Status Coordinator::ReplayTask(
     ++*chunks;
   }
   for (auto& [key, p] : pending) {
-    rpc::Writer pbody;
-    p.Encode(pbody);
-    auto presp_raw =
-        network_.Call(std::get<0>(key), rpc::Frame(rpc::Opcode::kProduce, pbody));
-    if (!presp_raw.ok()) return presp_raw.status();
-    rpc::Reader pr(*presp_raw);
-    auto presp = rpc::ProduceResponse::Decode(pr);
-    if (!presp.ok()) return presp.status();
-    if (presp->status != StatusCode::kOk) {
-      return Status(presp->status, "recovery replay rejected");
-    }
+    auto resp = rpc::Call(network_, std::get<0>(key), p);
+    if (!resp.ok()) return resp.status();
   }
   return OkStatus();
 }
@@ -450,16 +433,9 @@ Result<uint64_t> Coordinator::ReplayFromBackups(
   };
   std::map<std::pair<VlogId, VirtualSegmentId>, Source> sources;
   for (NodeId backup : backup_services) {
-    rpc::ListRecoverySegmentsRequest req;
-    req.crashed = primary;
-    rpc::Writer body;
-    req.Encode(body);
-    auto raw = network_.Call(backup, rpc::Frame(
-        rpc::Opcode::kListRecoverySegments, body));
-    if (!raw.ok()) continue;  // that backup may be down too
-    rpc::Reader r(*raw);
-    auto resp = rpc::ListRecoverySegmentsResponse::Decode(r);
-    if (!resp.ok() || resp->status != StatusCode::kOk) continue;
+    auto resp = rpc::Call(network_, backup,
+                          rpc::ListRecoverySegmentsRequest{primary});
+    if (!resp.ok()) continue;  // that backup may be down too
     for (const auto& desc : resp->segments) {
       // Copies of one virtual segment can differ in length: a backup that
       // (re)started mid-stream holds only a suffix buffered as pending —
@@ -560,9 +536,7 @@ Result<uint64_t> Coordinator::ReplayFromBackups(
       for (size_t i : b.task_idx) {
         req.items.push_back({tasks[i].vlog, tasks[i].vseg});
       }
-      rpc::Writer body;
-      req.Encode(body);
-      return rpc::Frame(rpc::Opcode::kReadRecoverySegmentBatch, body);
+      return rpc::Frame(req);
     };
     auto apply_batch = [&](const ReadBatch& b,
                            const std::vector<std::byte>& raw) -> Status {
@@ -813,78 +787,34 @@ std::pair<ProducerId, uint32_t> Coordinator::AllocateProducer(
 
 std::vector<std::byte> Coordinator::HandleRpc(
     std::span<const std::byte> request) {
-  rpc::Opcode op;
-  std::span<const std::byte> body;
-  rpc::Writer out;
-  Status s = rpc::ParseFrame(request, op, body);
-  if (!s.ok()) {
-    out.U8(uint8_t(s.code()));
-    return std::move(out).Take();
-  }
-  rpc::Reader r(body);
-  switch (op) {
-    case rpc::Opcode::kCreateStream: {
-      auto req = rpc::CreateStreamRequest::Decode(r);
-      rpc::CreateStreamResponse resp;
-      if (!req.ok()) {
-        resp.status = req.status().code();
-      } else {
-        auto info = CreateStream(req->name, req->options);
-        if (info.ok()) {
-          resp.info = *info;
-        } else {
-          resp.status = info.status().code();
-        }
-      }
-      resp.Encode(out);
-      break;
+  // CreateStream and GetStreamInfo reply with the stream's info.
+  auto info_reply = []<typename Resp>(Resp resp,
+                                      const Result<rpc::StreamInfo>& info) {
+    if (info.ok()) {
+      resp.info = *info;
+    } else {
+      resp.status = info.status().code();
     }
-    case rpc::Opcode::kSealStream: {
-      auto req = rpc::SealStreamRequest::Decode(r);
-      rpc::SealStreamResponse resp;
-      if (!req.ok()) {
-        resp.status = req.status().code();
-      } else {
-        Status s2 = SealStream(req->name);
-        resp.status = s2.code();
-      }
-      resp.Encode(out);
-      break;
-    }
-    case rpc::Opcode::kGetStreamInfo: {
-      auto req = rpc::GetStreamInfoRequest::Decode(r);
-      rpc::GetStreamInfoResponse resp;
-      if (!req.ok()) {
-        resp.status = req.status().code();
-      } else {
-        auto info = GetStreamInfo(req->name);
-        if (info.ok()) {
-          resp.info = *info;
-        } else {
-          resp.status = info.status().code();
-        }
-      }
-      resp.Encode(out);
-      break;
-    }
-    case rpc::Opcode::kAllocateProducer: {
-      auto req = rpc::AllocateProducerRequest::Decode(r);
-      rpc::AllocateProducerResponse resp;
-      if (!req.ok()) {
-        resp.status = req.status().code();
-      } else {
-        auto [pid, epoch] = AllocateProducer(req->producer);
-        resp.producer = pid;
-        resp.epoch = epoch;
-      }
-      resp.Encode(out);
-      break;
-    }
-    default:
-      out.U8(uint8_t(StatusCode::kInvalidArgument));
-      break;
-  }
-  return std::move(out).Take();
+    return resp;
+  };
+  return rpc::Dispatch(
+      request,
+      rpc::Serve<rpc::CreateStreamRequest>([&](const auto& req) {
+        return info_reply(rpc::CreateStreamResponse{},
+                          CreateStream(req.name, req.options));
+      }),
+      rpc::Serve<rpc::SealStreamRequest>([this](const auto& req) {
+        return rpc::SealStreamResponse{SealStream(req.name).code()};
+      }),
+      rpc::Serve<rpc::GetStreamInfoRequest>([&](const auto& req) {
+        return info_reply(rpc::GetStreamInfoResponse{},
+                          GetStreamInfo(req.name));
+      }),
+      rpc::Serve<rpc::AllocateProducerRequest>([this](const auto& req) {
+        auto [producer, epoch] = AllocateProducer(req.producer);
+        return rpc::AllocateProducerResponse{.producer = producer,
+                                             .epoch = epoch};
+      }));
 }
 
 }  // namespace kera

@@ -10,9 +10,9 @@ namespace kera::rpc {
 std::vector<std::byte> Frame(Opcode op, const Writer& body) {
   std::vector<std::byte> frame;
   frame.reserve(2 + body.size());
-  uint16_t raw = uint16_t(op);
-  const auto* p = reinterpret_cast<const std::byte*>(&raw);
-  frame.insert(frame.end(), p, p + 2);
+  frame.resize(2);
+  const uint16_t raw = uint16_t(op);
+  std::memcpy(frame.data(), &raw, 2);
   body.AppendTo(frame);
   return frame;
 }
@@ -40,55 +40,57 @@ Status ParseFrame(std::span<const std::byte> frame, Opcode& op,
   return OkStatus();
 }
 
+namespace {
+/// Frame offset of the u32 count of message M's I-th field, a list after
+/// the u16 opcode and M's fixed-size fields before it.
+template <typename M, size_t I>
+constexpr size_t ListCountAt() {
+  static_assert(kIsVector<FieldType<M, I>>);
+  return sizeof(Opcode) + FieldOffset<M, I>();
+}
+}  // namespace
+
 int RouteFrameToShard(std::span<const std::byte> frame, int shards) {
   if (shards <= 1 || frame.size() < 2) return 0;
   const std::byte* p = frame.data();
+  // Routes by the u32 at frame offset `at` when the list counted by the
+  // u32 at `count_at` is non-empty.
+  auto route = [&](size_t count_at, size_t at) {
+    if (frame.size() < at + 4 || wire::LoadU32(p + count_at) == 0) return 0;
+    return int(wire::LoadU32(p + at) % uint32_t(shards));
+  };
   switch (Opcode(wire::LoadU16(p))) {
     case Opcode::kProduce: {
-      // Body: u32 producer, u64 stream, u8 recovery, u32 chunk count, then
-      // per chunk [u32 len][chunk frame]. The first chunk's streamlet id
-      // sits at a fixed offset inside its 56-byte header.
-      constexpr size_t kFirstChunk = 2 + 4 + 8 + 1 + 4 + 4;
-      constexpr size_t kStreamletOff =
-          kFirstChunk + chunk_offsets::kStreamletId;
-      if (frame.size() < kStreamletOff + 4) return 0;
-      if (wire::LoadU32(p + 2 + 4 + 8 + 1) == 0) return 0;  // no chunks
-      return int(wire::LoadU32(p + kStreamletOff) % uint32_t(shards));
+      // The first chunk's streamlet id, at a fixed offset inside its header
+      // after the chunk count and the chunk's length prefix.
+      constexpr size_t kCount = ListCountAt<ProduceRequest, 3>();
+      return route(kCount, kCount + 4 + 4 + chunk_offsets::kStreamletId);
     }
     case Opcode::kConsume: {
-      // Body: u64 stream, u32 max_bytes, u32 entry count, then per entry
-      // [u32 streamlet, ...]. Route by the first entry's streamlet; a
-      // request spanning shards is still handled correctly, just counted
-      // as cross-shard by the broker.
-      constexpr size_t kFirstEntry = 2 + 8 + 4 + 4;
-      if (frame.size() < kFirstEntry + 4) return 0;
-      if (wire::LoadU32(p + 2 + 8 + 4) == 0) return 0;  // no entries
-      return int(wire::LoadU32(p + kFirstEntry) % uint32_t(shards));
+      // The first entry's streamlet. A request spanning shards is still
+      // handled correctly, just counted as cross-shard by the broker.
+      constexpr size_t kCount = ListCountAt<ConsumeRequest, 2>();
+      return route(kCount, kCount + 4);
     }
     case Opcode::kReplicate: {
-      // Body: u32 primary, u32 vlog, ... — a virtual log is pinned to one
-      // shard on the primary, so routing its replicate stream by vlog id
-      // keeps per-vseg processing shard-affine on the backup too.
-      if (frame.size() < 2 + 4 + 4) return 0;
-      return int(wire::LoadU32(p + 2 + 4) % uint32_t(shards));
+      // A virtual log is pinned to one shard on the primary, so routing
+      // its replicate stream by vlog id keeps per-vseg processing
+      // shard-affine on the backup too.
+      constexpr size_t kVlog =
+          sizeof(Opcode) + FieldOffset<ReplicateRequest, 1>();
+      if (frame.size() < kVlog + 4) return 0;
+      return int(wire::LoadU32(p + kVlog) % uint32_t(shards));
     }
     case Opcode::kCommitOffsets: {
-      // Body: u64 stream, u32 consumer, u64 commit_seq, u32 epoch,
-      // u32 entry count, then per entry [u32 streamlet, ...]. Route by the
-      // first entry's streamlet (the commit chunk appends through that
+      // The first entry's streamlet (the commit chunk appends through that
       // streamlet's produce path); multi-streamlet commits are handled
       // correctly either way — the broker locks per-entry shard state.
-      constexpr size_t kFirstEntry = 2 + 8 + 4 + 8 + 4 + 4;
-      if (frame.size() < kFirstEntry + 4) return 0;
-      if (wire::LoadU32(p + 2 + 8 + 4 + 8 + 4) == 0) return 0;  // no entries
-      return int(wire::LoadU32(p + kFirstEntry) % uint32_t(shards));
+      constexpr size_t kCount = ListCountAt<CommitOffsetsRequest, 4>();
+      return route(kCount, kCount + 4);
     }
     case Opcode::kFetchOffsets: {
-      // Body: u64 stream, u32 consumer, u32 count, then u32 streamlets[].
-      constexpr size_t kFirstStreamlet = 2 + 8 + 4 + 4;
-      if (frame.size() < kFirstStreamlet + 4) return 0;
-      if (wire::LoadU32(p + 2 + 8 + 4) == 0) return 0;  // no streamlets
-      return int(wire::LoadU32(p + kFirstStreamlet) % uint32_t(shards));
+      constexpr size_t kCount = ListCountAt<FetchOffsetsRequest, 2>();
+      return route(kCount, kCount + 4);
     }
     default:
       // Admin/recovery traffic is rare and coordinator-driven: shard 0.
@@ -96,263 +98,61 @@ int RouteFrameToShard(std::span<const std::byte> frame, int shards) {
   }
 }
 
+// Every message's codec, derived from its field list (rpc/serialize.h).
+// The definitions stay out of line: inlined into callers, GCC 12 reports
+// false -Wstringop-overflow errors on them.
+#define KERA_DERIVED_ENCODE(M) \
+  void M::Encode(Writer& w) const { EncodeValue(w, *this); }
+#define KERA_DERIVED_DECODE(M) \
+  Result<M> M::Decode(Reader& r) { return DecodeMessage<M>(r); }
+#define KERA_DERIVED_CODEC(M) \
+  KERA_DERIVED_ENCODE(M)      \
+  KERA_DERIVED_DECODE(M)
 
-namespace {
-/// Guards vector reservations against hostile counts: a decoded element
-/// count is only plausible if at least `min_element_bytes` per element
-/// remain in the buffer.
-[[nodiscard]] Status CheckCount(const Reader& r, uint32_t n,
-                                size_t min_element_bytes) {
-  if (size_t(n) * min_element_bytes > r.remaining()) {
-    return Status(StatusCode::kCorruption, "rpc: implausible element count");
-  }
-  return OkStatus();
-}
-}  // namespace
+KERA_DERIVED_CODEC(ProduceRequest)
+KERA_DERIVED_CODEC(ProduceResponse)
+KERA_DERIVED_ENCODE(ConsumeRequest)
+KERA_DERIVED_CODEC(ConsumeResponse)
+KERA_DERIVED_CODEC(CreateStreamRequest)
+KERA_DERIVED_CODEC(CreateStreamResponse)
+KERA_DERIVED_CODEC(GetStreamInfoRequest)
+KERA_DERIVED_CODEC(GetStreamInfoResponse)
+KERA_DERIVED_CODEC(SealStreamRequest)
+KERA_DERIVED_CODEC(SealStreamResponse)
+KERA_DERIVED_DECODE(ReplicateRequest)
+KERA_DERIVED_CODEC(ReplicateResponse)
+KERA_DERIVED_CODEC(ListRecoverySegmentsRequest)
+KERA_DERIVED_CODEC(ListRecoverySegmentsResponse)
+KERA_DERIVED_CODEC(ReadRecoverySegmentBatchRequest)
+KERA_DERIVED_CODEC(ReadRecoverySegmentBatchResponse)
+KERA_DERIVED_CODEC(EvacuateBackupSegmentsRequest)
+KERA_DERIVED_CODEC(EvacuateBackupSegmentsResponse)
+KERA_DERIVED_CODEC(AllocateProducerRequest)
+KERA_DERIVED_CODEC(AllocateProducerResponse)
+KERA_DERIVED_CODEC(CommitOffsetsRequest)
+KERA_DERIVED_CODEC(CommitOffsetsResponse)
+KERA_DERIVED_CODEC(FetchOffsetsRequest)
+KERA_DERIVED_CODEC(FetchOffsetsResponse)
 
-// ---------------------------------------------------------------- produce
-
-void ProduceRequest::Encode(Writer& w) const {
-  w.U32(producer);
-  w.U64(stream);
-  w.Bool(recovery);
-  w.U32(uint32_t(chunks.size()));
-  for (const auto& c : chunks) w.BytesRef(c);
-}
-
-Result<ProduceRequest> ProduceRequest::Decode(Reader& r) {
-  ProduceRequest req;
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U32(req.producer));
-  KERA_RETURN_IF_ERROR(r.U64(req.stream));
-  KERA_RETURN_IF_ERROR(r.Bool(req.recovery));
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 4));  // length prefix per chunk
-  req.chunks.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    std::span<const std::byte> c;
-    KERA_RETURN_IF_ERROR(r.Bytes(c));
-    req.chunks.push_back(c);
-  }
-  return req;
-}
-
-void ProduceResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  w.U32(appended);
-  w.U32(duplicates);
-}
-
-Result<ProduceResponse> ProduceResponse::Decode(Reader& r) {
-  ProduceResponse resp;
-  uint8_t code = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(r.U32(resp.appended));
-  KERA_RETURN_IF_ERROR(r.U32(resp.duplicates));
-  return resp;
-}
-
-// ---------------------------------------------------------------- consume
-
-void ConsumeRequest::Encode(Writer& w) const {
-  w.U64(stream);
-  w.U32(max_bytes);
-  w.U32(uint32_t(entries.size()));
-  for (const auto& e : entries) {
-    w.U32(e.streamlet);
-    w.U32(e.group);
-    w.U64(e.start_chunk);
-    w.U32(e.max_chunks);
-  }
-  w.U64(max_wait_us);
-  w.U32(min_bytes);
-}
+// The two hand-written wire exceptions.
 
 Result<ConsumeRequest> ConsumeRequest::Decode(Reader& r) {
   ConsumeRequest req;
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U64(req.stream));
-  KERA_RETURN_IF_ERROR(r.U32(req.max_bytes));
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 20));  // fixed entry size
-  req.entries.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ConsumeEntryRequest e;
-    KERA_RETURN_IF_ERROR(r.U32(e.streamlet));
-    KERA_RETURN_IF_ERROR(r.U32(e.group));
-    KERA_RETURN_IF_ERROR(r.U64(e.start_chunk));
-    KERA_RETURN_IF_ERROR(r.U32(e.max_chunks));
-    req.entries.push_back(e);
-  }
+  bool ok = DecodeValue(r, req.stream) && DecodeValue(r, req.max_bytes) &&
+            DecodeValue(r, req.entries);
   // Version guard: pre-long-poll requests end here; the absent fields mean
   // "return immediately", which is exactly what those senders expect.
-  if (r.AtEnd()) return req;
-  KERA_RETURN_IF_ERROR(r.U64(req.max_wait_us));
-  KERA_RETURN_IF_ERROR(r.U32(req.min_bytes));
-  return req;
-}
-
-void ConsumeResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  w.U32(uint32_t(entries.size()));
-  for (const auto& e : entries) {
-    w.U32(e.streamlet);
-    w.U32(e.group);
-    w.U64(e.next_chunk);
-    w.Bool(e.group_exists);
-    w.Bool(e.group_closed);
-    w.Bool(e.stream_sealed);
-    w.U32(e.groups_created);
-    w.U32(uint32_t(e.chunks.size()));
-    for (const auto& c : e.chunks) w.BytesRef(c);
+  if (ok && !r.AtEnd()) {
+    ok = DecodeValue(r, req.max_wait_us) && DecodeValue(r, req.min_bytes);
   }
-}
-
-Result<ConsumeResponse> ConsumeResponse::Decode(Reader& r) {
-  ConsumeResponse resp;
-  uint8_t code = 0;
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 22));
-  resp.entries.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ConsumeEntryResponse e;
-    uint32_t nchunks = 0;
-    KERA_RETURN_IF_ERROR(r.U32(e.streamlet));
-    KERA_RETURN_IF_ERROR(r.U32(e.group));
-    KERA_RETURN_IF_ERROR(r.U64(e.next_chunk));
-    KERA_RETURN_IF_ERROR(r.Bool(e.group_exists));
-    KERA_RETURN_IF_ERROR(r.Bool(e.group_closed));
-    KERA_RETURN_IF_ERROR(r.Bool(e.stream_sealed));
-    KERA_RETURN_IF_ERROR(r.U32(e.groups_created));
-    KERA_RETURN_IF_ERROR(r.U32(nchunks));
-    KERA_RETURN_IF_ERROR(CheckCount(r, nchunks, 4));
-    e.chunks.reserve(nchunks);
-    for (uint32_t j = 0; j < nchunks; ++j) {
-      std::span<const std::byte> c;
-      KERA_RETURN_IF_ERROR(r.Bytes(c));
-      e.chunks.push_back(c);
-    }
-    resp.entries.push_back(std::move(e));
-  }
-  return resp;
-}
-
-// ----------------------------------------------------------- coordinator
-
-namespace {
-void EncodeOptions(Writer& w, const StreamOptions& o) {
-  w.U32(o.num_streamlets);
-  w.U32(o.active_groups_per_streamlet);
-  w.U32(o.replication_factor);
-  w.U8(uint8_t(o.vlog_policy));
-}
-
-Status DecodeOptions(Reader& r, StreamOptions& o) {
-  uint8_t policy = 0;
-  KERA_RETURN_IF_ERROR(r.U32(o.num_streamlets));
-  KERA_RETURN_IF_ERROR(r.U32(o.active_groups_per_streamlet));
-  KERA_RETURN_IF_ERROR(r.U32(o.replication_factor));
-  KERA_RETURN_IF_ERROR(r.U8(policy));
-  o.vlog_policy = VlogPolicy(policy);
-  return OkStatus();
-}
-
-void EncodeInfo(Writer& w, const StreamInfo& info) {
-  w.U64(info.stream);
-  EncodeOptions(w, info.options);
-  w.Bool(info.sealed);
-  w.U32(uint32_t(info.streamlet_brokers.size()));
-  for (NodeId n : info.streamlet_brokers) w.U32(n);
-}
-
-Status DecodeInfo(Reader& r, StreamInfo& info) {
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U64(info.stream));
-  KERA_RETURN_IF_ERROR(DecodeOptions(r, info.options));
-  KERA_RETURN_IF_ERROR(r.Bool(info.sealed));
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 4));
-  info.streamlet_brokers.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    KERA_RETURN_IF_ERROR(r.U32(info.streamlet_brokers[i]));
-  }
-  return OkStatus();
-}
-}  // namespace
-
-void CreateStreamRequest::Encode(Writer& w) const {
-  w.Str(name);
-  EncodeOptions(w, options);
-}
-
-Result<CreateStreamRequest> CreateStreamRequest::Decode(Reader& r) {
-  CreateStreamRequest req;
-  KERA_RETURN_IF_ERROR(r.Str(req.name));
-  KERA_RETURN_IF_ERROR(DecodeOptions(r, req.options));
+  if (!ok) return MalformedMessage();
   return req;
 }
-
-void CreateStreamResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  EncodeInfo(w, info);
-}
-
-Result<CreateStreamResponse> CreateStreamResponse::Decode(Reader& r) {
-  CreateStreamResponse resp;
-  uint8_t code = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(DecodeInfo(r, resp.info));
-  return resp;
-}
-
-void GetStreamInfoRequest::Encode(Writer& w) const { w.Str(name); }
-
-Result<GetStreamInfoRequest> GetStreamInfoRequest::Decode(Reader& r) {
-  GetStreamInfoRequest req;
-  KERA_RETURN_IF_ERROR(r.Str(req.name));
-  return req;
-}
-
-void GetStreamInfoResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  EncodeInfo(w, info);
-}
-
-Result<GetStreamInfoResponse> GetStreamInfoResponse::Decode(Reader& r) {
-  GetStreamInfoResponse resp;
-  uint8_t code = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(DecodeInfo(r, resp.info));
-  return resp;
-}
-
-void SealStreamRequest::Encode(Writer& w) const { w.Str(name); }
-
-Result<SealStreamRequest> SealStreamRequest::Decode(Reader& r) {
-  SealStreamRequest req;
-  KERA_RETURN_IF_ERROR(r.Str(req.name));
-  return req;
-}
-
-void SealStreamResponse::Encode(Writer& w) const { w.U8(uint8_t(status)); }
-
-Result<SealStreamResponse> SealStreamResponse::Decode(Reader& r) {
-  SealStreamResponse resp;
-  uint8_t code = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  return resp;
-}
-
-// ------------------------------------------------------------- replicate
 
 void ReplicateRequest::Encode(Writer& w) const {
+  if (payload_parts.empty()) return EncodeValue(w, *this);
+  // One length prefix over the concatenated parts: the bytes of the
+  // `payload` form, with the parts referenced from segment memory.
   w.U32(primary);
   w.U32(vlog);
   w.U64(vseg);
@@ -360,317 +160,7 @@ void ReplicateRequest::Encode(Writer& w) const {
   w.U32(chunk_count);
   w.U32(checksum_after);
   w.Bool(seals);
-  if (!payload_parts.empty()) {
-    w.BytesRefParts(payload_parts);
-  } else {
-    w.BytesRef(payload);
-  }
-}
-
-Result<ReplicateRequest> ReplicateRequest::Decode(Reader& r) {
-  ReplicateRequest req;
-  KERA_RETURN_IF_ERROR(r.U32(req.primary));
-  KERA_RETURN_IF_ERROR(r.U32(req.vlog));
-  KERA_RETURN_IF_ERROR(r.U64(req.vseg));
-  KERA_RETURN_IF_ERROR(r.U64(req.start_offset));
-  KERA_RETURN_IF_ERROR(r.U32(req.chunk_count));
-  KERA_RETURN_IF_ERROR(r.U32(req.checksum_after));
-  KERA_RETURN_IF_ERROR(r.Bool(req.seals));
-  KERA_RETURN_IF_ERROR(r.Bytes(req.payload));
-  return req;
-}
-
-void ReplicateResponse::Encode(Writer& w) const { w.U8(uint8_t(status)); }
-
-Result<ReplicateResponse> ReplicateResponse::Decode(Reader& r) {
-  ReplicateResponse resp;
-  uint8_t code = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  return resp;
-}
-
-// --------------------------------------------------------------- recovery
-
-void ListRecoverySegmentsRequest::Encode(Writer& w) const { w.U32(crashed); }
-
-Result<ListRecoverySegmentsRequest> ListRecoverySegmentsRequest::Decode(
-    Reader& r) {
-  ListRecoverySegmentsRequest req;
-  KERA_RETURN_IF_ERROR(r.U32(req.crashed));
-  return req;
-}
-
-void ListRecoverySegmentsResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  w.U32(uint32_t(segments.size()));
-  for (const auto& s : segments) {
-    w.U32(s.primary);
-    w.U32(s.vlog);
-    w.U64(s.vseg);
-    w.U32(s.chunk_count);
-    w.Bool(s.sealed);
-  }
-}
-
-Result<ListRecoverySegmentsResponse> ListRecoverySegmentsResponse::Decode(
-    Reader& r) {
-  ListRecoverySegmentsResponse resp;
-  uint8_t code = 0;
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 21));
-  resp.segments.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto& s = resp.segments[i];
-    KERA_RETURN_IF_ERROR(r.U32(s.primary));
-    KERA_RETURN_IF_ERROR(r.U32(s.vlog));
-    KERA_RETURN_IF_ERROR(r.U64(s.vseg));
-    KERA_RETURN_IF_ERROR(r.U32(s.chunk_count));
-    KERA_RETURN_IF_ERROR(r.Bool(s.sealed));
-  }
-  return resp;
-}
-
-void ReadRecoverySegmentRequest::Encode(Writer& w) const {
-  w.U32(crashed);
-  w.U32(vlog);
-  w.U64(vseg);
-}
-
-Result<ReadRecoverySegmentRequest> ReadRecoverySegmentRequest::Decode(
-    Reader& r) {
-  ReadRecoverySegmentRequest req;
-  KERA_RETURN_IF_ERROR(r.U32(req.crashed));
-  KERA_RETURN_IF_ERROR(r.U32(req.vlog));
-  KERA_RETURN_IF_ERROR(r.U64(req.vseg));
-  return req;
-}
-
-void ReadRecoverySegmentResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  w.U32(chunk_count);
-  w.BytesRef(payload);
-}
-
-Result<ReadRecoverySegmentResponse> ReadRecoverySegmentResponse::Decode(
-    Reader& r) {
-  ReadRecoverySegmentResponse resp;
-  uint8_t code = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(r.U32(resp.chunk_count));
-  KERA_RETURN_IF_ERROR(r.Bytes(resp.payload));
-  return resp;
-}
-
-void ReadRecoverySegmentBatchRequest::Encode(Writer& w) const {
-  w.U32(crashed);
-  w.U32(uint32_t(items.size()));
-  for (const auto& it : items) {
-    w.U32(it.vlog);
-    w.U64(it.vseg);
-  }
-}
-
-Result<ReadRecoverySegmentBatchRequest> ReadRecoverySegmentBatchRequest::Decode(
-    Reader& r) {
-  ReadRecoverySegmentBatchRequest req;
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U32(req.crashed));
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 12));
-  req.items.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    KERA_RETURN_IF_ERROR(r.U32(req.items[i].vlog));
-    KERA_RETURN_IF_ERROR(r.U64(req.items[i].vseg));
-  }
-  return req;
-}
-
-void ReadRecoverySegmentBatchResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  w.U32(uint32_t(items.size()));
-  for (const auto& it : items) {
-    w.U8(uint8_t(it.status));
-    w.U32(it.vlog);
-    w.U64(it.vseg);
-    w.U32(it.chunk_count);
-    w.BytesRef(it.payload);
-  }
-}
-
-Result<ReadRecoverySegmentBatchResponse>
-ReadRecoverySegmentBatchResponse::Decode(Reader& r) {
-  ReadRecoverySegmentBatchResponse resp;
-  uint8_t code = 0;
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 21));
-  resp.items.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto& it = resp.items[i];
-    KERA_RETURN_IF_ERROR(r.U8(code));
-    it.status = StatusCode(code);
-    KERA_RETURN_IF_ERROR(r.U32(it.vlog));
-    KERA_RETURN_IF_ERROR(r.U64(it.vseg));
-    KERA_RETURN_IF_ERROR(r.U32(it.chunk_count));
-    KERA_RETURN_IF_ERROR(r.Bytes(it.payload));
-  }
-  return resp;
-}
-
-void EvacuateBackupSegmentsRequest::Encode(Writer& w) const {
-  w.U32(primary);
-}
-
-Result<EvacuateBackupSegmentsRequest> EvacuateBackupSegmentsRequest::Decode(
-    Reader& r) {
-  EvacuateBackupSegmentsRequest req;
-  KERA_RETURN_IF_ERROR(r.U32(req.primary));
-  return req;
-}
-
-void EvacuateBackupSegmentsResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  w.U32(dropped);
-}
-
-Result<EvacuateBackupSegmentsResponse> EvacuateBackupSegmentsResponse::Decode(
-    Reader& r) {
-  EvacuateBackupSegmentsResponse resp;
-  uint8_t code = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(r.U32(resp.dropped));
-  return resp;
-}
-
-// ------------------------------------------------------------ exactly-once
-
-void AllocateProducerRequest::Encode(Writer& w) const { w.U32(producer); }
-
-Result<AllocateProducerRequest> AllocateProducerRequest::Decode(Reader& r) {
-  AllocateProducerRequest req;
-  KERA_RETURN_IF_ERROR(r.U32(req.producer));
-  return req;
-}
-
-void AllocateProducerResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  w.U32(producer);
-  w.U32(epoch);
-}
-
-Result<AllocateProducerResponse> AllocateProducerResponse::Decode(Reader& r) {
-  AllocateProducerResponse resp;
-  uint8_t code = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(r.U32(resp.producer));
-  KERA_RETURN_IF_ERROR(r.U32(resp.epoch));
-  return resp;
-}
-
-void CommitOffsetsRequest::Encode(Writer& w) const {
-  w.U64(stream);
-  w.U32(consumer);
-  w.U64(commit_seq);
-  w.U32(epoch);
-  w.U32(uint32_t(entries.size()));
-  for (const auto& e : entries) {
-    w.U32(e.streamlet);
-    w.U32(e.group);
-    w.U64(e.next_chunk);
-  }
-}
-
-Result<CommitOffsetsRequest> CommitOffsetsRequest::Decode(Reader& r) {
-  CommitOffsetsRequest req;
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U64(req.stream));
-  KERA_RETURN_IF_ERROR(r.U32(req.consumer));
-  KERA_RETURN_IF_ERROR(r.U64(req.commit_seq));
-  KERA_RETURN_IF_ERROR(r.U32(req.epoch));
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 16));  // fixed entry size
-  req.entries.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto& e = req.entries[i];
-    KERA_RETURN_IF_ERROR(r.U32(e.streamlet));
-    KERA_RETURN_IF_ERROR(r.U32(e.group));
-    KERA_RETURN_IF_ERROR(r.U64(e.next_chunk));
-  }
-  return req;
-}
-
-void CommitOffsetsResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  w.U32(committed);
-}
-
-Result<CommitOffsetsResponse> CommitOffsetsResponse::Decode(Reader& r) {
-  CommitOffsetsResponse resp;
-  uint8_t code = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(r.U32(resp.committed));
-  return resp;
-}
-
-void FetchOffsetsRequest::Encode(Writer& w) const {
-  w.U64(stream);
-  w.U32(consumer);
-  w.U32(uint32_t(streamlets.size()));
-  for (StreamletId sl : streamlets) w.U32(sl);
-}
-
-Result<FetchOffsetsRequest> FetchOffsetsRequest::Decode(Reader& r) {
-  FetchOffsetsRequest req;
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U64(req.stream));
-  KERA_RETURN_IF_ERROR(r.U32(req.consumer));
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 4));
-  req.streamlets.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    KERA_RETURN_IF_ERROR(r.U32(req.streamlets[i]));
-  }
-  return req;
-}
-
-void FetchOffsetsResponse::Encode(Writer& w) const {
-  w.U8(uint8_t(status));
-  w.U32(uint32_t(entries.size()));
-  for (const auto& e : entries) {
-    w.U32(e.streamlet);
-    w.Bool(e.found);
-    w.U32(e.group);
-    w.U64(e.next_chunk);
-  }
-}
-
-Result<FetchOffsetsResponse> FetchOffsetsResponse::Decode(Reader& r) {
-  FetchOffsetsResponse resp;
-  uint8_t code = 0;
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(r.U8(code));
-  resp.status = StatusCode(code);
-  KERA_RETURN_IF_ERROR(r.U32(n));
-  KERA_RETURN_IF_ERROR(CheckCount(r, n, 17));
-  resp.entries.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto& e = resp.entries[i];
-    KERA_RETURN_IF_ERROR(r.U32(e.streamlet));
-    KERA_RETURN_IF_ERROR(r.Bool(e.found));
-    KERA_RETURN_IF_ERROR(r.U32(e.group));
-    KERA_RETURN_IF_ERROR(r.U64(e.next_chunk));
-  }
-  return resp;
+  w.BytesRefParts(payload_parts);
 }
 
 }  // namespace kera::rpc

@@ -1,7 +1,10 @@
 // RPC message definitions for client<->broker, broker<->backup and
-// coordinator traffic. Every message has Encode(Writer&) and a static
-// Decode(Reader&); chunk payloads are carried as zero-copy spans into the
-// request buffer.
+// coordinator traffic. Every message declares its wire layout once, as
+// Fields() (the derived codec in rpc/serialize.h), and has Encode(Writer&)
+// and a static Decode(Reader&) built from it; chunk payloads are carried as
+// zero-copy spans into the request buffer. Every request names its opcode
+// (kOpcode) and its reply type (Response), which rpc/call.h's typed Call
+// and Dispatch use.
 #pragma once
 
 #include <array>
@@ -9,6 +12,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/status.h"
@@ -24,7 +28,7 @@ enum class Opcode : uint16_t {
   kGetStreamInfo = 4,
   kReplicate = 5,
   kListRecoverySegments = 6,
-  kReadRecoverySegment = 7,
+  kReadRecoverySegment = 7,  // retired (a one-item batch read); never reuse
   kSealStream = 8,
   kEvacuateBackupSegments = 9,
   kReadRecoverySegmentBatch = 10,
@@ -35,6 +39,14 @@ enum class Opcode : uint16_t {
 
 /// Builds a full request frame: u16 opcode then the encoded body.
 [[nodiscard]] std::vector<std::byte> Frame(Opcode op, const Writer& body);
+
+/// Builds the frame of a typed request, under its own opcode.
+template <typename Req>
+[[nodiscard]] std::vector<std::byte> Frame(const Req& req) {
+  Writer body;
+  req.Encode(body);
+  return Frame(Req::kOpcode, body);
+}
 
 /// Splits a request frame into opcode + body span.
 [[nodiscard]] Status ParseFrame(std::span<const std::byte> frame, Opcode& op,
@@ -65,6 +77,20 @@ enum class Opcode : uint16_t {
 [[nodiscard]] int RouteFrameToShard(std::span<const std::byte> frame,
                                     int shards);
 
+// Reply types, named by their requests' `Response` before they are defined.
+struct ProduceResponse;
+struct ConsumeResponse;
+struct CreateStreamResponse;
+struct GetStreamInfoResponse;
+struct SealStreamResponse;
+struct ReplicateResponse;
+struct ListRecoverySegmentsResponse;
+struct ReadRecoverySegmentBatchResponse;
+struct EvacuateBackupSegmentsResponse;
+struct AllocateProducerResponse;
+struct CommitOffsetsResponse;
+struct FetchOffsetsResponse;
+
 // ---------------------------------------------------------------- produce
 
 struct ProduceRequest {
@@ -79,6 +105,12 @@ struct ProduceRequest {
   /// group segments without re-encoding.
   std::vector<std::span<const std::byte>> chunks;
 
+  static constexpr Opcode kOpcode = Opcode::kProduce;
+  using Response = ProduceResponse;
+  static auto Fields(auto& m) {
+    return std::tie(m.producer, m.stream, m.recovery, m.chunks);
+  }
+
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ProduceRequest> Decode(Reader& r);
 };
@@ -87,6 +119,10 @@ struct ProduceResponse {
   StatusCode status = StatusCode::kOk;
   uint32_t appended = 0;    // chunks newly appended and durably replicated
   uint32_t duplicates = 0;  // chunks dropped by exactly-once dedup
+
+  static auto Fields(auto& m) {
+    return std::tie(m.status, m.appended, m.duplicates);
+  }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ProduceResponse> Decode(Reader& r);
@@ -99,6 +135,10 @@ struct ConsumeEntryRequest {
   GroupId group = 0;
   uint64_t start_chunk = 0;  // first group_chunk_index wanted
   uint32_t max_chunks = 1;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.streamlet, m.group, m.start_chunk, m.max_chunks);
+  }
 };
 
 struct ConsumeRequest {
@@ -114,6 +154,13 @@ struct ConsumeRequest {
   uint64_t max_wait_us = 0;
   uint32_t min_bytes = 0;
 
+  static constexpr Opcode kOpcode = Opcode::kConsume;
+  using Response = ConsumeResponse;
+  static auto Fields(auto& m) {
+    return std::tie(m.stream, m.max_bytes, m.entries, m.max_wait_us,
+                    m.min_bytes);
+  }
+
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ConsumeRequest> Decode(Reader& r);
 };
@@ -128,6 +175,12 @@ struct ConsumeEntryResponse {
   uint32_t groups_created = 0;  // streamlet's group count so far (groups
                                 // are independently consumable units)
   std::vector<std::span<const std::byte>> chunks;  // full chunk frames
+
+  static auto Fields(auto& m) {
+    return std::tie(m.streamlet, m.group, m.next_chunk, m.group_exists,
+                    m.group_closed, m.stream_sealed, m.groups_created,
+                    m.chunks);
+  }
 };
 
 struct ConsumeResponse {
@@ -137,6 +190,8 @@ struct ConsumeResponse {
   /// cold-cache entries stay valid for the life of the response object.
   /// Not serialized — a decoded response owns its bytes already.
   std::vector<std::shared_ptr<const void>> holds;
+
+  static auto Fields(auto& m) { return std::tie(m.status, m.entries); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ConsumeResponse> Decode(Reader& r);
@@ -159,11 +214,20 @@ struct StreamOptions {
   uint32_t active_groups_per_streamlet = 1;  // Q
   uint32_t replication_factor = 1;
   VlogPolicy vlog_policy = VlogPolicy::kSharedPerBroker;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.num_streamlets, m.active_groups_per_streamlet,
+                    m.replication_factor, m.vlog_policy);
+  }
 };
 
 struct CreateStreamRequest {
   std::string name;
   StreamOptions options;
+
+  static constexpr Opcode kOpcode = Opcode::kCreateStream;
+  using Response = CreateStreamResponse;
+  static auto Fields(auto& m) { return std::tie(m.name, m.options); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<CreateStreamRequest> Decode(Reader& r);
@@ -176,11 +240,17 @@ struct StreamInfo {
   bool sealed = false;
   /// Broker (leader) for each streamlet, indexed by StreamletId.
   std::vector<NodeId> streamlet_brokers;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.stream, m.options, m.sealed, m.streamlet_brokers);
+  }
 };
 
 struct CreateStreamResponse {
   StatusCode status = StatusCode::kOk;
   StreamInfo info;
+
+  static auto Fields(auto& m) { return std::tie(m.status, m.info); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<CreateStreamResponse> Decode(Reader& r);
@@ -189,6 +259,10 @@ struct CreateStreamResponse {
 struct GetStreamInfoRequest {
   std::string name;
 
+  static constexpr Opcode kOpcode = Opcode::kGetStreamInfo;
+  using Response = GetStreamInfoResponse;
+  static auto Fields(auto& m) { return std::tie(m.name); }
+
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<GetStreamInfoRequest> Decode(Reader& r);
 };
@@ -196,6 +270,8 @@ struct GetStreamInfoRequest {
 struct GetStreamInfoResponse {
   StatusCode status = StatusCode::kOk;
   StreamInfo info;
+
+  static auto Fields(auto& m) { return std::tie(m.status, m.info); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<GetStreamInfoResponse> Decode(Reader& r);
@@ -206,12 +282,18 @@ struct GetStreamInfoResponse {
 struct SealStreamRequest {
   std::string name;
 
+  static constexpr Opcode kOpcode = Opcode::kSealStream;
+  using Response = SealStreamResponse;
+  static auto Fields(auto& m) { return std::tie(m.name); }
+
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<SealStreamRequest> Decode(Reader& r);
 };
 
 struct SealStreamResponse {
   StatusCode status = StatusCode::kOk;
+
+  static auto Fields(auto& m) { return std::tie(m.status); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<SealStreamResponse> Decode(Reader& r);
@@ -234,12 +316,21 @@ struct ReplicateRequest {
   /// `payload` span).
   std::vector<std::span<const std::byte>> payload_parts;
 
+  static constexpr Opcode kOpcode = Opcode::kReplicate;
+  using Response = ReplicateResponse;
+  static auto Fields(auto& m) {
+    return std::tie(m.primary, m.vlog, m.vseg, m.start_offset, m.chunk_count,
+                    m.checksum_after, m.seals, m.payload);
+  }
+
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ReplicateRequest> Decode(Reader& r);
 };
 
 struct ReplicateResponse {
   StatusCode status = StatusCode::kOk;
+
+  static auto Fields(auto& m) { return std::tie(m.status); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ReplicateResponse> Decode(Reader& r);
@@ -253,10 +344,18 @@ struct RecoverySegmentDescriptor {
   VirtualSegmentId vseg = 0;
   uint32_t chunk_count = 0;
   bool sealed = false;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.primary, m.vlog, m.vseg, m.chunk_count, m.sealed);
+  }
 };
 
 struct ListRecoverySegmentsRequest {
   NodeId crashed = 0;
+
+  static constexpr Opcode kOpcode = Opcode::kListRecoverySegments;
+  using Response = ListRecoverySegmentsResponse;
+  static auto Fields(auto& m) { return std::tie(m.crashed); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ListRecoverySegmentsRequest> Decode(Reader& r);
@@ -266,26 +365,10 @@ struct ListRecoverySegmentsResponse {
   StatusCode status = StatusCode::kOk;
   std::vector<RecoverySegmentDescriptor> segments;
 
+  static auto Fields(auto& m) { return std::tie(m.status, m.segments); }
+
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ListRecoverySegmentsResponse> Decode(Reader& r);
-};
-
-struct ReadRecoverySegmentRequest {
-  NodeId crashed = 0;
-  VlogId vlog = 0;
-  VirtualSegmentId vseg = 0;
-
-  void Encode(Writer& w) const;
-  [[nodiscard]] static Result<ReadRecoverySegmentRequest> Decode(Reader& r);
-};
-
-struct ReadRecoverySegmentResponse {
-  StatusCode status = StatusCode::kOk;
-  uint32_t chunk_count = 0;
-  std::span<const std::byte> payload;  // concatenated chunk frames
-
-  void Encode(Writer& w) const;
-  [[nodiscard]] static Result<ReadRecoverySegmentResponse> Decode(Reader& r);
 };
 
 /// Coordinator -> backup: read several of a crashed primary's virtual
@@ -297,8 +380,14 @@ struct ReadRecoverySegmentBatchRequest {
   struct Item {
     VlogId vlog = 0;
     VirtualSegmentId vseg = 0;
+
+    static auto Fields(auto& m) { return std::tie(m.vlog, m.vseg); }
   };
   std::vector<Item> items;
+
+  static constexpr Opcode kOpcode = Opcode::kReadRecoverySegmentBatch;
+  using Response = ReadRecoverySegmentBatchResponse;
+  static auto Fields(auto& m) { return std::tie(m.crashed, m.items); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ReadRecoverySegmentBatchRequest> Decode(
@@ -313,8 +402,14 @@ struct ReadRecoverySegmentBatchResponse {
     VirtualSegmentId vseg = 0;
     uint32_t chunk_count = 0;
     std::span<const std::byte> payload;  // concatenated chunk frames
+
+    static auto Fields(auto& m) {
+      return std::tie(m.status, m.vlog, m.vseg, m.chunk_count, m.payload);
+    }
   };
   std::vector<Item> items;  // same order as the request
+
+  static auto Fields(auto& m) { return std::tie(m.status, m.items); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<ReadRecoverySegmentBatchResponse> Decode(
@@ -327,6 +422,10 @@ struct ReadRecoverySegmentBatchResponse {
 struct EvacuateBackupSegmentsRequest {
   NodeId primary = 0;
 
+  static constexpr Opcode kOpcode = Opcode::kEvacuateBackupSegments;
+  using Response = EvacuateBackupSegmentsResponse;
+  static auto Fields(auto& m) { return std::tie(m.primary); }
+
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<EvacuateBackupSegmentsRequest> Decode(Reader& r);
 };
@@ -334,6 +433,8 @@ struct EvacuateBackupSegmentsRequest {
 struct EvacuateBackupSegmentsResponse {
   StatusCode status = StatusCode::kOk;
   uint32_t dropped = 0;  // copies evacuated
+
+  static auto Fields(auto& m) { return std::tie(m.status, m.dropped); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<EvacuateBackupSegmentsResponse> Decode(Reader& r);
@@ -347,6 +448,10 @@ struct EvacuateBackupSegmentsResponse {
 struct AllocateProducerRequest {
   ProducerId producer = 0;
 
+  static constexpr Opcode kOpcode = Opcode::kAllocateProducer;
+  using Response = AllocateProducerResponse;
+  static auto Fields(auto& m) { return std::tie(m.producer); }
+
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<AllocateProducerRequest> Decode(Reader& r);
 };
@@ -355,6 +460,10 @@ struct AllocateProducerResponse {
   StatusCode status = StatusCode::kOk;
   ProducerId producer = 0;
   uint32_t epoch = 0;  // >= 1 on success
+
+  static auto Fields(auto& m) {
+    return std::tie(m.status, m.producer, m.epoch);
+  }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<AllocateProducerResponse> Decode(Reader& r);
@@ -379,8 +488,18 @@ struct CommitOffsetsRequest {
     StreamletId streamlet = 0;
     GroupId group = 0;       // cursor: next group to read...
     uint64_t next_chunk = 0; // ...and next chunk index within it
+
+    static auto Fields(auto& m) {
+      return std::tie(m.streamlet, m.group, m.next_chunk);
+    }
   };
   std::vector<Entry> entries;
+
+  static constexpr Opcode kOpcode = Opcode::kCommitOffsets;
+  using Response = CommitOffsetsResponse;
+  static auto Fields(auto& m) {
+    return std::tie(m.stream, m.consumer, m.commit_seq, m.epoch, m.entries);
+  }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<CommitOffsetsRequest> Decode(Reader& r);
@@ -389,6 +508,8 @@ struct CommitOffsetsRequest {
 struct CommitOffsetsResponse {
   StatusCode status = StatusCode::kOk;
   uint32_t committed = 0;  // entries now durable (appended or deduped)
+
+  static auto Fields(auto& m) { return std::tie(m.status, m.committed); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<CommitOffsetsResponse> Decode(Reader& r);
@@ -401,6 +522,12 @@ struct FetchOffsetsRequest {
   uint32_t consumer = 0;
   std::vector<StreamletId> streamlets;
 
+  static constexpr Opcode kOpcode = Opcode::kFetchOffsets;
+  using Response = FetchOffsetsResponse;
+  static auto Fields(auto& m) {
+    return std::tie(m.stream, m.consumer, m.streamlets);
+  }
+
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<FetchOffsetsRequest> Decode(Reader& r);
 };
@@ -412,8 +539,14 @@ struct FetchOffsetsResponse {
     bool found = false;  // false: no commit recorded for this streamlet
     GroupId group = 0;
     uint64_t next_chunk = 0;
+
+    static auto Fields(auto& m) {
+      return std::tie(m.streamlet, m.found, m.group, m.next_chunk);
+    }
   };
   std::vector<Entry> entries;  // same order as the request
+
+  static auto Fields(auto& m) { return std::tie(m.status, m.entries); }
 
   void Encode(Writer& w) const;
   [[nodiscard]] static Result<FetchOffsetsResponse> Decode(Reader& r);

@@ -1,65 +1,27 @@
 #include "rpc/serialize.h"
 
-#include <cstring>
-
 namespace kera::rpc {
-
-Status Reader::Need(size_t n) {
-  if (pos_ + n > data_.size()) {
-    return Status(StatusCode::kCorruption, "rpc: truncated message");
-  }
-  return OkStatus();
+namespace {
+/// Reader's Status-returning reads, over the derived codec's.
+template <typename T>
+Status Read(Reader& r, T& v) {
+  if (DecodeValue(r, v)) return OkStatus();
+  return Status(StatusCode::kCorruption, "rpc: truncated message");
 }
+}  // namespace
 
-Status Reader::U8(uint8_t& v) {
-  KERA_RETURN_IF_ERROR(Need(1));
-  v = uint8_t(data_[pos_]);
-  pos_ += 1;
-  return OkStatus();
-}
-
-Status Reader::U16(uint16_t& v) {
-  KERA_RETURN_IF_ERROR(Need(2));
-  std::memcpy(&v, data_.data() + pos_, 2);
-  pos_ += 2;
-  return OkStatus();
-}
-
-Status Reader::U32(uint32_t& v) {
-  KERA_RETURN_IF_ERROR(Need(4));
-  std::memcpy(&v, data_.data() + pos_, 4);
-  pos_ += 4;
-  return OkStatus();
-}
-
-Status Reader::U64(uint64_t& v) {
-  KERA_RETURN_IF_ERROR(Need(8));
-  std::memcpy(&v, data_.data() + pos_, 8);
-  pos_ += 8;
-  return OkStatus();
-}
-
-Status Reader::Bool(bool& v) {
-  uint8_t b = 0;
-  KERA_RETURN_IF_ERROR(U8(b));
-  v = b != 0;
-  return OkStatus();
-}
-
+Status Reader::U8(uint8_t& v) { return Read(*this, v); }
+Status Reader::U16(uint16_t& v) { return Read(*this, v); }
+Status Reader::U32(uint32_t& v) { return Read(*this, v); }
+Status Reader::U64(uint64_t& v) { return Read(*this, v); }
+Status Reader::Bool(bool& v) { return Read(*this, v); }
 Status Reader::Bytes(std::span<const std::byte>& out) {
-  uint32_t n = 0;
-  KERA_RETURN_IF_ERROR(U32(n));
-  KERA_RETURN_IF_ERROR(Need(n));
-  out = data_.subspan(pos_, n);
-  pos_ += n;
-  return OkStatus();
+  return Read(*this, out);
 }
+Status Reader::Str(std::string& out) { return Read(*this, out); }
 
-Status Reader::Str(std::string& out) {
-  std::span<const std::byte> b;
-  KERA_RETURN_IF_ERROR(Bytes(b));
-  out.assign(reinterpret_cast<const char*>(b.data()), b.size());
-  return OkStatus();
+Status MalformedMessage() {
+  return Status(StatusCode::kCorruption, "rpc: malformed message");
 }
 
 }  // namespace kera::rpc

@@ -14,9 +14,13 @@
 
 #include <cassert>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -188,10 +192,168 @@ class Reader {
   [[nodiscard]] size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool AtEnd() const { return remaining() == 0; }
 
+  /// Consumes the next `n` bytes as a view; false, consuming nothing, if
+  /// fewer remain. The derived codec below reads through this.
+  [[nodiscard]] bool Next(size_t n, std::span<const std::byte>& out) {
+    if (n > remaining()) return false;
+    out = data_.subspan(pos_, n);
+    pos_ += n;
+    return true;
+  }
+
  private:
-  [[nodiscard]] Status Need(size_t n);
   std::span<const std::byte> data_;
   size_t pos_ = 0;
 };
+
+// ----------------------------------------------------------- derived codec
+//
+// A message declares its wire layout once, as a list of its fields in wire
+// order:
+//
+//   static auto Fields(auto& m) { return std::tie(m.status, m.appended); }
+//
+// and EncodeValue/DecodeValue derive both directions from it. Integers and
+// enums go little-endian at their width, bool as one byte, a std::string or
+// std::span<const std::byte> as a u32 length and the bytes (a span is
+// written by reference and decoded as a view into the buffer), a
+// std::vector as a u32 count and its elements, and a struct with its own
+// Fields() inline. A decoder ignores bytes after the last field.
+
+template <typename T>
+concept Message = requires(T& m) { T::Fields(m); };
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Integers, enums and bool: encoded at their width, whatever their value.
+template <typename T>
+inline constexpr bool kFixedSize =
+    std::is_arithmetic_v<T> || std::is_enum_v<T>;
+
+template <Message T>
+using FieldTuple = decltype(T::Fields(std::declval<T&>()));
+
+/// The type of message T's I-th field.
+template <Message T, size_t I>
+using FieldType = std::remove_cvref_t<std::tuple_element_t<I, FieldTuple<T>>>;
+
+/// Calls fn.template operator()<F>() for each field type F of T and
+/// returns the results combined with `+`.
+template <Message T, typename Fn>
+constexpr auto SumOverFields(Fn fn) {
+  return [&]<size_t... I>(std::index_sequence<I...>) {
+    return (fn.template operator()<FieldType<T, I>>() + ... + 0);
+  }(std::make_index_sequence<std::tuple_size_v<FieldTuple<T>>>());
+}
+
+/// Fewest bytes a T takes on the wire. A decoded element count is
+/// plausible only if the rest of the buffer could hold that many.
+template <typename T>
+constexpr size_t MinWireSize() {
+  if constexpr (Message<T>) {
+    return SumOverFields<T>([]<typename F>() { return MinWireSize<F>(); });
+  } else if constexpr (kFixedSize<T>) {
+    return sizeof(T);
+  } else {
+    return 4;  // the u32 length or count prefix
+  }
+}
+
+/// Byte offset of message T's I-th field in its encoding, when the fields
+/// before it are all fixed-size (frame routing peeks at the field there).
+template <Message T, size_t I>
+constexpr size_t FieldOffset() {
+  return [&]<size_t... J>(std::index_sequence<J...>) {
+    static_assert((kFixedSize<FieldType<T, J>> && ...),
+                  "a variable-size field precedes the field");
+    return (sizeof(FieldType<T, J>) + ... + size_t{0});
+  }(std::make_index_sequence<I>());
+}
+
+/// True if a decoded T holds views into the buffer it was decoded from.
+template <typename T>
+constexpr bool ViewsBuffer() {
+  if constexpr (Message<T>) {
+    return SumOverFields<T>([]<typename F>() { return ViewsBuffer<F>(); }) > 0;
+  } else if constexpr (kIsVector<T>) {
+    return ViewsBuffer<typename T::value_type>();
+  } else {
+    return std::is_same_v<T, std::span<const std::byte>>;
+  }
+}
+
+template <typename T>
+void EncodeValue(Writer& w, const T& v) {
+  if constexpr (Message<T>) {
+    std::apply([&w](const auto&... f) { (EncodeValue(w, f), ...); },
+               T::Fields(v));
+  } else if constexpr (kIsVector<T>) {
+    w.U32(uint32_t(v.size()));
+    for (const auto& e : v) EncodeValue(w, e);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.Str(v);
+  } else if constexpr (std::is_same_v<T, std::span<const std::byte>>) {
+    w.BytesRef(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    w.Bool(v);
+  } else {
+    static_assert(kFixedSize<T>);
+    w.Raw(&v, sizeof(T));
+  }
+}
+
+/// Reads one T; false once the bytes run out or a count is implausible.
+/// Returns at the first failed field: no Status is built per field.
+template <typename T>
+[[nodiscard]] bool DecodeValue(Reader& r, T& v) {
+  if constexpr (Message<T>) {
+    return std::apply([&r](auto&... f) { return (DecodeValue(r, f) && ...); },
+                      T::Fields(v));
+  } else if constexpr (kIsVector<T>) {
+    uint32_t n = 0;
+    if (!DecodeValue(r, n) ||
+        size_t(n) * MinWireSize<typename T::value_type>() > r.remaining()) {
+      return false;
+    }
+    v.resize(n);
+    for (auto& e : v) {
+      if (!DecodeValue(r, e)) return false;
+    }
+    return true;
+  } else if constexpr (std::is_same_v<T, std::string> ||
+                       std::is_same_v<T, std::span<const std::byte>>) {
+    uint32_t n = 0;
+    std::span<const std::byte> bytes;
+    if (!DecodeValue(r, n) || !r.Next(n, bytes)) return false;
+    if constexpr (std::is_same_v<T, std::string>) {
+      v.assign(reinterpret_cast<const char*>(bytes.data()), n);
+    } else {
+      v = bytes;
+    }
+    return true;
+  } else {
+    static_assert(kFixedSize<T>);
+    std::span<const std::byte> bytes;
+    if (!r.Next(sizeof(T), bytes)) return false;
+    if constexpr (std::is_same_v<T, bool>) {
+      v = bytes[0] != std::byte{0};
+    } else {
+      std::memcpy(&v, bytes.data(), sizeof(T));
+    }
+    return true;
+  }
+}
+
+[[nodiscard]] Status MalformedMessage();
+
+template <Message M>
+[[nodiscard]] Result<M> DecodeMessage(Reader& r) {
+  M m;
+  if (!DecodeValue(r, m)) return MalformedMessage();
+  return m;
+}
 
 }  // namespace kera::rpc

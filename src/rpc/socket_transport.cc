@@ -289,13 +289,9 @@ Result<uint16_t> SocketNetwork::Register(NodeId node, RpcHandler* handler,
   // dealt round-robin to all shards.
   AddToEpoll(n->shards[0]->epoll_fd, n->listen_fd, EPOLLIN, kListenTag);
 
-  int workers_per_shard = n->opts.workers_per_shard;
-  if (workers_per_shard <= 0) {
-    workers_per_shard =
-        nshards == 1
-            ? std::max(1, options_.workers_per_node)
-            : std::max(2, options_.workers_per_node / nshards);
-  }
+  const int workers_per_shard =
+      nshards == 1 ? std::max(1, options_.workers_per_node)
+                   : std::max(2, options_.workers_per_node / nshards);
 
   uint16_t bound = n->port;
   ServerNode* raw = n.get();

@@ -80,13 +80,10 @@ class SocketNetwork final : public Network {
     /// Preferred listening port (0 picks an ephemeral port).
     uint16_t port = 0;
     /// Server reactors for this node: each shard runs its own epoll IO
-    /// thread and worker pool. 1 = the original single-reactor node.
+    /// thread and worker pool. 1 = the original single-reactor node. The
+    /// shards split Options::workers_per_node, with a floor of 2 per shard
+    /// so one parked long-poll handler cannot starve a shard's produces.
     int shards = 1;
-    /// Worker threads per shard. 0 = derive from Options::workers_per_node
-    /// (all of it for a single shard; split across shards otherwise, with
-    /// a floor of 2 so one parked long-poll handler cannot starve a
-    /// shard's produces).
-    int workers_per_shard = 0;
     /// Routes request frames to shards at decode time (empty = every
     /// frame is handled by the shard whose connection it arrived on).
     FrameRouter router;

@@ -467,12 +467,11 @@ rpc::ReplicateRequest MakeReplicate(VirtualSegmentId vseg,
 
 std::vector<std::byte> ReadCopy(Backup& backup, VirtualSegmentId vseg,
                                 StatusCode want = StatusCode::kOk) {
-  rpc::ReadRecoverySegmentRequest req;
+  rpc::ReadRecoverySegmentBatchRequest req;
   req.crashed = 1;
-  req.vlog = 0;
-  req.vseg = vseg;
-  std::vector<std::byte> storage;
-  auto read = backup.HandleRead(req, storage);
+  req.items = {{.vlog = 0, .vseg = vseg}};
+  std::vector<std::vector<std::byte>> storage;
+  auto read = backup.HandleReadBatch(req, storage).items.at(0);
   EXPECT_EQ(read.status, want);
   return {read.payload.begin(), read.payload.end()};
 }

@@ -223,12 +223,11 @@ TEST_F(BackupTest, ListAndReadRecoverySegments) {
   list_req.crashed = 42;
   EXPECT_TRUE(backup_.HandleList(list_req).segments.empty());
 
-  rpc::ReadRecoverySegmentRequest read_req;
+  rpc::ReadRecoverySegmentBatchRequest read_req;
   read_req.crashed = 1;
-  read_req.vlog = 0;
-  read_req.vseg = 0;
-  std::vector<std::byte> storage;
-  auto read = backup_.HandleRead(read_req, storage);
+  read_req.items = {{.vlog = 0, .vseg = 0}};
+  std::vector<std::vector<std::byte>> storage;
+  auto read = backup_.HandleReadBatch(read_req, storage).items.at(0);
   EXPECT_EQ(read.status, StatusCode::kOk);
   EXPECT_EQ(read.payload.size(), c1.size());
   auto view = ChunkView::Parse(read.payload);
@@ -237,10 +236,12 @@ TEST_F(BackupTest, ListAndReadRecoverySegments) {
 }
 
 TEST_F(BackupTest, ReadUnknownSegmentNotFound) {
-  rpc::ReadRecoverySegmentRequest req;
+  rpc::ReadRecoverySegmentBatchRequest req;
   req.crashed = 9;
-  std::vector<std::byte> storage;
-  EXPECT_EQ(backup_.HandleRead(req, storage).status, StatusCode::kNotFound);
+  req.items = {{.vlog = 0, .vseg = 0}};
+  std::vector<std::vector<std::byte>> storage;
+  EXPECT_EQ(backup_.HandleReadBatch(req, storage).items.at(0).status,
+            StatusCode::kNotFound);
 }
 
 TEST(BackupFlushTest, FlushEvictReload) {
@@ -258,12 +259,11 @@ TEST(BackupFlushTest, FlushEvictReload) {
   EXPECT_EQ(backup.EvictFlushed(), 1u);
 
   // Recovery read reloads the bytes from the flushed file.
-  rpc::ReadRecoverySegmentRequest req;
+  rpc::ReadRecoverySegmentBatchRequest req;
   req.crashed = 1;
-  req.vlog = 0;
-  req.vseg = 0;
-  std::vector<std::byte> storage;
-  auto read = backup.HandleRead(req, storage);
+  req.items = {{.vlog = 0, .vseg = 0}};
+  std::vector<std::vector<std::byte>> storage;
+  auto read = backup.HandleReadBatch(req, storage).items.at(0);
   ASSERT_EQ(read.status, StatusCode::kOk);
   ASSERT_EQ(read.payload.size(), c1.size());
   auto view = ChunkView::Parse(read.payload);
@@ -296,16 +296,17 @@ TEST(BackupFlushTest, TruncatedOrMissingFileIsReportedNotFatal) {
 
   // Truncate the flushed file: the size check catches the mismatch.
   std::filesystem::resize_file(path, c1.size() / 2);
-  rpc::ReadRecoverySegmentRequest req;
+  rpc::ReadRecoverySegmentBatchRequest req;
   req.crashed = 1;
-  req.vlog = 0;
-  req.vseg = 0;
-  std::vector<std::byte> storage;
-  EXPECT_EQ(backup.HandleRead(req, storage).status, StatusCode::kCorruption);
+  req.items = {{.vlog = 0, .vseg = 0}};
+  std::vector<std::vector<std::byte>> storage;
+  EXPECT_EQ(backup.HandleReadBatch(req, storage).items.at(0).status,
+            StatusCode::kCorruption);
 
   // Delete it outright: a clean kNotFound, not a crash.
   std::filesystem::remove(path);
-  EXPECT_EQ(backup.HandleRead(req, storage).status, StatusCode::kNotFound);
+  EXPECT_EQ(backup.HandleReadBatch(req, storage).items.at(0).status,
+            StatusCode::kNotFound);
   std::filesystem::remove_all(dir);
 }
 
@@ -322,6 +323,33 @@ TEST(BackupRpcTest, FramedDispatch) {
   auto resp = rpc::ReplicateResponse::Decode(r);
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->status, StatusCode::kOk);
+}
+
+TEST(BackupRpcTest, DispatchRepliesToBadFrames) {
+  Backup backup(BackupConfig{.node = 2, .storage_dir = "", .log = {}});
+  // Shorter than an opcode: the parse status as a one-byte reply.
+  std::vector<std::byte> tiny(1);
+  EXPECT_EQ(backup.HandleRpc(tiny),
+            std::vector<std::byte>{std::byte(StatusCode::kCorruption)});
+
+  // The retired single-segment read (opcode 7) is an unserved opcode.
+  rpc::Writer read_body;
+  read_body.U32(1);  // crashed
+  read_body.U32(0);  // vlog
+  read_body.U64(0);  // vseg
+  EXPECT_EQ(
+      backup.HandleRpc(rpc::Frame(rpc::Opcode::kReadRecoverySegment,
+                                  read_body)),
+      std::vector<std::byte>{std::byte(StatusCode::kInvalidArgument)});
+
+  // An undecodable body: the request type's reply, carrying the status.
+  rpc::Writer truncated;
+  truncated.U32(1);  // primary, then nothing
+  auto raw = backup.HandleRpc(rpc::Frame(rpc::Opcode::kReplicate, truncated));
+  rpc::Reader r(raw);
+  auto resp = rpc::ReplicateResponse::Decode(r);
+  ASSERT_TRUE(resp.ok());
+  EXPECT_EQ(resp->status, StatusCode::kCorruption);
 }
 
 }  // namespace

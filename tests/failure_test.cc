@@ -282,9 +282,12 @@ std::set<std::pair<StreamletId, ChunkSeq>> HeldChunks(Backup& backup,
                                                       NodeId primary) {
   std::set<std::pair<StreamletId, ChunkSeq>> held;
   for (const auto& seg : backup.HandleList({.crashed = primary}).segments) {
-    std::vector<std::byte> storage;
-    auto read = backup.HandleRead(
-        {.crashed = primary, .vlog = seg.vlog, .vseg = seg.vseg}, storage);
+    std::vector<std::vector<std::byte>> storage;
+    auto read = backup
+                    .HandleReadBatch({.crashed = primary,
+                                      .items = {{seg.vlog, seg.vseg}}},
+                                     storage)
+                    .items.at(0);
     std::span<const std::byte> rest = read.payload;
     while (!rest.empty()) {
       auto chunk = ChunkView::Parse(rest);

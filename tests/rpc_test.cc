@@ -7,6 +7,7 @@
 #include "rpc/messages.h"
 #include "rpc/serialize.h"
 #include "rpc/transport.h"
+#include "wire/chunk.h"
 
 namespace kera::rpc {
 namespace {
@@ -85,6 +86,66 @@ TEST(FrameTest, ShortFrameRejected) {
   Opcode op;
   std::span<const std::byte> body;
   EXPECT_FALSE(ParseFrame(tiny, op, body).ok());
+}
+
+template <typename Req>
+std::vector<std::byte> FrameOf(Opcode op, const Req& req) {
+  Writer body;
+  req.Encode(body);
+  return Frame(op, body);
+}
+
+TEST(FrameTest, RouteFrameToShardPeeksEachRoutingKey) {
+  // Every field before the routing key is set, so a wrong offset reads a
+  // different value; each key maps to a distinct shard of 4.
+  constexpr int kShards = 4;
+  ChunkBuilder builder(256);
+  builder.Start(/*stream=*/0x22, /*streamlet=*/7, /*producer=*/0x11);
+  ASSERT_TRUE(builder.AppendValue(AsBytes("v")));
+  auto chunk = builder.Seal(1);
+  ProduceRequest produce{.producer = 0x11, .stream = 0x22, .recovery = true,
+                         .chunks = {chunk}};
+  EXPECT_EQ(RouteFrameToShard(FrameOf(Opcode::kProduce, produce), kShards),
+            7 % kShards);
+  produce.chunks.clear();
+  EXPECT_EQ(RouteFrameToShard(FrameOf(Opcode::kProduce, produce), kShards),
+            0);
+
+  ConsumeRequest consume;
+  consume.stream = 0x21;
+  consume.max_bytes = 0x31;
+  consume.entries = {{.streamlet = 6, .group = 1, .start_chunk = 1,
+                      .max_chunks = 1}};
+  EXPECT_EQ(RouteFrameToShard(FrameOf(Opcode::kConsume, consume), kShards), 2);
+
+  ReplicateRequest replicate;
+  replicate.primary = 4;
+  replicate.vlog = 5;
+  replicate.vseg = 7;
+  EXPECT_EQ(RouteFrameToShard(FrameOf(Opcode::kReplicate, replicate), kShards),
+            1);
+
+  CommitOffsetsRequest commit;
+  commit.stream = 0x21;
+  commit.consumer = 0x31;
+  commit.commit_seq = 0x41;
+  commit.epoch = 0x51;
+  commit.entries = {{.streamlet = 3, .group = 1, .next_chunk = 1}};
+  EXPECT_EQ(
+      RouteFrameToShard(FrameOf(Opcode::kCommitOffsets, commit), kShards), 3);
+
+  FetchOffsetsRequest fetch{.stream = 0x21, .consumer = 0x31,
+                            .streamlets = {6, 7}};
+  EXPECT_EQ(RouteFrameToShard(FrameOf(Opcode::kFetchOffsets, fetch), kShards),
+            2);
+
+  // Admin traffic and frames too short to hold the key go to shard 0.
+  GetStreamInfoRequest info{.name = "s"};
+  EXPECT_EQ(
+      RouteFrameToShard(FrameOf(Opcode::kGetStreamInfo, info), kShards), 0);
+  auto cut = FrameOf(Opcode::kConsume, consume);
+  cut.resize(2 + 8 + 4 + 4 + 3);  // ends inside the first entry's streamlet
+  EXPECT_EQ(RouteFrameToShard(cut, kShards), 0);
 }
 
 TEST(MessagesTest, ProduceRoundTrip) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "message_samples.h"
 #include "rpc/messages.h"
 #include "wire/chunk.h"
 #include "wire/record.h"
@@ -212,23 +213,26 @@ TEST(WireFuzzTest, EpochChunkPayloadFlipsStillDetected) {
 
 TEST(RpcFuzzTest, TruncatedMessagesRejectedCleanly) {
   // Encode a representative message of every type, then feed every prefix
-  // to the decoder: all must fail without crashing.
+  // to the decoder: all must fail without crashing. The one exception is
+  // ConsumeRequest's pre-long-poll length (its 12-byte tail omitted),
+  // which ConsumeTailTruncationsDecodeOrRejectOnly pins below.
   rpc::ProduceRequest preq;
   preq.producer = 1;
   preq.stream = 2;
   std::vector<std::byte> chunk_bytes(80, std::byte{0x42});
   preq.chunks = {chunk_bytes};
-  rpc::Writer w;
-  preq.Encode(w);
-  auto frame = rpc::Frame(rpc::Opcode::kProduce, w);
-  for (size_t keep = 0; keep + 1 < frame.size(); ++keep) {
-    rpc::Opcode op;
-    std::span<const std::byte> body;
-    auto prefix = std::span(frame).first(keep);
-    if (!rpc::ParseFrame(prefix, op, body).ok()) continue;
-    rpc::Reader r(body);
-    auto decoded = rpc::ProduceRequest::Decode(r);
-    EXPECT_FALSE(decoded.ok()) << "decoded from prefix " << keep;
+  auto samples = testing::AllMessageSamples();
+  samples.push_back(testing::Sample("ProduceRequest.80B", preq));
+  for (const auto& sample : samples) {
+    ASSERT_TRUE(sample.round_trip(sample.body).ok()) << sample.name;
+    for (size_t keep = 0; keep < sample.body.size(); ++keep) {
+      if (sample.name == "ConsumeRequest" && keep == sample.body.size() - 12) {
+        continue;
+      }
+      auto decoded = sample.round_trip(std::span(sample.body).first(keep));
+      EXPECT_FALSE(decoded.ok())
+          << sample.name << " decoded from prefix " << keep;
+    }
   }
 }
 
@@ -325,6 +329,9 @@ TEST(RpcFuzzTest, ConsumeTailGarbageValuesDecodeCleanly) {
 }
 
 TEST(RpcFuzzTest, RandomFramesNeverCrashDecoders) {
+  // Every decoder runs on every random body; each must decode or reject
+  // without reading out of bounds (ASan-checked in sanitizer builds).
+  const auto samples = testing::AllMessageSamples();
   Xoshiro256 rng(41);
   for (int trial = 0; trial < 300; ++trial) {
     std::vector<std::byte> garbage(2 + rng.NextBounded(256));
@@ -332,14 +339,7 @@ TEST(RpcFuzzTest, RandomFramesNeverCrashDecoders) {
     rpc::Opcode op;
     std::span<const std::byte> body;
     if (!rpc::ParseFrame(garbage, op, body).ok()) continue;
-    rpc::Reader r1(body);
-    (void)rpc::ProduceRequest::Decode(r1);
-    rpc::Reader r2(body);
-    (void)rpc::ConsumeRequest::Decode(r2);
-    rpc::Reader r3(body);
-    (void)rpc::ReplicateRequest::Decode(r3);
-    rpc::Reader r4(body);
-    (void)rpc::CreateStreamRequest::Decode(r4);
+    for (const auto& sample : samples) (void)sample.round_trip(body);
   }
   SUCCEED();
 }
