@@ -107,13 +107,12 @@ void BM_MulticoreProduce(benchmark::State& state) {
   state.counters["oversubscribed"] = shards > HostNproc() ? 1.0 : 0.0;
   // Routing evidence: shard<i>_frames shows the per-reactor spread of
   // handled frames (even when oversubscribed on 1 CPU). cross_shard_ops
-  // counts chunks whose streamlet lives on a different shard than the
-  // request's home shard — producers batch one chunk per streamlet into
-  // each request, so multi-streamlet requests make this nonzero by
-  // design; single-streamlet traffic (see broker_test) drives it to 0.
+  // is data-plane only: it counts chunks whose streamlet lives on a
+  // different shard than the request's home shard (leadership edits are
+  // not counted) — producers batch one chunk per streamlet into each
+  // request, so multi-streamlet requests make this nonzero by design;
+  // single-streamlet traffic (see broker_test) drives it to 0.
   state.counters["cross_shard_ops"] = double(stats.cross_shard_ops);
-  state.counters["mailbox_enqueues"] =
-      double(stats.shard_mailbox_enqueues);
   for (size_t i = 0; i < stats.shard_frames.size(); ++i) {
     state.counters["shard" + std::to_string(i) + "_frames"] =
         double(stats.shard_frames[i]);

@@ -39,7 +39,6 @@ int main() {
   pc.producer_id = 1;
   pc.stream = "kv-log";
   pc.chunk_size = 2048;
-  pc.partitioner = Partitioner::kKeyHash;
   Producer producer(pc, cluster.network());
   if (!producer.Connect().ok()) return 1;
   std::map<std::string, std::string> expected;

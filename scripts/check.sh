@@ -49,11 +49,14 @@ for t in common_test vlog_test vlog_property_test broker_test client_test \
   "$tsan_build/tests/$t"
 done
 
-echo "== TSan: broker + transport suites with 2 broker shards =="
+echo "== TSan: integration + transport suites with 2 broker shards =="
 # KERA_BROKER_SHARDS=2 makes every MiniCluster in these suites build
-# sharded brokers (per-shard reactors, mailboxes, parking), so TSan sees
-# the cross-shard paths under real thread interleavings.
-for t in broker_test transport_test; do
+# sharded brokers (per-shard reactors, routing, parking), so TSan sees
+# the cross-shard paths under real thread interleavings; the integration
+# suite's socket shapes include 4 producers on one node. (broker_test
+# builds no MiniCluster: its sharded tests set BrokerConfig::shards and
+# run in the TSan stage above.)
+for t in integration_test transport_test; do
   echo "-- TSan (KERA_BROKER_SHARDS=2): $t"
   KERA_BROKER_SHARDS=2 "$tsan_build/tests/$t"
 done

@@ -34,12 +34,9 @@ Broker::Broker(BrokerConfig config, rpc::Network& network)
     : config_(std::move(config)),
       shards_(std::max<uint32_t>(1, config_.shards)),
       network_(network),
-      memory_(config_.memory_bytes, config_.segment_size) {
+      memory_(config_.memory_bytes, config_.segment_size),
+      shard_frames_(shards_) {
   live_backups_ = config_.backup_nodes;
-  shard_rt_.reserve(shards_);
-  for (uint32_t s = 0; s < shards_; ++s) {
-    shard_rt_.push_back(std::make_unique<ShardRuntime>());
-  }
   if (config_.memory_budget_bytes > 0 && !config_.spill_dir.empty()) {
     TieredStoreOptions to;
     to.memory_budget_bytes = config_.memory_budget_bytes;
@@ -52,8 +49,8 @@ Broker::Broker(BrokerConfig config, rpc::Network& network)
     tiered_ = std::make_unique<TieredStore>(to, memory_);
   }
   if (config_.replication_workers > 0) {
-    replicator_ = std::make_unique<Replicator>(
-        *this, config_.replication_workers, shards_ > 1);
+    replicator_ =
+        std::make_unique<Replicator>(*this, config_.replication_workers);
   }
 }
 
@@ -71,21 +68,6 @@ void Broker::StopConsumeWaits() {
     for (const auto& [_, entry] : streams_) entries.push_back(entry.get());
   }
   for (StreamEntry* entry : entries) NotifyConsumeWaitersAllShards(*entry);
-}
-
-void Broker::ExecuteOnShard(uint32_t shard, std::function<void()> op) {
-  if (shards_ <= 1) {
-    op();
-    return;
-  }
-  ++stats_.cross_shard_ops;
-  shard_rt_[shard]->mailbox.Execute(std::move(op));
-}
-
-void Broker::EnterShardFrame(uint32_t shard) {
-  ShardRuntime& rt = *shard_rt_[shard];
-  ++rt.frames;
-  rt.mailbox.Drain();
 }
 
 uint32_t Broker::HomeShardOf(const rpc::ProduceRequest& req) const {
@@ -194,13 +176,11 @@ Status Broker::AddStreamlet(StreamId stream, StreamletId streamlet) {
   if (tiered_ != nullptr) {
     tiered_->TrackStreamlet(stream, entry->storage->GetStreamlet(streamlet));
   }
-  // Leadership lands through the owning shard's mailbox: the insert is
-  // serialized between that shard's frames, never mid-produce-batch.
-  ExecuteOnShard(ShardOf(streamlet), [entry, streamlet] {
+  {
     StreamEntry::ShardState& ss = entry->ShardFor(streamlet);
     std::lock_guard<std::mutex> entry_lock(ss.mu);
     ss.led.insert(streamlet);
-  });
+  }
   // A consumer may already be parked probing this streamlet (leadership
   // handed over mid-poll): let it re-gather.
   NotifyConsumeWaitersAllShards(*entry);
@@ -230,11 +210,11 @@ Status Broker::DropStreamletLeadership(StreamId stream,
     }
     entry = it->second.get();
   }
-  ExecuteOnShard(ShardOf(streamlet), [entry, streamlet] {
+  {
     StreamEntry::ShardState& ss = entry->ShardFor(streamlet);
     std::lock_guard<std::mutex> entry_lock(ss.mu);
     ss.led.erase(streamlet);
-  });
+  }
   // Close the active groups so the remaining data can be trimmed once
   // consumed; new leadership lives elsewhere.
   Streamlet* sl = entry->storage->GetStreamlet(streamlet);
@@ -268,8 +248,7 @@ Broker::StreamEntry* Broker::FindStream(StreamId id) const {
 }
 
 std::unique_ptr<VirtualLog> Broker::MakeVlog(VlogId id,
-                                             uint32_t replication_factor,
-                                             uint32_t owner_shard) {
+                                             uint32_t replication_factor) {
   VirtualLogConfig vc;
   vc.virtual_segment_capacity = config_.virtual_segment_capacity;
   vc.replication_factor = replication_factor;
@@ -309,83 +288,67 @@ std::unique_ptr<VirtualLog> Broker::MakeVlog(VlogId id,
     }
     return picked;
   };
-  auto vlog = std::make_unique<VirtualLog>(id, vc, selector);
-  vlog->set_owner_shard(owner_shard);
-  return vlog;
+  return std::make_unique<VirtualLog>(id, vc, selector);
 }
 
 VirtualLog* Broker::ResolveVlog(StreamEntry& entry, StreamletId streamlet,
                                 uint32_t slot) {
   const auto& opts = entry.info.options;
+  const bool dedicated =
+      opts.vlog_policy == rpc::VlogPolicy::kPerSubPartition;
+  const auto cache_key = std::make_pair(streamlet, dedicated ? slot : 0);
   const uint32_t shard = ShardOf(streamlet);
   StreamEntry::ShardState& ss = entry.shard[shard];
-  if (opts.vlog_policy == rpc::VlogPolicy::kPerSubPartition) {
-    auto cache_key = std::make_pair(streamlet, slot);
-    {
-      std::lock_guard<std::mutex> lock(ss.mu);
-      auto it = ss.vlog_cache.find(cache_key);
-      if (it != ss.vlog_cache.end()) return it->second;
-    }
-    VirtualLog* raw = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto key = std::make_tuple(entry.info.stream, streamlet, slot);
-      auto it = subpartition_vlogs_.find(key);
-      if (it != subpartition_vlogs_.end()) {
-        raw = it->second.get();
-      } else {
-        auto vlog =
-            MakeVlog(next_vlog_id_++, opts.replication_factor, shard);
-        raw = vlog.get();
-        subpartition_vlogs_.emplace(key, std::move(vlog));
-      }
-    }
-    std::lock_guard<std::mutex> lock(ss.mu);
-    ss.vlog_cache.emplace(cache_key, raw);
-    return raw;
-  }
-  // Shared pool: a streamlet hashes onto one of the broker's N vlogs. The
-  // pool (per replication factor) is built once under mu_; each shard
-  // caches only its slice (pool index i belongs to shard i % shards), so
-  // a streamlet always resolves to a vlog owned by its shard and the
-  // replication work for that log never leaves the shard's core. With
-  // shards == 1 the slice is the whole pool and the selection arithmetic
-  // is unchanged.
-  std::vector<VirtualLog*> view;
   {
     std::lock_guard<std::mutex> lock(ss.mu);
-    view = ss.shared_pool_cache;
+    auto it = ss.vlogs.find(cache_key);
+    if (it != ss.vlogs.end()) return it->second;
   }
-  if (view.empty()) {
+  VirtualLog* raw = nullptr;
+  {
     std::lock_guard<std::mutex> lock(mu_);
-    auto& pool = shared_pools_[opts.replication_factor];
-    if (pool.size() < config_.vlogs_per_broker) {
-      pool.reserve(config_.vlogs_per_broker);
-      while (pool.size() < config_.vlogs_per_broker) {
-        pool.push_back(MakeVlog(next_vlog_id_++, opts.replication_factor,
-                                uint32_t(pool.size()) % shards_));
+    if (dedicated) {
+      auto& vlog = subpartition_vlogs_[std::make_tuple(entry.info.stream,
+                                                       streamlet, slot)];
+      if (vlog == nullptr) {
+        vlog = MakeVlog(next_vlog_id_++, opts.replication_factor);
       }
+      raw = vlog.get();
+    } else {
+      // Shared pool: a streamlet hashes onto one of the broker's N vlogs.
+      // The pool (per replication factor) is built once; each shard picks
+      // only from its slice (pool index i belongs to shard i % shards), so
+      // a streamlet always resolves to a vlog owned by its shard and the
+      // replication work for that log never leaves the shard's core. With
+      // shards == 1 the slice is the whole pool and the selection
+      // arithmetic is unchanged.
+      auto& pool = shared_pools_[opts.replication_factor];
+      while (pool.size() < config_.vlogs_per_broker) {
+        pool.push_back(MakeVlog(next_vlog_id_++, opts.replication_factor));
+      }
+      std::vector<VirtualLog*> slice;
+      for (size_t i = 0; i < pool.size(); ++i) {
+        if (uint32_t(i) % shards_ == shard) slice.push_back(pool[i].get());
+      }
+      if (slice.empty()) {
+        // Fewer vlogs than shards: this shard has no slice of its own and
+        // borrows one log (two shards then contend on that vlog's lock —
+        // size the pool >= shards to avoid it).
+        slice.push_back(pool[shard % pool.size()].get());
+      }
+      // splitmix64-style mix: consecutive stream ids placed round-robin
+      // over brokers must still spread across the broker's vlog pool
+      // (and, with shards > 1, across the shard's slice of it).
+      uint64_t h = entry.info.stream * 0x9E3779B97F4A7C15ull + streamlet;
+      h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+      h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+      h ^= h >> 31;
+      raw = slice[size_t(h % slice.size())];
     }
-    for (size_t i = 0; i < pool.size(); ++i) {
-      if (uint32_t(i) % shards_ == shard) view.push_back(pool[i].get());
-    }
-    if (view.empty()) {
-      // Fewer vlogs than shards: this shard has no slice of its own and
-      // borrows one log (two shards then contend on that vlog's lock —
-      // size the pool >= shards to avoid it).
-      view.push_back(pool[shard % pool.size()].get());
-    }
-    std::lock_guard<std::mutex> entry_lock(ss.mu);
-    ss.shared_pool_cache = view;
   }
-  // splitmix64-style mix: consecutive stream ids placed round-robin over
-  // brokers must still spread across the broker's vlog pool (and, with
-  // shards > 1, across the shard's slice of it).
-  uint64_t h = entry.info.stream * 0x9E3779B97F4A7C15ull + streamlet;
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
-  h ^= h >> 31;
-  return view[size_t(h % view.size())];
+  std::lock_guard<std::mutex> lock(ss.mu);
+  ss.vlogs.emplace(cache_key, raw);
+  return raw;
 }
 
 Status Broker::AppendOneChunk(
@@ -541,7 +504,7 @@ rpc::ProduceResponse Broker::HandleProduceNoSync(
     return resp;
   }
   const uint32_t home = HomeShardOf(req);
-  EnterShardFrame(home);
+  ++shard_frames_[home].frames;
   std::vector<std::pair<VirtualLog*, ChunkRef>> positions;
   positions.reserve(req.chunks.size());
   // Duplicate-durability waits are not driven here: the DES schedules
@@ -586,7 +549,7 @@ rpc::ProduceResponse Broker::HandleProduce(const rpc::ProduceRequest& req) {
     return resp;
   }
   const uint32_t home = HomeShardOf(req);
-  EnterShardFrame(home);
+  ++shard_frames_[home].frames;
 
   std::vector<std::pair<VirtualLog*, ChunkRef>> positions;
   positions.reserve(req.chunks.size());
@@ -1044,7 +1007,7 @@ rpc::ConsumeResponse Broker::HandleConsume(const rpc::ConsumeRequest& req) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::microseconds(wait_us);
   const uint32_t home = HomeShardOf(req);
-  EnterShardFrame(home);
+  ++shard_frames_[home].frames;
   StreamEntry::ShardState& home_ss = entry->shard[home];
 
   // A request whose entries span shards parks on its home shard but waits
@@ -1246,9 +1209,8 @@ std::map<std::pair<StreamletId, ProducerId>, uint64_t> Broker::DedupHitsByKey(
 Broker::Stats Broker::GetStats() const {
   Stats out = stats_;
   out.shard_frames.reserve(shards_);
-  for (const auto& rt : shard_rt_) {
-    out.shard_mailbox_enqueues += rt->mailbox.enqueues();
-    out.shard_frames.push_back(rt->frames);
+  for (const ShardFrames& s : shard_frames_) {
+    out.shard_frames.push_back(s.frames);
   }
   MemoryManager::Stats ms = memory_.GetStats();
   out.memory_buffers_outstanding = ms.buffers_outstanding;
@@ -1284,7 +1246,6 @@ Broker::Stats& Broker::Stats::operator+=(const Stats& other) {
   recovery_produce_rpcs += other.recovery_produce_rpcs;
   recovery_chunks_appended += other.recovery_chunks_appended;
   recovery_bytes_appended += other.recovery_bytes_appended;
-  shard_mailbox_enqueues += other.shard_mailbox_enqueues;
   cross_shard_ops += other.cross_shard_ops;
   if (shard_frames.size() < other.shard_frames.size()) {
     shard_frames.resize(other.shard_frames.size());

@@ -7,7 +7,6 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -20,7 +19,6 @@
 #include <vector>
 
 #include "broker/replicator.h"
-#include "broker/shard_mailbox.h"
 #include "broker/tiered_store.h"
 #include "common/status.h"
 #include "common/sync.h"
@@ -218,13 +216,11 @@ class Broker final : public rpc::RpcHandler {
     Counter recovery_produce_rpcs;
     Counter recovery_chunks_appended;
     Counter recovery_bytes_appended;
-    /// Shared-nothing contention telemetry: ops posted through the
-    /// per-shard mailboxes, data-plane items (chunks/consume entries)
-    /// that landed on a thread handling a different shard's frame plus
-    /// admin ops executed cross-shard, and data-plane frames per shard
-    /// (produce + consume; size == config().shards). Mis-routing shows
-    /// up as cross_shard_ops > 0 or a lopsided shard_frames.
-    uint64_t shard_mailbox_enqueues = 0;
+    /// Shared-nothing contention telemetry: data-plane items (chunks and
+    /// consume entries) handled under a different shard's frame, and
+    /// data-plane frames per shard (produce + consume; size ==
+    /// config().shards). Mis-routing shows up as cross_shard_ops > 0 or a
+    /// lopsided shard_frames.
     Counter cross_shard_ops;
     std::vector<uint64_t> shard_frames;
     /// Tiered broker memory: spill/eviction activity and the cold-read
@@ -260,12 +256,6 @@ class Broker final : public rpc::RpcHandler {
     return shards_ <= 1 ? 0 : streamlet % shards_;
   }
   [[nodiscard]] uint32_t shards() const { return shards_; }
-
-  /// Posts `op` to `shard`'s mailbox and waits for it to execute (by this
-  /// thread if the shard is idle, by the shard's active handler
-  /// otherwise). Counted in cross_shard_ops. With shards == 1 the op runs
-  /// inline.
-  void ExecuteOnShard(uint32_t shard, std::function<void()> op);
 
   [[nodiscard]] Stream* GetStream(StreamId id) const;
   [[nodiscard]] MemoryManager& memory() { return memory_; }
@@ -376,11 +366,10 @@ class Broker final : public rpc::RpcHandler {
       std::map<std::pair<StreamletId, ProducerId>, uint64_t> dedup_hits;
       /// Committed consumer offsets for this shard's streamlets.
       std::map<std::pair<StreamletId, uint32_t>, OffsetEntry> offsets;
-      // Resolved vlog cache (ownership stays in the broker-level maps);
-      // avoids taking mu_ per chunk once a mapping is established. The
-      // shared-pool slice holds only this shard's vlogs.
-      std::vector<VirtualLog*> shared_pool_cache;
-      std::map<std::pair<StreamletId, uint32_t>, VirtualLog*> vlog_cache;
+      /// Resolved vlog per (streamlet, active-group slot; 0 under the
+      /// shared pool). Ownership stays in the broker-level maps; this
+      /// avoids taking mu_ per chunk once a mapping is established.
+      std::map<std::pair<StreamletId, uint32_t>, VirtualLog*> vlogs;
     };
     uint32_t nshards = 1;
     std::unique_ptr<ShardState[]> shard;
@@ -420,18 +409,12 @@ class Broker final : public rpc::RpcHandler {
   StreamEntry* FindStream(StreamId id) const;
   VirtualLog* ResolveVlog(StreamEntry& entry, StreamletId streamlet,
                           uint32_t slot);
-  std::unique_ptr<VirtualLog> MakeVlog(VlogId id, uint32_t replication_factor,
-                                       uint32_t owner_shard);
+  std::unique_ptr<VirtualLog> MakeVlog(VlogId id, uint32_t replication_factor);
 
   /// Shard a data-plane request frame is accounted to (must mirror
   /// rpc::RouteFrameToShard): the first chunk/entry's streamlet.
   [[nodiscard]] uint32_t HomeShardOf(const rpc::ProduceRequest& req) const;
   [[nodiscard]] uint32_t HomeShardOf(const rpc::ConsumeRequest& req) const;
-
-  /// Frame-top bookkeeping for a data-plane request routed to `shard`:
-  /// count the frame and drain the shard's mailbox (admin ops execute
-  /// between frames, never mid-request).
-  void EnterShardFrame(uint32_t shard);
 
   /// A duplicate produce chunk whose original copy may not be durable
   /// yet: the produce paths wait on this position before acking, so the
@@ -525,13 +508,12 @@ class Broker final : public rpc::RpcHandler {
   rpc::Network& network_;
   MemoryManager memory_;
 
-  /// Per-shard runtime: the cross-core mailbox plus the handled-frame
-  /// counter. Heap-allocated so shards never share a cache line.
-  struct alignas(64) ShardRuntime {
-    ShardMailbox mailbox;
+  /// Data-plane frames handled per shard. One cache line each: different
+  /// shards' threads bump their counters on every frame.
+  struct alignas(64) ShardFrames {
     Counter frames;
   };
-  std::vector<std::unique_ptr<ShardRuntime>> shard_rt_;
+  std::vector<ShardFrames> shard_frames_;
 
   // Guards the structural maps (streams_, vlog ownership). Hot-path state
   // lives behind per-shard StreamEntry locks and atomic stats counters;

@@ -5,72 +5,53 @@
 
 namespace kera {
 
-Replicator::Replicator(Broker& broker, uint32_t workers, bool shard_affine)
-    : broker_(broker), shard_affine_(shard_affine && workers > 1) {
-  const uint32_t nlanes = shard_affine_ ? workers : 1;
-  lanes_.reserve(nlanes);
-  for (uint32_t i = 0; i < nlanes; ++i) {
-    lanes_.push_back(std::make_unique<Lane>());
-  }
-  const uint32_t per_lane = shard_affine_ ? 1 : workers;
-  for (auto& lane : lanes_) {
-    for (uint32_t i = 0; i < per_lane; ++i) {
-      lane->workers.emplace_back([this, l = lane.get()] { WorkerLoop(*l); });
-    }
+Replicator::Replicator(Broker& broker, uint32_t workers) : broker_(broker) {
+  for (uint32_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 Replicator::~Replicator() { Stop(); }
 
-Replicator::Lane& Replicator::LaneFor(VirtualLog* vlog) {
-  if (lanes_.size() == 1) return *lanes_[0];
-  return *lanes_[vlog->owner_shard() % lanes_.size()];
-}
-
 void Replicator::Notify(VirtualLog* vlog) {
-  Lane& lane = LaneFor(vlog);
   {
-    std::lock_guard<std::mutex> lock(lane.mu);
+    std::lock_guard<std::mutex> lock(mu_);
     if (stop_.load(std::memory_order_acquire) ||
-        !lane.queued.insert(vlog).second) {
+        !queued_.insert(vlog).second) {
       return;
     }
-    lane.queue.push_back(vlog);
+    queue_.push_back(vlog);
   }
-  lane.cv.notify_one();
+  cv_.notify_one();
 }
 
 void Replicator::Stop() {
   if (stop_.exchange(true, std::memory_order_acq_rel)) return;
-  for (auto& lane : lanes_) lane->cv.notify_all();
-  for (auto& lane : lanes_) {
-    for (auto& w : lane->workers) {
-      if (w.joinable()) w.join();
-    }
+  cv_.notify_all();
+  for (auto& w : workers_) {
+    if (w.joinable()) w.join();
   }
 }
 
-void Replicator::WorkerLoop(Lane& lane) {
+void Replicator::WorkerLoop() {
   while (true) {
     VirtualLog* vlog = nullptr;
     {
-      std::unique_lock<std::mutex> lock(lane.mu);
-      lane.cv.wait(lock, [this, &lane] {
-        return stop_.load(std::memory_order_acquire) || !lane.queue.empty();
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] {
+        return stop_.load(std::memory_order_acquire) || !queue_.empty();
       });
       if (stop_.load(std::memory_order_acquire)) return;
-      vlog = lane.queue.front();
-      lane.queue.pop_front();
-      lane.queued.erase(vlog);
+      vlog = queue_.front();
+      queue_.pop_front();
+      queued_.erase(vlog);
       ++stats_.wakeups;
     }
     auto batch = vlog->Poll();
     if (!batch.has_value()) continue;
     // More unissued work (or free window slots) on this vlog: requeue it
     // before shipping so a peer worker pipelines the next batch while
-    // this one's round-trip is in flight. (In the shard-affine topology
-    // the lane has one worker, so the requeue just keeps the lane hot —
-    // window overlap within one log comes from the shard's own cadence.)
+    // this one's round-trip is in flight.
     if (vlog->HasWork()) Notify(vlog);
     Status s = broker_.ShipBatch(*vlog, *batch);
     if (s.ok()) {

@@ -130,9 +130,8 @@ class Harness {
     cfg.vlogs_per_broker = 2;
     cfg.replication_window = 2;
     cfg.replication_workers = 0;  // single-threaded: determinism
-    // The mailbox/Execute machinery degenerates to synchronous inline
-    // execution when one thread drives everything, so sharded runs stay
-    // deterministic too.
+    // One thread drives everything, so sharded runs stay deterministic
+    // too.
     cfg.broker_shards = std::max<uint32_t>(1, options_.broker_shards);
     cfg.recovery_parallelism =
         std::max<uint32_t>(1, options_.recovery_parallelism);
@@ -150,10 +149,10 @@ class Harness {
       std::error_code ec;
       std::filesystem::remove_all(pl_dir_, ec);
       cfg.backup_dir = pl_dir_ + "/n%u";
-      cfg.backup_log_file_bytes = 32u << 10;
-      cfg.backup_flush_interval_us = 500;
-      cfg.backup_flush_batch_bytes = 16u << 10;
-      cfg.backup_gc_live_ratio = 0.0;
+      cfg.backup_log.log_file_bytes = 32u << 10;
+      cfg.backup_log.flush_interval_us = 500;
+      cfg.backup_log.flush_batch_bytes = 16u << 10;
+      cfg.backup_log.gc_live_ratio = 0.0;
     }
     if (options_.memory_budget_bytes > 0) {
       // Tiered broker memory under chaos: a per-run scratch tree holds

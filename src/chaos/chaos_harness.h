@@ -72,8 +72,8 @@ struct RunOptions {
   /// Shared-nothing broker shards for the cluster under test (see
   /// BrokerConfig::shards). 1 reproduces the original single-shard runs
   /// byte-for-byte; >1 drives the same deterministic schedules through
-  /// the sharded broker (per-shard leadership/dedup/parking state and the
-  /// cross-shard mailboxes), checking the same invariants.
+  /// the sharded broker (per-shard leadership/dedup/parking state),
+  /// checking the same invariants.
   uint32_t broker_shards = 1;
   /// Recovery fan-out for the cluster under test (see CoordinatorConfig::
   /// recovery_parallelism). Under the single-threaded chaos network the

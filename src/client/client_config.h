@@ -10,11 +10,6 @@
 
 namespace kera {
 
-enum class Partitioner : uint8_t {
-  kRoundRobin = 0,  // non-keyed records cycle over streamlets
-  kKeyHash = 1,     // records hash by key to a streamlet
-};
-
 struct ProducerConfig {
   ProducerId producer_id = 0;
   std::string stream;
@@ -25,7 +20,6 @@ struct ProducerConfig {
   /// linger.ms analogue: max time a non-empty chunk waits before being
   /// pushed (microseconds).
   uint64_t linger_us = 1000;
-  Partitioner partitioner = Partitioner::kRoundRobin;
   /// Pooled chunk builders (the client's chunk cache; paper: up to 1000).
   size_t chunk_pool_size = 256;
   /// Request retries on transport errors (dedup makes retries safe).

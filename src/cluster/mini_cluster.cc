@@ -44,18 +44,7 @@ BackupConfig MiniCluster::BackupConfigFor(NodeId node) const {
   BackupConfig bkc;
   bkc.node = node;
   bkc.storage_dir = BackupDirFor(node);
-  if (config_.backup_log_file_bytes != 0) {
-    bkc.log.log_file_bytes = config_.backup_log_file_bytes;
-  }
-  if (config_.backup_flush_batch_bytes != 0) {
-    bkc.log.flush_batch_bytes = config_.backup_flush_batch_bytes;
-  }
-  if (config_.backup_flush_interval_us != 0) {
-    bkc.log.flush_interval_us = config_.backup_flush_interval_us;
-  }
-  if (config_.backup_gc_live_ratio >= 0.0) {
-    bkc.log.gc_live_ratio = config_.backup_gc_live_ratio;
-  }
+  bkc.log = config_.backup_log;
   return bkc;
 }
 

@@ -64,14 +64,9 @@ struct MiniClusterConfig {
   /// Backup flush directory template; empty disables disk flushing. A
   /// "%u" is replaced by the node id.
   std::string backup_dir;
-  /// Backup segment-log knobs (meaningful only with a backup_dir); 0
-  /// keeps the StorageConfig default. gc_live_ratio < 0 keeps the
-  /// default, 0 disables GC (chaos power-loss mode needs deterministic
-  /// disk state).
-  size_t backup_log_file_bytes = 0;
-  size_t backup_flush_batch_bytes = 0;
-  uint64_t backup_flush_interval_us = 0;
-  double backup_gc_live_ratio = -1.0;
+  /// Backup segment-log knobs (meaningful only with a backup_dir),
+  /// copied whole into every backup's BackupConfig::log.
+  SegmentLogOptions backup_log;
 
   /// Tiered broker memory (see BrokerConfig::memory_budget_bytes): 0
   /// keeps every segment resident (the pre-tiering behavior, exactly).

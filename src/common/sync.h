@@ -1,5 +1,4 @@
-// Small synchronization helpers: spin lock for short critical sections, a
-// cache-line padded wrapper to avoid false sharing of hot counters, and
+// Small synchronization helpers: spin lock for short critical sections and
 // the relaxed counter that lock-free Stats structs are declared with.
 #pragma once
 
@@ -55,12 +54,6 @@ class SpinLock {
 
  private:
   std::atomic<bool> flag_{false};
-};
-
-/// Pads T to its own cache line; used for per-core/per-client counters.
-template <typename T>
-struct alignas(64) Padded {
-  T value{};
 };
 
 }  // namespace kera

@@ -44,22 +44,21 @@
 #include "common/file.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "storage/storage_config.h"
 
 namespace kera {
 
 struct SegmentLogOptions {
   /// Target size of one append-only log file; a record that would overflow
   /// the active file rolls over to a fresh one.
-  size_t log_file_bytes = StorageConfig{}.backup_log_file_bytes;
+  size_t log_file_bytes = 64u << 20;
   /// Group-commit pacing: the flusher wakes when this much is queued...
-  size_t flush_batch_bytes = StorageConfig{}.backup_flush_batch_bytes;
+  size_t flush_batch_bytes = 8u << 20;
   /// ...or when the oldest queued record has waited this long.
-  uint64_t flush_interval_us = StorageConfig{}.backup_flush_interval_us;
+  uint64_t flush_interval_us = 2000;
   /// GC a non-active log file once its live ratio drops below this;
   /// 0 disables GC (the chaos power-loss mode needs byte-deterministic
   /// disk state, which background compaction would perturb).
-  double gc_live_ratio = StorageConfig{}.backup_gc_live_ratio;
+  double gc_live_ratio = 0.45;
 };
 
 class SegmentLog {

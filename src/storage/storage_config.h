@@ -20,21 +20,6 @@ struct StorageConfig {
   /// Q: active groups per streamlet; producers append to the active group
   /// at entry (producer_id mod Q), enabling parallel appends.
   uint32_t active_groups_per_streamlet = 1;
-
-  // --- backup segment-log (durable replica store) ---
-
-  /// Target size of one backup log file; records roll over past this.
-  size_t backup_log_file_bytes = 64u << 20;
-
-  /// Group-commit flusher wakes when this much is queued...
-  size_t backup_flush_batch_bytes = 8u << 20;
-
-  /// ...or once the oldest queued record has waited this long.
-  uint64_t backup_flush_interval_us = 2000;
-
-  /// GC a non-active backup log file when its live ratio drops below
-  /// this; 0 disables GC.
-  double backup_gc_live_ratio = 0.45;
 };
 
 }  // namespace kera

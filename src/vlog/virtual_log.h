@@ -155,13 +155,6 @@ class VirtualLog {
     return config_.replication_factor;
   }
 
-  /// Broker shard that owns this log's shipping work in the shared-nothing
-  /// runtime (streamlets of shard S only ever resolve to shard-S vlogs, so
-  /// replication for a log is driven from one core). Set once by the
-  /// broker at creation, before the log is shared; 0 in single-shard mode.
-  void set_owner_shard(uint32_t shard) { owner_shard_ = shard; }
-  [[nodiscard]] uint32_t owner_shard() const { return owner_shard_; }
-
   /// True if unissued replication work is pending (regardless of window
   /// occupancy — Poll may still return nullopt when the window is full).
   [[nodiscard]] bool HasWork() const;
@@ -212,7 +205,6 @@ class VirtualLog {
   void ApplyCompletedPrefixLocked();
 
   const VlogId id_;
-  uint32_t owner_shard_ = 0;
   const VirtualLogConfig config_;
   const BackupSelector selector_;
 

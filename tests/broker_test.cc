@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <functional>
 #include <string_view>
 #include <thread>
@@ -11,6 +13,7 @@
 #include "broker/broker.h"
 #include "rpc/socket_transport.h"
 #include "rpc/transport.h"
+#include "watchdog.h"
 #include "wire/chunk.h"
 
 namespace kera {
@@ -481,9 +484,8 @@ TEST_F(BackgroundReplicationTest, BackupFailureSurfacesToProducer) {
 
 // ----- shared-nothing sharding: routing, counters, migration -----
 
-// A broker with two shards over a DirectNetwork: single-threaded, so the
-// mailbox Execute path degenerates to an inline call and every counter
-// is exactly predictable.
+// A broker with two shards over a DirectNetwork: single-threaded unless a
+// test starts threads, so every counter is exactly predictable.
 class ShardedBrokerTest : public ::testing::Test {
  protected:
   ShardedBrokerTest() {
@@ -567,7 +569,6 @@ TEST_F(ShardedBrokerTest, FramesForStreamletLandOnItsShard) {
   EXPECT_EQ(stats.shard_frames[1] - base.shard_frames[1], 8u);
   // Single-streamlet traffic is entirely shard-local.
   EXPECT_EQ(stats.cross_shard_ops, base.cross_shard_ops);
-  EXPECT_EQ(stats.shard_mailbox_enqueues, base.shard_mailbox_enqueues);
 }
 
 // A produce batching chunks for streamlets on different shards is homed
@@ -603,28 +604,21 @@ TEST_F(ShardedBrokerTest, MixedBatchCountsCrossShardChunks) {
   }
 }
 
-// Leadership migration re-homes through the owning shard's mailbox
-// exactly once per transition: drop posts one op, re-add posts one op,
-// and the leadership change is observable (produce rejected while
-// dropped, accepted after re-add, dedup intact).
+// Leadership changes edit the owning shard's state under its lock and
+// are not data-plane traffic: a fresh stream and each drop or re-add
+// leave cross_shard_ops at 0. The change itself is observable (produce
+// rejected while dropped, accepted after re-add, dedup intact).
 TEST_F(ShardedBrokerTest, LeadershipMigrationRehomesExactlyOnce) {
   auto info = MakeStream("s", 2);
+  EXPECT_EQ(broker_->GetStats().cross_shard_ops, 0u);
   ASSERT_EQ(ProduceOne(info, 1, 1).status, StatusCode::kOk);
 
-  const auto base = broker_->GetStats();
   ASSERT_TRUE(broker_->DropStreamletLeadership(info.stream, 1).ok());
-  auto after_drop = broker_->GetStats();
-  EXPECT_EQ(after_drop.cross_shard_ops - base.cross_shard_ops, 1u);
-  EXPECT_EQ(after_drop.shard_mailbox_enqueues - base.shard_mailbox_enqueues,
-            1u);
+  EXPECT_EQ(broker_->GetStats().cross_shard_ops, 0u);
   EXPECT_EQ(ProduceOne(info, 1, 2).status, StatusCode::kNotLeader);
 
   ASSERT_TRUE(broker_->AddStreamlet(info.stream, 1).ok());
-  auto after_add = broker_->GetStats();
-  EXPECT_EQ(after_add.cross_shard_ops - after_drop.cross_shard_ops, 1u);
-  EXPECT_EQ(after_add.shard_mailbox_enqueues -
-                after_drop.shard_mailbox_enqueues,
-            1u);
+  EXPECT_EQ(broker_->GetStats().cross_shard_ops, 0u);
   ASSERT_EQ(ProduceOne(info, 1, 2).status, StatusCode::kOk);
   // The dedup record survived the migration: the old seq is a duplicate.
   auto dup = ProduceOne(info, 1, 1);
@@ -632,9 +626,116 @@ TEST_F(ShardedBrokerTest, LeadershipMigrationRehomesExactlyOnce) {
   EXPECT_EQ(dup.duplicates, 1u);
 }
 
+// Leadership edits race produce on both shards: four threads produce to
+// streamlets 0-3 (two per shard), retrying kNotLeader, while a fifth
+// drops and re-adds streamlets 1 and 2 (one per shard). The shard lock is
+// the one guard of `led`, so every sequence lands exactly once and reads
+// back.
+TEST_F(ShardedBrokerTest, LeadershipChangesRaceProduceOnBothShards) {
+  Watchdog watchdog(std::chrono::seconds(120), "leadership/produce race");
+  constexpr StreamletId kStreamlets = 4;
+  constexpr ChunkSeq kSeqs = 2000;
+  constexpr uint64_t kToggles = 50;
+  auto info = MakeStream("race", kStreamlets);
+  auto is_toggled = [](StreamletId sl) { return sl == 1 || sl == 2; };
+  auto set_leadership = [&](bool lead) {
+    for (StreamletId sl : {1u, 2u}) {
+      EXPECT_TRUE((lead ? broker_->AddStreamlet(info.stream, sl)
+                        : broker_->DropStreamletLeadership(info.stream, sl))
+                      .ok());
+    }
+  };
+
+  std::atomic<uint64_t> not_leader{0};
+  std::atomic<uint64_t> toggled_acks{0};
+  std::atomic<uint32_t> toggled_done{0};
+  // The producers start against a dropped leadership, so the first
+  // round's bounce is certain.
+  set_leadership(false);
+  std::vector<std::thread> threads;
+  for (StreamletId sl = 0; sl < kStreamlets; ++sl) {
+    threads.emplace_back([&, sl] {
+      const ProducerId producer = sl + 1;
+      for (ChunkSeq seq = 1; seq <= kSeqs; ++seq) {
+        auto chunk = MakeChunk(info.stream, sl, producer, seq);
+        rpc::ProduceRequest req;
+        req.producer = producer;
+        req.stream = info.stream;
+        req.chunks = {chunk};
+        rpc::ProduceResponse resp = broker_->HandleProduce(req);
+        while (resp.status == StatusCode::kNotLeader) {
+          ++not_leader;
+          std::this_thread::yield();
+          resp = broker_->HandleProduce(req);
+        }
+        EXPECT_EQ(resp.status, StatusCode::kOk);
+        EXPECT_EQ(resp.appended, 1u);
+        EXPECT_EQ(resp.duplicates, 0u);
+        if (is_toggled(sl)) ++toggled_acks;
+      }
+      if (is_toggled(sl)) ++toggled_done;
+    });
+  }
+  // Each round holds the drop until a producer bounced off it (one that
+  // has not finished must), re-adds, and drops again once the toggled
+  // streamlets acked the next 1/kToggles of their sequences.
+  threads.emplace_back([&] {
+    uint64_t bounced = 0;
+    for (uint64_t round = 1;; ++round) {
+      while (not_leader == bounced && toggled_done < 2) {
+        std::this_thread::yield();
+      }
+      set_leadership(true);
+      if (round == kToggles) break;
+      while (toggled_acks < round * 2 * kSeqs / kToggles &&
+             toggled_done < 2) {
+        std::this_thread::yield();
+      }
+      bounced = not_leader;
+      set_leadership(false);
+    }
+  });
+  for (auto& t : threads) t.join();
+
+  EXPECT_GT(not_leader.load(), 0u);
+  RecordProperty("not_leader_retries", std::to_string(not_leader.load()));
+  const auto stats = broker_->GetStats();
+  EXPECT_EQ(stats.chunks_appended, uint64_t(kStreamlets) * kSeqs);
+  EXPECT_EQ(stats.chunks_duplicate, 0u);
+  // Read every group of every streamlet back: each sequence exactly once.
+  for (StreamletId sl = 0; sl < kStreamlets; ++sl) {
+    std::vector<ChunkSeq> seqs;
+    uint32_t groups = 1;
+    for (GroupId g = 0; g < groups; ++g) {
+      uint64_t next = 0;
+      for (;;) {
+        rpc::ConsumeRequest req;
+        req.stream = info.stream;
+        req.entries = {{.streamlet = sl, .group = g, .start_chunk = next,
+                        .max_chunks = 1000}};
+        auto resp = broker_->HandleConsume(req);
+        ASSERT_EQ(resp.status, StatusCode::kOk);
+        ASSERT_EQ(resp.entries.size(), 1u);
+        const auto& e = resp.entries[0];
+        groups = std::max(groups, e.groups_created);
+        if (e.chunks.empty()) break;
+        for (auto bytes : e.chunks) {
+          auto chunk = ChunkView::Parse(bytes);
+          ASSERT_TRUE(chunk.ok());
+          seqs.push_back(chunk->chunk_seq());
+        }
+        next = e.next_chunk;
+      }
+    }
+    std::sort(seqs.begin(), seqs.end());
+    std::vector<ChunkSeq> want(kSeqs);
+    for (ChunkSeq seq = 1; seq <= kSeqs; ++seq) want[seq - 1] = seq;
+    EXPECT_EQ(seqs, want) << "streamlet " << sl;
+  }
+}
+
 // With shards == 1 the shared-nothing machinery must be invisible: one
-// frame counter, no mailbox traffic, no cross-shard ops — the exact
-// pre-sharding behavior.
+// frame counter, no cross-shard ops — the exact pre-sharding behavior.
 TEST_F(BrokerTest, SingleShardKeepsLegacyCountersSilent) {
   auto info = MakeStream("s", 4, 1, 1, rpc::VlogPolicy::kSharedPerBroker);
   for (StreamletId sl = 0; sl < 4; ++sl) {
@@ -649,7 +750,6 @@ TEST_F(BrokerTest, SingleShardKeepsLegacyCountersSilent) {
   ASSERT_EQ(stats.shard_frames.size(), 1u);
   EXPECT_EQ(stats.shard_frames[0], 4u);
   EXPECT_EQ(stats.cross_shard_ops, 0u);
-  EXPECT_EQ(stats.shard_mailbox_enqueues, 0u);
 }
 
 TEST_F(BrokerTest, FramedProduceConsumeDispatch) {

@@ -129,8 +129,7 @@ TEST(ChaosSweep, RandomizedSchedulesHoldInvariants) {
 // mapping and the oracles are untouched, so sharding must be invisible
 // to all five invariants (ordering, lost-ack, at-least-once, bounded
 // duplication, bounded redelivery). This exercises the per-shard
-// leadership/dedup/parking state and the cross-shard mailbox path that
-// shards=1 never takes.
+// leadership/dedup/parking state that shards=1 never splits.
 TEST(ChaosSweep, ShardedBrokersHoldInvariants) {
   RunOptions options;
   options.broker_shards = 2;
@@ -445,8 +444,7 @@ TEST(ChaosDeterminism, PowerLossSameSeedTwiceIsByteIdentical) {
 }
 
 // Determinism holds at any fixed shard count: the Direct transport path
-// is single-threaded, so cross-shard mailbox Executes degenerate to
-// inline calls and the annotated trace stays a pure function of
+// is single-threaded, so the annotated trace stays a pure function of
 // (seed, shards).
 TEST(ChaosDeterminism, ShardedSameSeedTwiceIsByteIdentical) {
   RunOptions options;

@@ -289,7 +289,6 @@ TEST(ClientRoundTripTest, KeyedRecordsLandOnOneStreamlet) {
   MakeStream(cluster, "s", 4, 1);
   ProducerConfig pc;
   pc.stream = "s";
-  pc.partitioner = Partitioner::kKeyHash;
   pc.chunk_size = 512;
   Producer producer(pc, cluster.network());
   ASSERT_TRUE(producer.Connect().ok());
