@@ -61,20 +61,22 @@ for t in integration_test transport_test; do
   KERA_BROKER_SHARDS=2 "$tsan_build/tests/$t"
 done
 
-echo "== ASan+UBSan build (wire + rpc + crc + consume + backup + coordinator suites) =="
+echo "== ASan+UBSan build (wire + rpc + crc + client + consume + backup + coordinator suites) =="
 # wire_fuzz_test runs every derived decoder on truncated and random
 # bodies; coordinator_test drives rpc::Dispatch and the typed rpc::Call
-# through crash recovery.
+# through crash recovery. client_test and integration_test hand chunk
+# builders between the producer's two threads and move received frame
+# buffers from the socket IO threads to workers and callers.
 cmake -B "$asan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$asan_build" -j --target \
   wire_test wire_golden_test wire_fuzz_test rpc_test common_test \
-  transport_test consume_protocol_test client_edge_test backup_test \
-  backup_store_test coordinator_test
+  transport_test consume_protocol_test client_test client_edge_test \
+  integration_test backup_test backup_store_test coordinator_test
 for t in wire_test wire_golden_test wire_fuzz_test rpc_test common_test \
-         transport_test consume_protocol_test client_edge_test backup_test \
-         backup_store_test coordinator_test; do
+         transport_test consume_protocol_test client_test client_edge_test \
+         integration_test backup_test backup_store_test coordinator_test; do
   echo "-- ASan+UBSan: $t"
   "$asan_build/tests/$t"
 done

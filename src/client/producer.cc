@@ -30,8 +30,9 @@ bool AppendTo(ChunkBuilder& builder, std::span<const std::byte> key,
 
 Producer::Producer(ProducerConfig config, rpc::Network& network)
     : config_(std::move(config)), network_(network) {
+  free_builders_.reserve(config_.chunk_pool_size);
   for (size_t i = 0; i < config_.chunk_pool_size; ++i) {
-    pool_.Push(std::make_unique<ChunkBuilder>(config_.chunk_size));
+    free_builders_.push_back(std::make_unique<ChunkBuilder>(config_.chunk_size));
   }
 }
 
@@ -78,17 +79,18 @@ Status Producer::SendRecord(std::span<const std::byte> key,
   if (failed_.load(std::memory_order_acquire)) {
     return Status(StatusCode::kUnavailable, "producer request loop failed");
   }
-  // Seal any chunk that has waited past the linger timeout before taking
-  // on new records (the source waits no more than linger_us for a chunk
-  // to fill, then marks it ready).
-  MaybeLingerFlush();
+  std::unique_lock<std::mutex> lock(mu_);
+  // An idle requests thread ships lingered chunks at once; a busy one
+  // seals them itself when its round completes, and until then they keep
+  // filling.
+  if (requests_idle_) SealLingered(Clock::now());
   OpenChunk& open = open_[streamlet];
   if (open.builder == nullptr || !AppendTo(*open.builder, key, value)) {
     // No records yet, or the chunk is full: seal it and start a fresh one.
-    if (open.builder != nullptr) SealAndEnqueue(streamlet);
-    KERA_RETURN_IF_ERROR(StartChunk(streamlet));
+    if (open.builder != nullptr) Seal(streamlet);
+    KERA_RETURN_IF_ERROR(StartChunk(streamlet, lock));
     if (!AppendTo(*open.builder, key, value)) {
-      pool_.Push(TakeChunk(streamlet));
+      free_builders_.push_back(TakeChunk(streamlet));
       return Status(StatusCode::kInvalidArgument, "record exceeds chunk size");
     }
   }
@@ -96,21 +98,29 @@ Status Producer::SendRecord(std::span<const std::byte> key,
   return OkStatus();
 }
 
-Status Producer::StartChunk(StreamletId streamlet) {
-  // When every pooled builder sits in an open chunk, no ack can return
-  // one: seal the oldest open chunk so the pop below can complete (Kafka's
-  // accumulator likewise drains batches once its buffer is exhausted).
-  if (open_count_ == config_.chunk_pool_size && linger_head_ != kNoStreamlet) {
-    SealAndEnqueue(linger_head_);
+Status Producer::StartChunk(StreamletId streamlet,
+                            std::unique_lock<std::mutex>& lock) {
+  // Waiting for a builder implements producer backpressure when the
+  // broker falls behind (the pooled chunks are ready or in flight).
+  while (free_builders_.empty()) {
+    if (stopping_) {
+      return Status(StatusCode::kUnavailable, "producer shut down");
+    }
+    if (open_count_ == config_.chunk_pool_size &&
+        linger_head_ != kNoStreamlet) {
+      // Every pooled builder sits in an open chunk, so no ack can return
+      // one: seal the oldest (Kafka's accumulator likewise drains batches
+      // once its buffer is exhausted).
+      Seal(linger_head_);
+      continue;
+    }
+    source_cv_.wait(lock);
   }
-  // Blocking pop implements producer backpressure when the broker falls
-  // behind (all pooled chunks are in flight).
-  auto builder = pool_.Pop();
-  if (!builder) return Status(StatusCode::kUnavailable, "producer shut down");
-  (*builder)->Start(info_.stream, streamlet, config_.producer_id, epoch_);
   OpenChunk& open = open_[streamlet];
-  open.builder = std::move(*builder);
-  open.first_record_at = std::chrono::steady_clock::now();
+  open.builder = std::move(free_builders_.back());
+  free_builders_.pop_back();
+  open.builder->Start(info_.stream, streamlet, config_.producer_id, epoch_);
+  open.first_record_at = Clock::now();
   open.prev = linger_tail_;
   (linger_tail_ == kNoStreamlet ? linger_head_ : open_[linger_tail_].next) =
       streamlet;
@@ -130,56 +140,55 @@ std::unique_ptr<ChunkBuilder> Producer::TakeChunk(StreamletId streamlet) {
   return std::move(open.builder);
 }
 
-void Producer::SealAndEnqueue(StreamletId streamlet) {
+void Producer::Seal(StreamletId streamlet) {
   ChunkSeq seq = ++open_[streamlet].last_seq;
   SealedChunk sealed;
   sealed.builder = TakeChunk(streamlet);
   sealed.bytes = sealed.builder->Seal(seq).size();
-  sealed.records = sealed.builder->record_count();
   sealed.streamlet = streamlet;
   sealed.broker = info_.streamlet_brokers[streamlet];
-  chunks_enqueued_.fetch_add(1, std::memory_order_release);
-  sealed_.Push(std::move(sealed));
+  ++chunks_enqueued_;
+  ready_.push_back(std::move(sealed));
   ++stats_.chunks_sent;
+  if (requests_idle_) ready_cv_.notify_one();
 }
 
-void Producer::MaybeLingerFlush() {
-  // The list is in first-record order, so the expired chunks are a prefix.
-  auto now = std::chrono::steady_clock::now();
+void Producer::SealLingered(Clock::time_point now) {
+  const auto linger = std::chrono::microseconds(config_.linger_us);
   while (linger_head_ != kNoStreamlet &&
-         std::chrono::duration_cast<std::chrono::microseconds>(
-             now - open_[linger_head_].first_record_at)
-                 .count() >= int64_t(config_.linger_us)) {
-    SealAndEnqueue(linger_head_);
+         now - open_[linger_head_].first_record_at >= linger) {
+    Seal(linger_head_);
   }
 }
 
-void Producer::RequestsLoop() {
-  while (true) {
-    auto first = sealed_.Pop();
-    if (!first) break;  // shutdown
+bool Producer::NextRound(std::vector<SealedChunk>& round) {
+  std::unique_lock<std::mutex> lock(mu_);
+  // The previous round is done: the chunks that lingered out while it was
+  // in flight go into this one.
+  SealLingered(Clock::now());
+  requests_idle_ = true;
+  ready_cv_.wait(lock, [&] { return !ready_.empty() || stopping_; });
+  requests_idle_ = false;
+  // Up to request_size per broker: the chunk that crosses a broker's cap
+  // still rides in this round, the rest wait for the next.
+  std::map<NodeId, size_t> broker_bytes;
+  while (!ready_.empty()) {
+    SealedChunk& c = ready_.front();
+    const bool full =
+        (broker_bytes[c.broker] += c.bytes) > config_.request_size;
+    round.push_back(std::move(c));
+    ready_.pop_front();
+    if (full) break;
+  }
+  return !round.empty();
+}
 
-    // Gather more sealed chunks without blocking, grouped per broker, up
-    // to request_size per broker (one request per broker, as in Fig. 6).
+void Producer::RequestsLoop() {
+  std::vector<SealedChunk> round;
+  while (NextRound(round)) {
     std::map<NodeId, std::vector<SealedChunk>> per_broker;
-    std::map<NodeId, size_t> broker_bytes;
-    auto add = [&](SealedChunk&& c) {
-      broker_bytes[c.broker] += c.bytes;
-      per_broker[c.broker].push_back(std::move(c));
-    };
-    add(std::move(*first));
-    while (true) {
-      auto more = sealed_.TryPop();
-      if (!more) break;
-      if (broker_bytes[more->broker] + more->bytes > config_.request_size) {
-        // Send what we have for that broker later; push back is not
-        // supported, so just include it — request_size is a soft cap per
-        // batch round.
-        add(std::move(*more));
-        break;
-      }
-      add(std::move(*more));
-    }
+    for (SealedChunk& c : round) per_broker[c.broker].push_back(std::move(c));
+    round.clear();
 
     // One request per broker; issue them in parallel. The frame stays in
     // scatter-gather form: the Writer's inline runs plus spans into the
@@ -306,7 +315,7 @@ void Producer::RequestsLoop() {
                           std::chrono::steady_clock::now() - start)
                           .count();
             {
-              std::lock_guard<std::mutex> lock(latency_mu_);
+              std::lock_guard<std::mutex> lock(mu_);
               stats_.request_latency_us.Record(uint64_t(us));
             }
             ok = true;
@@ -344,24 +353,20 @@ bool Producer::FetchLeaders(std::vector<NodeId>* leaders) {
 }
 
 void Producer::AckChunks(std::vector<SealedChunk>& chunks) {
-  for (auto& c : chunks) {
-    pool_.Push(std::move(c.builder));
-  }
   {
-    std::lock_guard<std::mutex> lock(ack_mu_);
-    chunks_acked_.fetch_add(chunks.size(), std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& c : chunks) free_builders_.push_back(std::move(c.builder));
+    chunks_acked_ += chunks.size();
   }
-  ack_cv_.notify_all();
+  source_cv_.notify_all();
 }
 
 Status Producer::Flush() {
-  while (linger_head_ != kNoStreamlet) SealAndEnqueue(linger_head_);
-  uint64_t target = chunks_enqueued_.load(std::memory_order_acquire);
   {
-    std::unique_lock<std::mutex> lock(ack_mu_);
-    ack_cv_.wait(lock, [&] {
-      return chunks_acked_.load(std::memory_order_acquire) >= target;
-    });
+    std::unique_lock<std::mutex> lock(mu_);
+    while (linger_head_ != kNoStreamlet) Seal(linger_head_);
+    const uint64_t target = chunks_enqueued_;
+    source_cv_.wait(lock, [&] { return chunks_acked_ >= target; });
   }
   // Chunks are also recycled on permanent failure; only a clean run counts.
   if (failed_.load(std::memory_order_acquire)) {
@@ -373,16 +378,20 @@ Status Producer::Flush() {
 Status Producer::Close() {
   if (!running_.exchange(false)) return OkStatus();
   Status s = Flush();
-  sealed_.Shutdown();
-  pool_.Shutdown();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stopping_ = true;
+  }
+  ready_cv_.notify_all();
+  source_cv_.notify_all();
   if (requests_thread_.joinable()) requests_thread_.join();
   return s;
 }
 
 Producer::Stats Producer::GetStats() const {
-  std::lock_guard<std::mutex> lock(latency_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   Stats out = stats_;
-  out.chunks_acked = chunks_acked_.load(std::memory_order_relaxed);
+  out.chunks_acked = chunks_acked_;
   return out;
 }
 

@@ -1,23 +1,33 @@
 // Producer client (paper Fig. 6): two threads communicating through
 // shared memory. The caller's thread acts as the Source — Send() appends
-// records into per-streamlet chunk builders (recycled through a pool) and
-// hands filled or lingered chunks over an internal queue, doing O(1) work
-// per record whatever the streamlet count. The Requests thread batches
-// one chunk per streamlet into a request per broker (up to request_size)
-// and pushes them over the network, retrying on errors (exactly-once is
-// guaranteed by broker-side dedup on chunk sequences).
+// records into per-streamlet chunk builders (recycled through a pool),
+// doing O(1) work per record whatever the streamlet count. Sealed chunks
+// wait in a ready queue for the Requests thread, which batches them into
+// one request per broker (up to request_size) and pushes them over the
+// network, retrying on errors (exactly-once is guaranteed by broker-side
+// dedup on chunk sequences). One round of requests is in flight at a
+// time.
+//
+// Linger (Kafka's linger.ms, as its accumulator applies it): a chunk is
+// ready once linger_us has passed since its first record, and it is
+// sealed when the Requests thread can take it. While the Requests thread
+// is idle, the first Send at or after the deadline seals it; while a
+// round is in flight the chunk keeps taking records, and the Requests
+// thread seals every ready chunk when the round completes. A full chunk
+// and Flush() seal at once.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "client/client_config.h"
 #include "common/histogram.h"
-#include "common/queue.h"
 #include "common/status.h"
 #include "common/sync.h"
 #include "rpc/messages.h"
@@ -37,11 +47,12 @@ class Producer {
   /// Fetches stream metadata and starts the requests thread.
   Status Connect();
 
-  /// Appends one non-keyed record (round-robin over streamlets). First
-  /// seals every chunk whose first record is at least linger_us old.
-  /// Blocks when the chunk pool is exhausted (backpressure); when every
-  /// pooled builder is held by an open chunk, the oldest open chunk is
-  /// sealed first, so no streamlet count can deadlock the pool.
+  /// Appends one non-keyed record (round-robin over streamlets). While
+  /// the requests thread is idle, first seals every chunk whose first
+  /// record is at least linger_us old. Blocks when the chunk pool is
+  /// exhausted (backpressure); when every pooled builder is held by an
+  /// open chunk, the oldest open chunk is sealed first, so no streamlet
+  /// count can deadlock the pool.
   Status Send(std::span<const std::byte> value);
 
   /// Appends one keyed record (streamlet = hash(key) % M).
@@ -69,7 +80,7 @@ class Producer {
     /// Retry rounds that re-partitioned pending sealed chunks to moved
     /// streamlet leaders (crash recovery / migration while in flight).
     Counter retry_repartitions;
-    Histogram request_latency_us;
+    Histogram request_latency_us;  // guarded by mu_
   };
   [[nodiscard]] Stats GetStats() const;
 
@@ -79,21 +90,21 @@ class Producer {
   [[nodiscard]] uint32_t session_epoch() const { return epoch_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
   struct SealedChunk {
     std::unique_ptr<ChunkBuilder> builder;
     StreamletId streamlet = 0;
     NodeId broker = 0;
     size_t bytes = 0;
-    uint32_t records = 0;
   };
   static constexpr StreamletId kNoStreamlet = ~StreamletId{0};
   /// Per-streamlet source state. A chunk holds a pooled builder only while
   /// it has records; those chunks form the linger list, an intrusive
   /// doubly linked list over the slots in first-record order, so the
-  /// expired chunks are always a prefix of it.
+  /// chunks past their linger deadline are always a prefix of it.
   struct OpenChunk {
     std::unique_ptr<ChunkBuilder> builder;
-    std::chrono::steady_clock::time_point first_record_at{};
+    Clock::time_point first_record_at{};
     ChunkSeq last_seq = 0;  // sequences start at 1
     StreamletId prev = kNoStreamlet;
     StreamletId next = kNoStreamlet;
@@ -106,17 +117,21 @@ class Producer {
   /// immutable after Connect so the source thread reads it without locks).
   bool FetchLeaders(std::vector<NodeId>* leaders);
   /// Gives the streamlet's empty slot a started builder and links it at
-  /// the linger list's tail.
-  Status StartChunk(StreamletId streamlet);
+  /// the linger list's tail; waits on `lock` while the pool is empty.
+  Status StartChunk(StreamletId streamlet, std::unique_lock<std::mutex>& lock);
   /// Unlinks the streamlet's open chunk and hands over its builder.
   std::unique_ptr<ChunkBuilder> TakeChunk(StreamletId streamlet);
-  /// Seals the streamlet's open (non-empty) chunk and queues it.
-  void SealAndEnqueue(StreamletId streamlet);
-  /// Seals the expired prefix of the linger list.
-  void MaybeLingerFlush();
+  /// Seals the streamlet's open (non-empty) chunk and queues it as ready.
+  void Seal(StreamletId streamlet);
+  /// Seals the prefix of the linger list whose deadline has passed.
+  void SealLingered(Clock::time_point now);
+  /// Waits until chunks are ready, then moves the next round's chunks
+  /// (up to request_size per broker) into `round`. Returns false once
+  /// the producer is stopping and nothing is left to send.
+  bool NextRound(std::vector<SealedChunk>& round);
   void RequestsLoop();
-  /// Recycles the chunks' builders into the pool, bumps chunks_acked_ and
-  /// wakes any Flush() waiter.
+  /// Recycles the chunks' builders into the pool, counts them acked and
+  /// wakes a Send waiting for a builder or a Flush waiting for acks.
   void AckChunks(std::vector<SealedChunk>& chunks);
 
   const ProducerConfig config_;
@@ -126,36 +141,34 @@ class Producer {
   /// chunks then keep the classic 56-byte header). Immutable after
   /// Connect, so both threads read it freely.
   uint32_t epoch_ = 0;
+  size_t round_robin_ = 0;  // source thread only
 
-  // Source-thread state (single caller thread by contract). open_ is
-  // indexed by streamlet id and sized at Connect.
+  // The chunk hand-off between the two threads (the paper's shared-memory
+  // chunk recycling): open chunks, sealed chunks waiting for a round and
+  // free builders, plus the ack count Flush() waits on. open_ is indexed
+  // by streamlet id and sized at Connect.
+  mutable std::mutex mu_;
   std::vector<OpenChunk> open_;
   StreamletId linger_head_ = kNoStreamlet;  // oldest first record
   StreamletId linger_tail_ = kNoStreamlet;
   size_t open_count_ = 0;  // chunks holding a builder (linger list length)
-  size_t round_robin_ = 0;
+  std::deque<SealedChunk> ready_;
+  std::vector<std::unique_ptr<ChunkBuilder>> free_builders_;
+  /// True while the requests thread waits for ready chunks: only then
+  /// does Send seal a lingered chunk.
+  bool requests_idle_ = false;
+  bool stopping_ = false;
+  uint64_t chunks_enqueued_ = 0;
+  uint64_t chunks_acked_ = 0;
+  std::condition_variable ready_cv_;   // requests thread: ready_ or stop
+  std::condition_variable source_cv_;  // Send/Flush: builders, acks, stop
 
-  // Shared: sealed chunks flowing to the requests thread, empty builders
-  // flowing back (the paper's shared-memory chunk recycling).
-  BlockingQueue<SealedChunk> sealed_;
-  BlockingQueue<std::unique_ptr<ChunkBuilder>> pool_;
-  std::atomic<uint64_t> chunks_enqueued_{0};
-  std::atomic<uint64_t> chunks_acked_{0};
   std::atomic<bool> running_{false};
   std::atomic<bool> failed_{false};
 
-  // Flush() sleeps here until the requests thread has acked (or given up
-  // on) every chunk enqueued before the flush.
-  std::mutex ack_mu_;
-  std::condition_variable ack_cv_;
-
   std::thread requests_thread_;
 
-  // Hot-path counters are relaxed Counters (Send/Seal touch them per
-  // record or per chunk); only the latency histogram — one Record per
-  // request — stays behind a mutex.
-  mutable std::mutex latency_mu_;
-  Stats stats_;  // request_latency_us guarded by latency_mu_
+  Stats stats_;
 };
 
 }  // namespace kera

@@ -1,9 +1,8 @@
 // BlockingQueue: mutex+condvar MPMC queue with shutdown; the socket
-// transport's worker dispatch and the producer's chunk hand-off.
+// transport's worker dispatch.
 #pragma once
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -34,14 +33,6 @@ class BlockingQueue {
     return value;
   }
 
-  [[nodiscard]] std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T value = std::move(items_.front());
-    items_.pop_front();
-    return value;
-  }
-
   void Shutdown() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -50,13 +41,8 @@ class BlockingQueue {
     cv_.notify_all();
   }
 
-  [[nodiscard]] size_t Size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-
  private:
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> items_;
   bool shutdown_ = false;

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <mutex>
 #include <string_view>
 #include <thread>
 
@@ -322,6 +324,65 @@ TEST_F(BrokerTest, ProduceIssuesEveryVlogBeforeAnyCompletes) {
   // request was durable yet: the first log's batch was still in flight.
   EXPECT_EQ(durable_at_second_vlog, 0u);
   EXPECT_EQ(durable_chunks(), uint64_t(kStreamlets));
+}
+
+// A migration replays the streamlet from the backups right after the old
+// leader drops it. So a chunk that passed the leadership check before the
+// drop must be durable when the drop returns: acked afterwards, it could
+// be missing from the replay on the new leader.
+TEST_F(BrokerTest, DropLeadershipWaitsForChunksPastTheLeaderCheck) {
+  auto info = MakeStream("s", 1, 1, 3, rpc::VlogPolicy::kSharedPerBroker);
+  auto chunk = MakeChunk(info.stream, 0, 1, 1);
+  rpc::ProduceRequest req;
+  req.producer = 1;
+  req.stream = info.stream;
+  req.chunks = {chunk};
+
+  // Holds the chunk's replication to backup 2 until released.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool arrived = false;
+  bool released = false;
+  ReplicateSpy spy2(*backup2_, [&](VlogId) {
+    std::unique_lock<std::mutex> lock(mu);
+    arrived = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  });
+  net_.Register(BackupServiceId(2), &spy2);
+  Watchdog watchdog(std::chrono::seconds(60), "leadership drop");
+
+  rpc::ProduceResponse resp;
+  std::thread produce([&] { resp = broker_->HandleProduce(req); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return arrived; });
+  }
+  std::atomic<bool> dropped{false};
+  uint64_t backup_chunks_at_drop = ~uint64_t(0);
+  std::thread drop([&] {
+    EXPECT_TRUE(broker_->DropStreamletLeadership(info.stream, 0).ok());
+    backup_chunks_at_drop = backup2_->GetStats().chunks_received;
+    dropped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(dropped.load()) << "the drop returned before the chunk "
+                                  "that passed the leader check was durable";
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  produce.join();
+  drop.join();
+  net_.Register(BackupServiceId(2), backup2_.get());
+  EXPECT_EQ(resp.status, StatusCode::kOk);
+  EXPECT_EQ(backup_chunks_at_drop, 1u);
+
+  // The drop took effect: later chunks bounce.
+  auto next = MakeChunk(info.stream, 0, 1, 2);
+  req.chunks = {next};
+  EXPECT_EQ(broker_->HandleProduce(req).status, StatusCode::kNotLeader);
 }
 
 TEST_F(BrokerTest, ConsumeFromBackupFailureReturnsError) {

@@ -1,11 +1,16 @@
 // Tests for the producer/consumer clients against a socket MiniCluster.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "client/consumer.h"
 #include "client/producer.h"
@@ -37,6 +42,63 @@ rpc::StreamInfo MakeStream(MiniCluster& cluster, const std::string& name,
   EXPECT_TRUE(info.ok());
   return *info;
 }
+
+/// Forwards every call to another network, but can hold the producer's
+/// requests (the only parts calls that pass through it): while held, a
+/// request is forwarded only once Release() is called, so its produce
+/// round stays in flight for as long as the test wants.
+class HoldingNetwork final : public rpc::Network {
+ public:
+  explicit HoldingNetwork(rpc::Network& inner) : inner_(inner) {}
+
+  Result<std::vector<std::byte>> Call(
+      NodeId to, std::span<const std::byte> request) override {
+    return inner_.Call(to, request);
+  }
+  std::future<Result<std::vector<std::byte>>> CallAsync(
+      NodeId to, std::span<const std::byte> request) override {
+    return inner_.CallAsync(to, request);
+  }
+  std::future<Result<std::vector<std::byte>>> CallAsyncParts(
+      NodeId to, const rpc::BytesRefParts& parts) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!holding_) return inner_.CallAsyncParts(to, parts);
+    ++held_;
+    cv_.notify_all();
+    // The caller keeps the pieces alive until this future resolves.
+    return std::async(std::launch::async, [this, to, parts] {
+      {
+        std::unique_lock<std::mutex> wait(mu_);
+        cv_.wait(wait, [&] { return !holding_; });
+      }
+      return inner_.CallAsyncParts(to, parts).get();
+    });
+  }
+
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    holding_ = true;
+  }
+  void Release() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      holding_ = false;
+    }
+    cv_.notify_all();
+  }
+  /// Waits until `n` requests have been held.
+  void WaitHeld(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_ >= n; });
+  }
+
+ private:
+  rpc::Network& inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  int held_ = 0;
+};
 
 /// Consumes `expected` records of `stream` and maps each (distinct) value
 /// to the streamlet it was read from; every value must arrive exactly once.
@@ -185,6 +247,122 @@ TEST(ProducerTest, FullChunkDoesNotPassItsDeadlineToItsSuccessor) {
   EXPECT_EQ(producer.GetStats().chunks_sent, 3u);
   auto streamlet_of = ConsumeAll(cluster, "s", size_t(sent));
   EXPECT_NE(streamlet_of["a0"], streamlet_of["b" + std::to_string(sent - 1)]);
+}
+
+// While the requests thread is idle, the first Send at or after a chunk's
+// linger deadline seals it.
+TEST(ProducerTest, SendSealsALingeredChunkWhileTheRequestsThreadIsIdle) {
+  MiniCluster cluster(SocketConfig());
+  MakeStream(cluster, "s", 1, 1);
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.chunk_size = 64 << 10;  // never fills here
+  pc.linger_us = 1000;
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  ASSERT_TRUE(producer.Send(AsBytes(std::string("r0"))).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(producer.GetStats().chunks_sent, 0u);
+  ASSERT_TRUE(producer.Send(AsBytes(std::string("r1"))).ok());
+  EXPECT_EQ(producer.GetStats().chunks_sent, 1u);
+  ASSERT_TRUE(producer.Close().ok());
+  EXPECT_EQ(producer.GetStats().chunks_sent, 2u);
+  ConsumeAll(cluster, "s", 2);
+}
+
+// While a produce round is in flight, a chunk past its linger deadline is
+// not sealed: it keeps taking records, and the requests thread seals it
+// once the round completes, so everything sent meanwhile ships in it.
+TEST(ProducerTest, LingeredChunkKeepsFillingWhileARoundIsInFlight) {
+  MiniCluster cluster(SocketConfig());
+  MakeStream(cluster, "s", 1, 1);
+  HoldingNetwork net(cluster.network());
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.chunk_size = 64 << 10;  // never fills here
+  pc.linger_us = 1000;
+  Watchdog watchdog(std::chrono::seconds(60), "held produce round");
+  Producer producer(pc, net);
+  ASSERT_TRUE(producer.Connect().ok());
+  constexpr int kRecords = 10;
+  auto value = [](int i) { return "r" + std::to_string(i); };
+  net.Hold();
+  ASSERT_TRUE(producer.Send(AsBytes(value(0))).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  // The requests thread is idle, so this Send seals r0's chunk, which
+  // becomes the held round; r1 opens the next chunk.
+  ASSERT_TRUE(producer.Send(AsBytes(value(1))).ok());
+  net.WaitHeld(1);
+  for (int i = 2; i < kRecords; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    ASSERT_TRUE(producer.Send(AsBytes(value(i))).ok());
+  }
+  EXPECT_EQ(producer.GetStats().chunks_sent, 1u);
+  net.Release();
+  ASSERT_TRUE(producer.Flush().ok());
+  EXPECT_EQ(producer.GetStats().chunks_sent, 2u);
+  ASSERT_TRUE(producer.Close().ok());
+
+  ConsumerConfig cc;
+  cc.stream = "s";
+  Consumer consumer(cc, cluster.network());
+  ASSERT_TRUE(consumer.Connect().ok());
+  std::vector<ConsumedRecord> got;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (got.size() < size_t(kRecords) &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (auto& rec : consumer.PollBlocking(64)) got.push_back(std::move(rec));
+  }
+  consumer.Close();
+  ASSERT_EQ(got.size(), size_t(kRecords));
+  for (int i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(got[i].value.data()),
+                          got[i].value.size()),
+              value(i));
+    if (i > 1) {
+      EXPECT_EQ(got[i].group, got[1].group) << i;
+      EXPECT_EQ(got[i].chunk_index, got[1].chunk_index) << i;
+    }
+  }
+  EXPECT_NE(got[0].chunk_index, got[1].chunk_index);
+}
+
+// With the pool's builders split over open, sealed and in-flight chunks,
+// the source waits for the held round's ack and then carries on.
+TEST(ProducerTest, PoolRunningDryDuringAHeldRoundDoesNotDeadlock) {
+  MiniCluster cluster(SocketConfig());
+  MakeStream(cluster, "s", 8, 1);
+  HoldingNetwork net(cluster.network());
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.chunk_pool_size = 4;
+  pc.linger_us = 1000;
+  Watchdog watchdog(std::chrono::seconds(60), "pool dry during held round");
+  Producer producer(pc, net);
+  ASSERT_TRUE(producer.Connect().ok());
+  constexpr size_t kRecords = 64;
+  std::atomic<size_t> sent{0};
+  net.Hold();
+  std::thread source([&] {
+    for (size_t i = 0; i < kRecords; ++i) {
+      if (!producer.Send(AsBytes("r" + std::to_string(i))).ok()) break;
+      sent.fetch_add(1);
+    }
+    EXPECT_TRUE(producer.Flush().ok());
+  });
+  net.WaitHeld(1);
+  // Round-robin over 8 streamlets runs the 4 builders dry: the source
+  // waits for the held round.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_LT(sent.load(), kRecords);
+  net.Release();
+  source.join();
+  EXPECT_EQ(sent.load(), kRecords);
+  auto stats = producer.GetStats();
+  EXPECT_EQ(stats.chunks_acked, stats.chunks_sent);
+  EXPECT_EQ(stats.request_failures, 0u);
+  ASSERT_TRUE(producer.Close().ok());
+  ConsumeAll(cluster, "s", kRecords);
 }
 
 // An open chunk holds a pooled builder. Round-robin over more streamlets
