@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "storage/segment_log.h"
+#include "common/mapped_buffer.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "rpc/messages.h"
@@ -130,7 +131,10 @@ class Backup final : public rpc::RpcHandler {
     NodeId primary = 0;
     VlogId vlog = 0;
     VirtualSegmentId vseg = 0;
-    std::vector<std::byte> data;  // concatenated chunk frames
+    /// Concatenated chunk frames. A new copy reserves the largest copy
+    /// sealed here so far, so in steady state appends under mu_ never
+    /// grow it; reserved room that stays unwritten costs no memory.
+    MappedBuffer data;
     uint32_t chunk_count = 0;
     uint32_t running_checksum = 0;  // over chunk payload checksums, in order
     std::map<uint64_t, PendingBatch> pending;  // keyed by start_offset
@@ -152,6 +156,9 @@ class Backup final : public rpc::RpcHandler {
   const BackupConfig config_;
   mutable std::mutex mu_;
   std::map<Key, ReplicatedSegment> segments_;
+  /// Size of the largest copy sealed here (guarded by mu_): the virtual
+  /// segment size the primaries ship, learned from their traffic.
+  size_t largest_sealed_ = 0;
   Stats stats_;
   std::unique_ptr<SegmentLog> log_;  // null when storage_dir is empty
 };
