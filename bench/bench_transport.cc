@@ -1,8 +1,8 @@
 // Transport round-trip benchmarks over loopback TCP (SocketNetwork), with
 // a configurable multiplexing window (in-flight requests per connection)
-// and payload size. The parts
-// variants ship a real encoded kProduce frame through CallAsyncParts —
-// the zero-materialization path the producer and replicator use.
+// and payload size. The parts variants ship a real encoded kProduce
+// frame through CallAsyncParts — the zero-materialization path the
+// producer and the broker's replication use.
 #include <benchmark/benchmark.h>
 
 #include "bench_host_context.h"

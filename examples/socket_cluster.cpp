@@ -92,7 +92,6 @@ int RunServer(uint16_t base_port) {
   while (!g_stop) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  for (auto& b : brokers) b->StopReplicator();
   net.Shutdown();
   std::printf("server stopped\n");
   return 0;

@@ -2,9 +2,9 @@
 # Full local check: regular build + all tests, the end-to-end benchmark's
 # selfcheck over real sockets, a ThreadSanitizer build
 # running the concurrency-sensitive suites (virtual log windowed
-# replication, background replicator), an ASan+UBSan build running the
-# wire/rpc suites (the scatter-gather encode path references external
-# buffers; sanitizers catch lifetime mistakes), and the core
+# replication, concurrent produce handlers), an ASan+UBSan build running
+# the wire/rpc/broker suites (the scatter-gather encode path references
+# external buffers; sanitizers catch lifetime mistakes), and the core
 # micro-benchmark emitting machine-readable JSON.
 #
 # Every stage that runs the socket cluster or a long sweep outside ctest
@@ -61,22 +61,27 @@ for t in integration_test transport_test; do
   KERA_BROKER_SHARDS=2 "$tsan_build/tests/$t"
 done
 
-echo "== ASan+UBSan build (wire + rpc + crc + client + consume + backup + coordinator suites) =="
+echo "== ASan+UBSan build (wire + rpc + crc + client + consume + backup + coordinator + broker + vlog suites) =="
 # wire_fuzz_test runs every derived decoder on truncated and random
 # bodies; coordinator_test drives rpc::Dispatch and the typed rpc::Call
 # through crash recovery. client_test and integration_test hand chunk
 # builders between the producer's two threads and move received frame
-# buffers from the socket IO threads to workers and callers.
+# buffers from the socket IO threads to workers and callers. A fan-out
+# lane's ReplicaSend holds spans into segment memory until FinishBatch
+# collects every future: broker_test and vlog_test drive the fan-out and
+# the window, failure_test the abort/evacuate path.
 cmake -B "$asan_build" -S "$repo" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build "$asan_build" -j --target \
   wire_test wire_golden_test wire_fuzz_test rpc_test common_test \
   transport_test consume_protocol_test client_test client_edge_test \
-  integration_test backup_test backup_store_test coordinator_test
+  integration_test backup_test backup_store_test coordinator_test \
+  broker_test vlog_test failure_test
 for t in wire_test wire_golden_test wire_fuzz_test rpc_test common_test \
          transport_test consume_protocol_test client_test client_edge_test \
-         integration_test backup_test backup_store_test coordinator_test; do
+         integration_test backup_test backup_store_test coordinator_test \
+         broker_test vlog_test failure_test; do
   echo "-- ASan+UBSan: $t"
   "$asan_build/tests/$t"
 done

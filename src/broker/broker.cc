@@ -48,17 +48,9 @@ Broker::Broker(BrokerConfig config, rpc::Network& network)
     to.async_readahead = config_.async_readahead;
     tiered_ = std::make_unique<TieredStore>(to, memory_);
   }
-  if (config_.replication_workers > 0) {
-    replicator_ =
-        std::make_unique<Replicator>(*this, config_.replication_workers);
-  }
 }
 
 Broker::~Broker() { StopConsumeWaits(); }
-
-void Broker::StopReplicator() {
-  if (replicator_ != nullptr) replicator_->Stop();
-}
 
 void Broker::StopConsumeWaits() {
   consume_waits_stopped_.store(true, std::memory_order_release);
@@ -435,6 +427,13 @@ Status Broker::AppendOneChunk(
     }
     if (!inserted && epoch == it->second.epoch &&
         chunk->chunk_seq() <= it->second.seq) {
+      const bool latest = chunk->chunk_seq() == it->second.seq;
+      if (latest && it->second.vlog == nullptr) {
+        // The original is still being appended by another request:
+        // nothing is stored yet, and that append may still fail and roll
+        // back, so this retry must come back later.
+        return Status(StatusCode::kUnavailable, "original append in flight");
+      }
       ++resp.duplicates;
       ++ss.dedup_hits[key];
       ++stats_.chunks_duplicate;
@@ -442,7 +441,7 @@ Status Broker::AppendOneChunk(
       // original copy is durable (the producer is retrying because it
       // never saw an ack). Older sequences were below the latest when it
       // was accepted, i.e. already acknowledged once — ack immediately.
-      if (chunk->chunk_seq() == it->second.seq && it->second.vlog != nullptr) {
+      if (latest) {
         duplicate_waits.push_back({it->second.vlog, streamlet_id,
                                    it->second.group,
                                    it->second.group_chunk_index});
@@ -633,47 +632,6 @@ rpc::ProduceResponse Broker::HandleProduce(const rpc::ProduceRequest& req) {
     dup_refs.emplace_back(d.vlog, ref);
   }
 
-  // Background replication: wake the worker pool for the touched vlogs
-  // and park on the group-commit waiters. Workers fill the replication
-  // window; every producer whose chunks ride in a completed batch wakes
-  // together, so many produce RPCs share one large replicated I/O.
-  if (replicator_ != nullptr) {
-    for (auto& [vlog, ref] : positions) {
-      (void)ref;
-      replicator_->Notify(vlog);
-    }
-    // Duplicate retries also nudge the workers: the original request may
-    // have failed mid-replication, leaving the chunk queued but nobody
-    // pushing it.
-    for (auto& [vlog, ref] : dup_refs) {
-      (void)ref;
-      replicator_->Notify(vlog);
-    }
-    for (auto& [vlog, ref] : positions) {
-      Status s = vlog->WaitChunkDurable(ref);
-      if (!s.ok()) {
-        resp.status = s.code();
-        return resp;
-      }
-    }
-    for (auto& [vlog, ref] : dup_refs) {
-      Status s = vlog->WaitChunkDurable(ref);
-      if (!s.ok()) {
-        resp.status = s.code();
-        return resp;
-      }
-    }
-    // With R=1 chunks are durable at append time and no replication batch
-    // ever ships, so the batch-completion wakeup never fires — notify the
-    // parked long-polls of every shard this request touched. (Redundant
-    // with the batch wakeup for R>1; waiters re-check their predicate.)
-    for (uint32_t s : touched_shards) NotifyConsumeWaiters(*entry, s);
-    if (tiered_ != nullptr) {
-      for (uint32_t s : touched_shards) tiered_->Pump(s);
-    }
-    return resp;
-  }
-
   // Once all chunks of the request are appended, synchronize the touched
   // virtual logs on the backups (paper §IV.B). The logs replicate
   // independently, so each pass issues one batch on every touched log
@@ -807,8 +765,7 @@ bool Broker::DrainReplication(int max_failed_batches) {
   return all_drained;
 }
 
-void Broker::EncodeReplicateBody(const ReplicationBatch& batch,
-                                 rpc::Writer& body) const {
+void Broker::IssueBatch(const ReplicationBatch& batch, ReplicaSend& send) {
   rpc::ReplicateRequest req;
   req.primary = config_.node;
   req.vlog = batch.vlog;
@@ -821,37 +778,26 @@ void Broker::EncodeReplicateBody(const ReplicationBatch& batch,
   // Reference the chunk bytes straight from the physical segments; the
   // encoder records them without copying, and the transport either sends
   // them vectored (SocketNetwork) or splices them into the frame with one
-  // copy total (no intermediate gather buffer).
+  // copy total (no intermediate gather buffer). The frame stays in parts
+  // form: the encoder's inline runs plus spans into segment memory
+  // (pinned until Complete/Abort). FinishBatch consumes every future
+  // before `send` is released, satisfying CallAsyncParts' lifetime
+  // contract across every retry round.
   req.payload_parts.reserve(batch.refs.size());
   for (const ChunkRef& ref : batch.refs) {
     req.payload_parts.push_back(
         ref.loc.segment->Bytes(ref.loc.offset, ref.loc.length));
   }
-  req.Encode(body);
-}
-
-std::vector<std::byte> Broker::BuildReplicateFrame(
-    const ReplicationBatch& batch) const {
-  rpc::Writer body(64);
-  EncodeReplicateBody(batch, body);
-  return rpc::Frame(rpc::ReplicateRequest::kOpcode, body);
+  req.Encode(send.body);
+  send.parts = rpc::FrameAsParts(rpc::ReplicateRequest::kOpcode, send.body,
+                                 send.opcode);
+  SendReplicateAttempt(batch, send);
 }
 
 Status Broker::ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch) {
   ReplicaSend send;
   IssueBatch(batch, send);
   return FinishBatch(vlog, batch, send);
-}
-
-void Broker::IssueBatch(const ReplicationBatch& batch, ReplicaSend& send) {
-  // The frame stays in parts form: the encoder's inline runs plus spans
-  // into segment memory (pinned until Complete/Abort). FinishBatch
-  // consumes every future before `send` is released, satisfying
-  // CallAsyncParts' lifetime contract across every retry round.
-  EncodeReplicateBody(batch, send.body);
-  send.parts = rpc::FrameAsParts(rpc::ReplicateRequest::kOpcode, send.body,
-                                 send.opcode);
-  SendReplicateAttempt(batch, send);
 }
 
 void Broker::SendReplicateAttempt(const ReplicationBatch& batch,

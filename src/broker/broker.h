@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "broker/replicator.h"
 #include "broker/tiered_store.h"
 #include "common/status.h"
 #include "common/sync.h"
@@ -60,11 +59,8 @@ struct BrokerConfig {
   /// Max replication batches in flight per virtual log (1 = the classic
   /// synchronous stop-and-wait pipeline; >1 overlaps round-trips).
   uint32_t replication_window = 1;
-  /// Background replication worker threads. 0 disables the background
-  /// replicator: produce handlers drive replication synchronously on the
-  /// RPC thread, fanning out over every vlog the request touched (the
-  /// original behavior; also what the DES needs).
-  uint32_t replication_workers = 0;
+  /// Always 0 (produce handlers drive replication); e2ebench reports it.
+  static constexpr uint32_t replication_workers = 0;
   /// Server-side cap on ConsumeRequest::max_wait_us (long-poll): a parked
   /// consume request never outlives this, no matter what the client asks
   /// for, so handler threads are reclaimed on a bounded schedule.
@@ -185,12 +181,6 @@ class Broker final : public rpc::RpcHandler {
   /// the replication status.
   Status ShipBatch(VirtualLog& vlog, const ReplicationBatch& batch);
 
-  /// Serializes a batch into a materialized kReplicate frame (for callers
-  /// that need contiguous bytes, e.g. DES costing; ShipBatch itself sends
-  /// the frame in scatter-gather parts without materializing it).
-  [[nodiscard]] std::vector<std::byte> BuildReplicateFrame(
-      const ReplicationBatch& batch) const;
-
   // ----- introspection / maintenance -----
 
   /// Counter fields are counted live (the broker's stats_ is this
@@ -278,26 +268,22 @@ class Broker final : public rpc::RpcHandler {
   size_t TrimDurable();
 
   /// Quiescence helper (deterministic tests): drives every virtual log's
-  /// pending replication work to completion on the calling thread. Only
-  /// meaningful with replication_workers == 0 — no background pollers
-  /// compete for the batches. Gives up after `max_failed_batches` failed
-  /// ship attempts (a dead backup would otherwise mean an endless
-  /// abort/evacuate/retry loop); returns true when every vlog drained.
+  /// pending replication work to completion on the calling thread.
+  /// Batches a concurrent produce handler has in flight are left to it; a
+  /// vlog whose full window holds back unissued work counts as not
+  /// drained. Gives up after `max_failed_batches` failed ship attempts (a
+  /// dead backup would otherwise mean an endless abort/evacuate/retry
+  /// loop); returns true when every vlog drained.
   bool DrainReplication(int max_failed_batches = 8);
 
-  /// Stops the background replication workers (no-op when disabled).
-  /// Must be called before the network the broker ships through is shut
-  /// down; the destructor also stops them.
-  void StopReplicator();
+  /// No-op (no replication thread exists); e2ebench's teardown calls it.
+  void StopReplicator() {}
 
   /// Wakes every parked long-poll consume request and makes subsequent
   /// ones return immediately. Call before shutting down the transport that
   /// delivers consume RPCs so its handler threads are not held until the
   /// poll deadline; the destructor also calls it.
   void StopConsumeWaits();
-
-  /// The background replicator, or nullptr when replication_workers == 0.
-  [[nodiscard]] Replicator* replicator() const { return replicator_.get(); }
 
   /// The tiered segment store, or nullptr when memory_budget_bytes == 0
   /// (unbounded: every segment stays resident).
@@ -324,9 +310,11 @@ class Broker final : public rpc::RpcHandler {
     /// saw an ack; acking before the original replicates would fabricate
     /// durability — the chunk can still be lost to a crash). `vlog` is
     /// broker-owned and outlives the entry; it stays nullptr while the
-    /// original append is still in flight. The group is re-resolved by id
-    /// at wait time because trimming destroys Group objects (a trimmed
-    /// group was fully durable).
+    /// original append is still in flight, and a retry in that window is
+    /// answered kUnavailable (nothing is stored yet to wait for, and the
+    /// append may still fail). The group is re-resolved by id at wait
+    /// time because trimming destroys Group objects (a trimmed group was
+    /// fully durable).
     struct DedupEntry {
       ChunkSeq seq = 0;
       VirtualLog* vlog = nullptr;
@@ -389,9 +377,6 @@ class Broker final : public rpc::RpcHandler {
       return shard[nshards <= 1 ? 0 : streamlet % nshards];
     }
   };
-
-  void EncodeReplicateBody(const ReplicationBatch& batch,
-                           rpc::Writer& body) const;
 
   /// One pass of the consume gather (durability-gated chunk collection for
   /// every entry). `payload_bytes` receives the total chunk bytes served;
@@ -583,10 +568,6 @@ class Broker final : public rpc::RpcHandler {
   /// Declared after streams_ so it is destroyed first — it references
   /// Streamlet/Group/Segment objects the streams own.
   std::unique_ptr<TieredStore> tiered_;
-
-  // Declared last: destroyed first, so worker threads stop while the
-  // vlogs/streams they reference are still alive.
-  std::unique_ptr<Replicator> replicator_;
 };
 
 }  // namespace kera

@@ -129,7 +129,6 @@ class Harness {
     cfg.replication_max_batch_bytes = 1536;
     cfg.vlogs_per_broker = 2;
     cfg.replication_window = 2;
-    cfg.replication_workers = 0;  // single-threaded: determinism
     // One thread drives everything, so sharded runs stay deterministic
     // too.
     cfg.broker_shards = std::max<uint32_t>(1, options_.broker_shards);

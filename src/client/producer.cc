@@ -203,19 +203,19 @@ void Producer::RequestsLoop() {
       std::vector<SealedChunk> chunks;
     };
     std::vector<InFlight> requests;
-    for (auto& [broker, chunks] : per_broker) {
+    auto add_request = [&](NodeId broker, std::vector<SealedChunk> chunks) {
       rpc::ProduceRequest req;
       req.producer = config_.producer_id;
       req.stream = info_.stream;
-      for (auto& c : chunks) {
-        req.chunks.push_back(c.builder->SealedView());
-      }
-      InFlight inflight;
+      for (auto& c : chunks) req.chunks.push_back(c.builder->SealedView());
+      InFlight& inflight = requests.emplace_back();
       inflight.broker = broker;
       inflight.body = rpc::Writer(64);
       req.Encode(inflight.body);
       inflight.chunks = std::move(chunks);
-      requests.push_back(std::move(inflight));
+    };
+    for (auto& [broker, chunks] : per_broker) {
+      add_request(broker, std::move(chunks));
     }
 
     // Issue the whole round over CallAsync and collect; brokers that fail
@@ -260,19 +260,8 @@ void Producer::RequestsLoop() {
             }
             std::vector<size_t> repointed;
             for (auto& [broker, chunks] : regrouped) {
-              rpc::ProduceRequest req;
-              req.producer = config_.producer_id;
-              req.stream = info_.stream;
-              for (auto& c : chunks) {
-                req.chunks.push_back(c.builder->SealedView());
-              }
-              InFlight inflight;
-              inflight.broker = broker;
-              inflight.body = rpc::Writer(64);
-              req.Encode(inflight.body);
-              inflight.chunks = std::move(chunks);
               repointed.push_back(requests.size());
-              requests.push_back(std::move(inflight));
+              add_request(broker, std::move(chunks));
             }
             pending = std::move(repointed);
           }

@@ -23,7 +23,6 @@ BrokerConfig MiniCluster::BrokerConfigFor(NodeId node) const {
   bc.replication_max_batch_bytes = config_.replication_max_batch_bytes;
   bc.vlogs_per_broker = config_.vlogs_per_broker;
   bc.replication_window = config_.replication_window;
-  bc.replication_workers = config_.replication_workers;
   bc.max_consume_wait_us = config_.max_consume_wait_us;
   bc.shards = config_.broker_shards;
   bc.memory_budget_bytes = config_.broker_memory_budget_bytes;
@@ -172,12 +171,10 @@ MiniCluster::MiniCluster(MiniClusterConfig config)
 }
 
 MiniCluster::~MiniCluster() {
-  // Stop replication workers before the network: a worker mid-ShipBatch
-  // would otherwise race the queue shutdown on every teardown. Waking the
-  // consume long-pollers first keeps network shutdown from blocking on a
-  // handler thread parked until its poll deadline.
+  // Wake the consume long-pollers before the network shuts down, so the
+  // shutdown does not block on a handler thread parked until its poll
+  // deadline.
   for (auto& b : brokers_) b->StopConsumeWaits();
-  for (auto& b : brokers_) b->StopReplicator();
   if (socket_ != nullptr) socket_->Shutdown();
 }
 

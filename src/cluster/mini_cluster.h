@@ -36,11 +36,8 @@ struct MiniClusterConfig {
   size_t virtual_segment_capacity = 1u << 20;
   size_t replication_max_batch_bytes = 1u << 20;
   uint32_t vlogs_per_broker = 4;
-  /// Replication pipelining (see BrokerConfig): batches in flight per
-  /// vlog, and background replication worker threads per broker (0 =
-  /// synchronous replication on the produce path).
+  /// Replication batches in flight per vlog (see BrokerConfig).
   uint32_t replication_window = 1;
-  uint32_t replication_workers = 0;
   /// Broker-side cap on consume long-poll waits (see BrokerConfig).
   uint64_t max_consume_wait_us = 1'000'000;
   /// Shared-nothing broker shards (see BrokerConfig::shards). 0 = auto:

@@ -7,14 +7,6 @@
 
 namespace kera {
 
-namespace {
-/// Consecutive failed shipping attempts tolerated before the error is
-/// latched and surfaced to WaitChunkDurable callers. Each attempt already
-/// retries the RPCs internally and may re-target backups via evacuation,
-/// so a handful of outer retries is enough to ride over membership churn.
-constexpr int kMaxConsecutiveReplicationFailures = 4;
-}  // namespace
-
 VirtualLog::VirtualLog(VlogId id, VirtualLogConfig config,
                        BackupSelector selector)
     : id_(id), config_(config), selector_(std::move(selector)) {
@@ -169,7 +161,6 @@ void VirtualLog::ApplyCompletedPrefixLocked() {
 void VirtualLog::Complete(const ReplicationBatch& batch) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    consecutive_failures_ = 0;
     auto it = std::find_if(
         inflight_.begin(), inflight_.end(),
         [&](const Outstanding& o) { return o.id == batch.id; });
@@ -247,30 +238,6 @@ bool VirtualLog::WaitChunkDurableOrIdle(const ChunkRef& ref) {
             HasUnissuedWorkLocked());
   });
   return ChunkDurableLocked(ref);
-}
-
-Status VirtualLog::WaitChunkDurable(const ChunkRef& ref) {
-  std::unique_lock<std::mutex> lock(mu_);
-  uint64_t epoch = error_epoch_;
-  durable_cv_.wait(lock, [&] {
-    return ChunkDurableLocked(ref) || error_epoch_ != epoch;
-  });
-  return ChunkDurableLocked(ref) ? OkStatus() : last_error_;
-}
-
-bool VirtualLog::NoteReplicationFailure(const Status& error) {
-  bool retry;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    retry = ++consecutive_failures_ <= kMaxConsecutiveReplicationFailures;
-    if (!retry) {
-      consecutive_failures_ = 0;
-      last_error_ = error;
-      ++error_epoch_;
-    }
-  }
-  if (!retry) durable_cv_.notify_all();
-  return retry;
 }
 
 size_t VirtualLog::EvacuateSegment(VirtualSegmentId vseg) {

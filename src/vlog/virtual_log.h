@@ -14,14 +14,12 @@
 // requeues its range and every batch issued after it.
 //
 // Threading: appends and replication-state transitions are internally
-// synchronized. A broker's produce handler normally drives replication
-// itself: it polls batches on every vlog its request touched, ships them
-// concurrently, and sleeps in WaitChunkDurableOrIdle while another
-// handler owns the window. With a background Replicator, handlers only
-// park in WaitChunkDurable until its workers confirm their chunks. Every
-// path that advances a durable prefix (Append at R=1, Complete,
-// EvacuateSegment) wakes the waiters. The DES harness drives
-// Poll/Complete with simulated time.
+// synchronized. A broker's produce handlers are the only live driver of
+// replication: each polls batches on every vlog its request touched,
+// ships them concurrently, and sleeps in WaitChunkDurableOrIdle while
+// other handlers fill the window. Every path that advances a durable
+// prefix (Append at R=1, Complete, EvacuateSegment) wakes the waiters.
+// The DES harness drives Poll/Complete with simulated time.
 #pragma once
 
 #include <condition_variable>
@@ -33,7 +31,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/status.h"
 #include "common/types.h"
 #include "vlog/virtual_segment.h"
 
@@ -126,21 +123,6 @@ class VirtualLog {
   /// vlog pollable ships the next batch, and the others sleep.
   [[nodiscard]] bool WaitChunkDurableOrIdle(const ChunkRef& ref);
 
-  /// Blocks until the chunk is durable or replication of this log fails
-  /// persistently (see NoteReplicationFailure). Returns OkStatus() when
-  /// durable, the replication error otherwise. Producers parked on the
-  /// background replicator use this: they never drive replication
-  /// themselves, so a wait for durability alone could hang on a dead
-  /// backup set.
-  [[nodiscard]] Status WaitChunkDurable(const ChunkRef& ref);
-
-  /// Records a failed shipping attempt. Returns true if the caller should
-  /// retry (the failure budget is not yet exhausted); after too many
-  /// consecutive failures it latches the error, wakes WaitChunkDurable
-  /// callers with it, resets the budget, and returns false. Any Complete
-  /// resets the consecutive-failure counter.
-  bool NoteReplicationFailure(const Status& error);
-
   /// Backup-failure handling: closes the segment, moves its unreplicated
   /// refs (in order) to a fresh segment with a newly selected backup set,
   /// and wakes waiters. The already-durable prefix stays where it is.
@@ -215,12 +197,6 @@ class VirtualLog {
 
   std::deque<Outstanding> inflight_;  // issue order
   uint64_t next_batch_id_ = 1;
-
-  // Persistent-failure latch for background replication (WaitChunkDurable
-  // returns last_error_ to waiters whenever error_epoch_ advances).
-  int consecutive_failures_ = 0;
-  uint64_t error_epoch_ = 0;
-  Status last_error_ = OkStatus();
 
   Stats stats_;
 };

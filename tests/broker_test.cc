@@ -192,6 +192,44 @@ TEST_F(BrokerTest, DedupIsPerProducerAndStreamlet) {
   EXPECT_EQ(resp.duplicates, 0u);
 }
 
+// Two requests race one chunk under memory backpressure: the broker's
+// only segment buffer is taken, so every append of the chunk fails with
+// kNoSpace after reserving its sequence. A request that finds the other's
+// reservation must not be acked as a duplicate: the original append is
+// about to fail and roll back, and nothing would then hold the acked
+// chunk.
+TEST_F(BrokerTest, RetryOfAChunkStillAppendingIsNotAcked) {
+  BrokerConfig bc = broker_->config();
+  bc.memory_bytes = bc.segment_size;
+  broker_ = std::make_unique<Broker>(bc, net_);
+  auto info = MakeStream("s", 2, 1, 1, rpc::VlogPolicy::kSharedPerBroker);
+  rpc::ProduceRequest fill;
+  fill.producer = 1;
+  fill.stream = info.stream;
+  auto first = MakeChunk(info.stream, 0, 1, 1);
+  fill.chunks = {first};
+  ASSERT_EQ(broker_->HandleProduce(fill).status, StatusCode::kOk);
+
+  rpc::ProduceRequest req;
+  req.producer = 2;
+  req.stream = info.stream;
+  auto chunk = MakeChunk(info.stream, 1, 2, 1);
+  req.chunks = {chunk};
+  std::atomic<int> acked{0};
+  auto send = [&] {
+    for (int i = 0; i < 2000; ++i) {
+      if (broker_->HandleProduce(req).status == StatusCode::kOk) ++acked;
+    }
+  };
+  std::thread other(send);
+  send();
+  other.join();
+  EXPECT_EQ(acked.load(), 0);
+  auto stats = broker_->GetStats();
+  EXPECT_EQ(stats.chunks_appended, 1u);
+  EXPECT_EQ(stats.chunks_duplicate, 0u);
+}
+
 TEST_F(BrokerTest, CorruptChunkRejected) {
   auto info = MakeStream("s", 1, 1, 1, rpc::VlogPolicy::kSharedPerBroker);
   auto chunk = MakeChunk(info.stream, 0, 1, 1);
@@ -432,13 +470,13 @@ TEST_F(BrokerTest, DebugStringSummarizesState) {
   EXPECT_NE(broker_->DebugString().find("[sealed]"), std::string::npos);
 }
 
-// Fixture for the background-replication path: workers ship batches off
-// the produce path, producers block only on durability of their own
-// chunks. Uses the socket network so replication runs truly
-// concurrently with produce and consume.
-class BackgroundReplicationTest : public ::testing::Test {
+// Window 4 with concurrent produce handlers over the socket network: each
+// handler drives its own vlogs' batches, so several handlers' batches
+// share one vlog's window, and replication runs truly concurrently with
+// produce and consume.
+class ConcurrentReplicationTest : public ::testing::Test {
  protected:
-  BackgroundReplicationTest() {
+  ConcurrentReplicationTest() {
     BrokerConfig bc;
     bc.node = 1;
     bc.memory_bytes = 64 << 20;
@@ -447,7 +485,6 @@ class BackgroundReplicationTest : public ::testing::Test {
     bc.virtual_segment_capacity = 64 << 10;
     bc.vlogs_per_broker = 2;
     bc.replication_window = 4;
-    bc.replication_workers = 2;
     bc.backup_nodes = {BackupServiceId(1), BackupServiceId(2),
                        BackupServiceId(3)};
     broker_ = std::make_unique<Broker>(bc, net_);
@@ -459,10 +496,7 @@ class BackgroundReplicationTest : public ::testing::Test {
     EXPECT_TRUE(net_.Register(BackupServiceId(3), backup3_.get()).ok());
   }
 
-  ~BackgroundReplicationTest() override {
-    broker_->StopReplicator();
-    net_.Shutdown();
-  }
+  ~ConcurrentReplicationTest() override { net_.Shutdown(); }
 
   rpc::StreamInfo MakeStream(uint32_t streamlets) {
     rpc::StreamInfo info;
@@ -485,10 +519,11 @@ class BackgroundReplicationTest : public ::testing::Test {
   std::unique_ptr<Backup> backup3_;
 };
 
-TEST_F(BackgroundReplicationTest, ProduceStormAcksImplyDurability) {
+TEST_F(ConcurrentReplicationTest, ProduceStormAcksImplyDurability) {
   const uint32_t kThreads = 4;
   const ChunkSeq kChunksEach = 50;
   auto info = MakeStream(kThreads);
+  Watchdog watchdog(std::chrono::seconds(120), "produce storm");
 
   // Each thread produces to its own streamlet; after every ack the chunk
   // must already be durable, i.e. visible through the consume gate.
@@ -521,14 +556,14 @@ TEST_F(BackgroundReplicationTest, ProduceStormAcksImplyDurability) {
   auto stats = broker_->GetStats();
   EXPECT_EQ(stats.chunks_appended, uint64_t(kThreads) * kChunksEach);
   EXPECT_GT(stats.replication_rpcs, 0u);
-  ASSERT_NE(broker_->replicator(), nullptr);
-  auto rstats = broker_->replicator()->GetStats();
-  EXPECT_GT(rstats.batches_shipped, 0u);
-  EXPECT_EQ(rstats.batch_failures, 0u);
+  for (VirtualLog* vlog : broker_->VirtualLogs()) {
+    EXPECT_LE(vlog->GetStats().max_inflight_batches, 4u);
+  }
 }
 
-TEST_F(BackgroundReplicationTest, BackupFailureSurfacesToProducer) {
+TEST_F(ConcurrentReplicationTest, BackupFailureSurfacesToProducer) {
   auto info = MakeStream(1);
+  Watchdog watchdog(std::chrono::seconds(120), "produce to dead backups");
   net_.Crash(BackupServiceId(2));
   net_.Crash(BackupServiceId(3));
   rpc::ProduceRequest req;
@@ -536,11 +571,15 @@ TEST_F(BackgroundReplicationTest, BackupFailureSurfacesToProducer) {
   req.stream = info.stream;
   auto chunk = MakeChunk(info.stream, 0, 1, 1);
   req.chunks = {chunk};
-  // The background replicator exhausts its retry budget; the blocked
-  // producer is woken with the error instead of hanging forever.
+  // The handler's batch fails on every backup, is evacuated to a fresh
+  // segment a bounded number of times, and the error reaches the
+  // producer instead of the request hanging.
   auto resp = broker_->HandleProduce(req);
   EXPECT_EQ(resp.status, StatusCode::kUnavailable);
-  EXPECT_GT(broker_->replicator()->GetStats().batch_failures, 0u);
+  EXPECT_GT(broker_->GetStats().replication_batches, 0u);
+  for (VirtualLog* vlog : broker_->VirtualLogs()) {
+    EXPECT_LE(vlog->GetStats().max_inflight_batches, 4u);
+  }
 }
 
 // ----- shared-nothing sharding: routing, counters, migration -----
