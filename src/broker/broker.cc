@@ -376,6 +376,11 @@ Status Broker::AppendOneChunk(
     rpc::ProduceResponse& resp) {
   auto chunk = ChunkView::Parse(frame);
   if (!chunk.ok()) return chunk.status();
+  if (frame.size() > config_.segment_size - kSegmentHeaderSize) {
+    // No segment can ever hold it: refuse before it reserves a sequence
+    // or takes a group or a segment buffer, which every retry would redo.
+    return Status(StatusCode::kInvalidArgument, "chunk larger than a segment");
+  }
   if (config_.verify_chunk_checksums && !chunk->VerifyChecksum()) {
     ++stats_.checksum_failures;
     return Status(StatusCode::kCorruption, "chunk checksum mismatch");

@@ -47,10 +47,6 @@ struct ConsumerConfig {
   uint32_t share_index = 0;
   uint32_t max_chunks_per_entry = 4;
   uint32_t max_bytes_per_request = 4u << 20;
-  /// Idle backoff when no data is available (microseconds). Only used
-  /// when long-poll is disabled (fetch_max_wait_us == 0) or a broker is
-  /// unreachable; with long-poll the broker paces the consumer.
-  uint64_t idle_backoff_us = 200;
   /// Consume RPCs kept in flight per broker (>= 1). One fetch worker per
   /// broker stripes the broker's active groups over up to this many
   /// concurrent requests, so fetch overlaps decode/Poll and brokers never
@@ -64,11 +60,9 @@ struct ConsumerConfig {
   size_t fetch_buffer_bytes = 8u << 20;
   /// Long-poll: idle fetches ask the broker to park the request until
   /// data is durable (or this wait elapses) instead of returning empty.
-  /// 0 restores immediate-return polling with idle_backoff_us sleeps.
+  /// 0 restores immediate-return polling with a short sleep between
+  /// empty responses.
   uint64_t fetch_max_wait_us = 50'000;
-  /// Minimum bytes a long-polled fetch waits for before returning (the
-  /// broker returns earlier on group rollover, seal, or timeout).
-  uint32_t fetch_min_bytes = 1;
   /// Stable consumer identity for durable offset commits; combined with
   /// the top bit into a system producer id (0x80000000 | consumer_id)
   /// under which commit chunks are sequenced and deduplicated.

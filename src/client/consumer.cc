@@ -21,6 +21,15 @@ constexpr GroupId kProbeGroup = ~GroupId(0);
 /// Slice for waiting on in-flight futures: short enough that Close()
 /// returns promptly even while a long-poll is parked at the broker.
 constexpr auto kFutureSlice = std::chrono::milliseconds(2);
+
+/// Pause before the next fetch round when a broker is unreachable, when
+/// every cursor is momentarily unavailable, or, with long-poll off
+/// (fetch_max_wait_us == 0), after an empty response.
+constexpr auto kIdleBackoff = std::chrono::microseconds(200);
+
+/// A long-polled fetch returns once any chunk data is durable (the broker
+/// also returns on group rollover, seal or timeout).
+constexpr uint32_t kFetchMinBytes = 1;
 }  // namespace
 
 // ----- FetchBuffer ---------------------------------------------------------
@@ -366,7 +375,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
       req.max_bytes = config_.max_bytes_per_request;
       if (idle) {
         req.max_wait_us = config_.fetch_max_wait_us;
-        req.min_bytes = config_.fetch_min_bytes;
+        req.min_bytes = kFetchMinBytes;
       }
       InFlight inf;
       // Contiguous block per request (avail is ordered by streamlet):
@@ -393,8 +402,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
 
     if (inflight.empty()) {
       // Every cursor is done or momentarily unavailable; don't spin.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.idle_backoff_us));
+      std::this_thread::sleep_for(kIdleBackoff);
       continue;
     }
 
@@ -420,8 +428,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
     if (!raw.ok()) {
       // Broker unreachable (or response dropped): back off, then the next
       // round re-issues the released cursors.
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.idle_backoff_us));
+      std::this_thread::sleep_for(kIdleBackoff);
       continue;
     }
     if (ProcessResponse(broker, std::move(*raw))) {
@@ -429,13 +436,18 @@ void Consumer::BrokerFetchLoop(NodeId broker,
     } else if (config_.fetch_max_wait_us > 0) {
       idle = true;
     } else {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(config_.idle_backoff_us));
+      std::this_thread::sleep_for(kIdleBackoff);
     }
   }
 }
 
-void Consumer::IngestChunk(StreamletId streamlet, const ChunkView& chunk) {
+void Consumer::IngestChunk(const FetchedChunk& fetched) {
+  auto parsed = ChunkView::Parse(fetched.bytes);
+  if (!parsed.ok() || !parsed->VerifyChecksum()) {
+    ++stats_.checksum_failures;
+    return;
+  }
+  const ChunkView& chunk = *parsed;
   // The delivered frontier does NOT move here: Commit() must persist the
   // position of what Poll HANDED OUT, and ingest runs ahead of that —
   // committing the ingest frontier would skip every buffered-but-unpolled
@@ -452,7 +464,7 @@ void Consumer::IngestChunk(StreamletId streamlet, const ChunkView& chunk) {
   for (auto it = chunk.records(); !it.Done(); it.Next()) {
     const RecordView& rec = it.record();
     ConsumedRecord cr;
-    cr.streamlet = streamlet;
+    cr.streamlet = fetched.streamlet;
     cr.group = chunk.group_id();
     cr.chunk_index = chunk.group_chunk_index();
     cr.producer = chunk.producer_id();
@@ -508,12 +520,7 @@ std::vector<ConsumedRecord> Consumer::Poll(size_t max_records) {
     if (out.size() >= max_records) break;
     auto fetched = fetched_.TryPop();
     if (!fetched) break;
-    auto chunk = ChunkView::Parse(fetched->bytes);
-    if (!chunk.ok() || !chunk->VerifyChecksum()) {
-      ++stats_.checksum_failures;
-      continue;
-    }
-    IngestChunk(fetched->streamlet, *chunk);
+    IngestChunk(*fetched);
   }
   return out;
 }
@@ -524,10 +531,7 @@ std::vector<ConsumedRecord> Consumer::PollBlocking(size_t max_records) {
     if (!out.empty()) return out;
     auto fetched = fetched_.Pop();  // blocks; returns nullopt on shutdown
     if (!fetched) break;
-    auto chunk = ChunkView::Parse(fetched->bytes);
-    if (chunk.ok() && chunk->VerifyChecksum()) {
-      IngestChunk(fetched->streamlet, *chunk);
-    }
+    IngestChunk(*fetched);
   }
   return Poll(max_records);
 }

@@ -161,12 +161,14 @@ class Consumer {
                    const std::shared_ptr<const std::vector<std::byte>>& buf,
                    bool* got_data);
   void MarkStreamletDone(StreamletState& state);
-  /// Ingests one verified chunk on the polling thread: buffers the
-  /// records of data chunks for Poll (offset-commit system chunks carry
-  /// cursor metadata, not user data, and are skipped). Does NOT move the
+  /// Ingests one fetched chunk on the polling thread (Poll and
+  /// PollBlocking alike): a chunk that fails to parse or verify is
+  /// dropped and counted in checksum_failures; a data chunk's records are
+  /// buffered for Poll (offset-commit system chunks carry cursor
+  /// metadata, not user data, and are skipped). Does NOT move the
   /// delivered frontier — Commit() persists what Poll handed out, not
   /// what was prefetched; Poll advances the frontier per completed chunk.
-  void IngestChunk(StreamletId streamlet, const ChunkView& chunk);
+  void IngestChunk(const FetchedChunk& fetched);
   /// Monotonically advances the delivered frontier past `rec`'s chunk.
   /// Called by Poll when the chunk's last buffered record is handed out.
   void AdvanceDelivered(const ConsumedRecord& rec);

@@ -80,10 +80,6 @@ Status Producer::SendRecord(std::span<const std::byte> key,
     return Status(StatusCode::kUnavailable, "producer request loop failed");
   }
   std::unique_lock<std::mutex> lock(mu_);
-  // An idle requests thread ships lingered chunks at once; a busy one
-  // seals them itself when its round completes, and until then they keep
-  // filling.
-  if (requests_idle_) SealLingered(Clock::now());
   OpenChunk& open = open_[streamlet];
   if (open.builder == nullptr || !AppendTo(*open.builder, key, value)) {
     // No records yet, or the chunk is full: seal it and start a fresh one.
@@ -120,12 +116,15 @@ Status Producer::StartChunk(StreamletId streamlet,
   open.builder = std::move(free_builders_.back());
   free_builders_.pop_back();
   open.builder->Start(info_.stream, streamlet, config_.producer_id, epoch_);
-  open.first_record_at = Clock::now();
+  open.ready_at = Clock::now() + std::chrono::microseconds(config_.linger_us);
   open.prev = linger_tail_;
   (linger_tail_ == kNoStreamlet ? linger_head_ : open_[linger_tail_].next) =
       streamlet;
   linger_tail_ = streamlet;
   ++open_count_;
+  // An idle requests thread with no open chunk waits with no deadline: the
+  // new linger head wakes it to arm the timer.
+  if (linger_head_ == streamlet) ready_cv_.notify_one();
   return OkStatus();
 }
 
@@ -150,25 +149,30 @@ void Producer::Seal(StreamletId streamlet) {
   ++chunks_enqueued_;
   ready_.push_back(std::move(sealed));
   ++stats_.chunks_sent;
-  if (requests_idle_) ready_cv_.notify_one();
+  ready_cv_.notify_one();
 }
 
 void Producer::SealLingered(Clock::time_point now) {
-  const auto linger = std::chrono::microseconds(config_.linger_us);
-  while (linger_head_ != kNoStreamlet &&
-         now - open_[linger_head_].first_record_at >= linger) {
+  while (linger_head_ != kNoStreamlet && open_[linger_head_].ready_at <= now) {
     Seal(linger_head_);
   }
 }
 
 bool Producer::NextRound(std::vector<SealedChunk>& round) {
   std::unique_lock<std::mutex> lock(mu_);
-  // The previous round is done: the chunks that lingered out while it was
-  // in flight go into this one.
-  SealLingered(Clock::now());
-  requests_idle_ = true;
-  ready_cv_.wait(lock, [&] { return !ready_.empty() || stopping_; });
-  requests_idle_ = false;
+  // The requests thread is the only linger timer. The chunks that lingered
+  // out while the previous round was in flight go into this one; then it
+  // sleeps until a chunk is ready, the linger list's head reaches its
+  // deadline, or the producer stops.
+  for (;;) {
+    SealLingered(Clock::now());
+    if (!ready_.empty() || stopping_) break;
+    if (linger_head_ == kNoStreamlet) {
+      ready_cv_.wait(lock);
+    } else {
+      ready_cv_.wait_until(lock, open_[linger_head_].ready_at);
+    }
+  }
   // Up to request_size per broker: the chunk that crosses a broker's cap
   // still rides in this round, the rest wait for the next.
   std::map<NodeId, size_t> broker_bytes;

@@ -10,9 +10,10 @@
 //
 // Linger (Kafka's linger.ms, as its accumulator applies it): a chunk is
 // ready once linger_us has passed since its first record, and it is
-// sealed when the Requests thread can take it. While the Requests thread
-// is idle, the first Send at or after the deadline seals it; while a
-// round is in flight the chunk keeps taking records, and the Requests
+// sealed when the Requests thread can take it. The Requests thread is the
+// only linger timer: while idle it sleeps until the oldest open chunk's
+// deadline and seals it then, whether or not more records arrive; while
+// a round is in flight the chunk keeps taking records, and the Requests
 // thread seals every ready chunk when the round completes. A full chunk
 // and Flush() seal at once.
 #pragma once
@@ -47,12 +48,12 @@ class Producer {
   /// Fetches stream metadata and starts the requests thread.
   Status Connect();
 
-  /// Appends one non-keyed record (round-robin over streamlets). While
-  /// the requests thread is idle, first seals every chunk whose first
-  /// record is at least linger_us old. Blocks when the chunk pool is
-  /// exhausted (backpressure); when every pooled builder is held by an
-  /// open chunk, the oldest open chunk is sealed first, so no streamlet
-  /// count can deadlock the pool.
+  /// Appends one non-keyed record (round-robin over streamlets); seals
+  /// the chunk at once if the record does not fit. Lingered chunks are
+  /// the requests thread's to seal, not Send's. Blocks when the chunk
+  /// pool is exhausted (backpressure); when every pooled builder is held
+  /// by an open chunk, the oldest open chunk is sealed first, so no
+  /// streamlet count can deadlock the pool.
   Status Send(std::span<const std::byte> value);
 
   /// Appends one keyed record (streamlet = hash(key) % M).
@@ -104,7 +105,7 @@ class Producer {
   /// chunks past their linger deadline are always a prefix of it.
   struct OpenChunk {
     std::unique_ptr<ChunkBuilder> builder;
-    Clock::time_point first_record_at{};
+    Clock::time_point ready_at{};  // first record's time + linger_us
     ChunkSeq last_seq = 0;  // sequences start at 1
     StreamletId prev = kNoStreamlet;
     StreamletId next = kNoStreamlet;
@@ -117,7 +118,8 @@ class Producer {
   /// immutable after Connect so the source thread reads it without locks).
   bool FetchLeaders(std::vector<NodeId>* leaders);
   /// Gives the streamlet's empty slot a started builder and links it at
-  /// the linger list's tail; waits on `lock` while the pool is empty.
+  /// the linger list's tail (waking the requests thread if it is the
+  /// head); waits on `lock` while the pool is empty.
   Status StartChunk(StreamletId streamlet, std::unique_lock<std::mutex>& lock);
   /// Unlinks the streamlet's open chunk and hands over its builder.
   std::unique_ptr<ChunkBuilder> TakeChunk(StreamletId streamlet);
@@ -125,9 +127,10 @@ class Producer {
   void Seal(StreamletId streamlet);
   /// Seals the prefix of the linger list whose deadline has passed.
   void SealLingered(Clock::time_point now);
-  /// Waits until chunks are ready, then moves the next round's chunks
-  /// (up to request_size per broker) into `round`. Returns false once
-  /// the producer is stopping and nothing is left to send.
+  /// Seals lingered chunks as their deadlines pass until chunks are
+  /// ready, then moves the next round's chunks (up to request_size per
+  /// broker) into `round`. Returns false once the producer is stopping
+  /// and nothing is left to send.
   bool NextRound(std::vector<SealedChunk>& round);
   void RequestsLoop();
   /// Recycles the chunks' builders into the pool, counts them acked and
@@ -154,13 +157,10 @@ class Producer {
   size_t open_count_ = 0;  // chunks holding a builder (linger list length)
   std::deque<SealedChunk> ready_;
   std::vector<std::unique_ptr<ChunkBuilder>> free_builders_;
-  /// True while the requests thread waits for ready chunks: only then
-  /// does Send seal a lingered chunk.
-  bool requests_idle_ = false;
   bool stopping_ = false;
   uint64_t chunks_enqueued_ = 0;
   uint64_t chunks_acked_ = 0;
-  std::condition_variable ready_cv_;   // requests thread: ready_ or stop
+  std::condition_variable ready_cv_;   // requests: ready_, linger head, stop
   std::condition_variable source_cv_;  // Send/Flush: builders, acks, stop
 
   std::atomic<bool> running_{false};

@@ -1,7 +1,6 @@
 #include "common/histogram.h"
 
 #include <bit>
-#include <cstdio>
 
 namespace kera {
 
@@ -43,16 +42,6 @@ uint64_t Histogram::Quantile(double q) const {
     if (seen >= target) return BucketUpperBound(i);
   }
   return max_;
-}
-
-std::string Histogram::Summary() const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "count=%llu mean=%.1f min=%llu p50=%llu p99=%llu max=%llu",
-                (unsigned long long)count_, Mean(), (unsigned long long)min(),
-                (unsigned long long)Quantile(0.5),
-                (unsigned long long)Quantile(0.99), (unsigned long long)max_);
-  return buf;
 }
 
 }  // namespace kera

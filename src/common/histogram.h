@@ -4,7 +4,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 namespace kera {
 
@@ -38,10 +37,6 @@ class Histogram {
   /// Returns the upper bound of the bucket containing the q-quantile
   /// (q in [0,1]). Approximate within bucket resolution (~25%).
   [[nodiscard]] uint64_t Quantile(double q) const;
-
-  [[nodiscard]] std::string Summary() const;
-
-  void Reset() { *this = Histogram{}; }
 
  private:
   static int BucketFor(uint64_t value);

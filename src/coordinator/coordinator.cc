@@ -64,15 +64,6 @@ void Coordinator::RegisterNode(NodeId node, Broker* broker, Backup* backup) {
   alive_[node] = true;
 }
 
-std::vector<NodeId> Coordinator::LiveBrokers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<NodeId> out;
-  for (const auto& [node, live] : alive_) {
-    if (live) out.push_back(node);
-  }
-  return out;
-}
-
 Coordinator::RecoveryStats Coordinator::GetRecoveryStats() const {
   std::lock_guard<std::mutex> lock(recovery_stats_mu_);
   return recovery_stats_;

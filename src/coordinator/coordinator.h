@@ -114,8 +114,6 @@ class Coordinator final : public rpc::RpcHandler {
 
   std::vector<std::byte> HandleRpc(std::span<const std::byte> request) override;
 
-  [[nodiscard]] std::vector<NodeId> LiveBrokers() const;
-
   /// Recovery-engine telemetry. Counts (tasks, segments, chunks, bytes,
   /// RPCs, fan-out) are deterministic for a deterministic workload; the
   /// *_us timing fields are wall-clock measurements — report them, never

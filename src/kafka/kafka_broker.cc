@@ -40,14 +40,6 @@ std::vector<PartitionKey> KafkaBroker::FollowedPartitions() const {
   return out;
 }
 
-std::vector<PartitionKey> KafkaBroker::LedPartitions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<PartitionKey> out;
-  out.reserve(led_.size());
-  for (const auto& [key, _] : led_) out.push_back(key);
-  return out;
-}
-
 size_t KafkaBroker::FetchOnce(PartitionKey key, PartitionLog& leader_log,
                               const KafkaTuning& tuning) {
   FollowerState* state = follower_state(key);
@@ -71,14 +63,6 @@ size_t KafkaBroker::FetchOnce(PartitionKey key, PartitionLog& leader_log,
     leader_log.UpdateFollower(node_, state->fetched_offset);
   }
   return bytes;
-}
-
-void KafkaBroker::TrimFollower(PartitionKey key, size_t keep_batches) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = followed_.find(key);
-  if (it == followed_.end()) return;
-  auto& replica = it->second->replica;
-  while (replica.size() > keep_batches) replica.pop_front();
 }
 
 KafkaBroker::Stats KafkaBroker::GetStats() const {

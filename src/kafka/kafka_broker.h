@@ -57,7 +57,6 @@ class KafkaBroker {
 
   /// All partitions this broker follows (fetcher iteration order).
   [[nodiscard]] std::vector<PartitionKey> FollowedPartitions() const;
-  [[nodiscard]] std::vector<PartitionKey> LedPartitions() const;
 
   /// Performs one follower fetch round for `key` against the leader's
   /// log: pulls up to tuning.fetch_max_bytes, appends to the local
@@ -65,9 +64,6 @@ class KafkaBroker {
   /// fetched (0 = caught up; the fetcher then backs off).
   size_t FetchOnce(PartitionKey key, PartitionLog& leader_log,
                    const KafkaTuning& tuning);
-
-  /// Bounds follower replica memory.
-  void TrimFollower(PartitionKey key, size_t keep_batches);
 
   [[nodiscard]] NodeId node() const { return node_; }
 

@@ -58,15 +58,6 @@ Result<TopicInfo> KafkaCluster::CreateTopic(const std::string& name,
   return *info;
 }
 
-Result<TopicInfo> KafkaCluster::GetTopic(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = topics_by_name_.find(name);
-  if (it == topics_by_name_.end()) {
-    return Status(StatusCode::kNotFound, "no such topic: " + name);
-  }
-  return it->second;
-}
-
 PartitionLog* KafkaCluster::leader_log(uint64_t topic,
                                        uint32_t partition) const {
   NodeId leader;

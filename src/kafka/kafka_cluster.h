@@ -41,7 +41,6 @@ class KafkaCluster {
 
   Result<TopicInfo> CreateTopic(const std::string& name, uint32_t partitions,
                                 uint32_t replication_factor);
-  Result<TopicInfo> GetTopic(const std::string& name) const;
 
   /// Leader append with acks=all semantics: blocks until every follower
   /// has fetched past the batch (requires StartReplication() when R > 1).

@@ -241,6 +241,38 @@ TEST_F(BrokerTest, CorruptChunkRejected) {
   EXPECT_EQ(broker_->GetStats().checksum_failures, 1u);
 }
 
+// No segment can hold a chunk longer than a segment. Such a chunk must be
+// refused before it takes a group, a segment buffer or a dedup sequence;
+// otherwise its retries run the segment pool dry and starve the broker's
+// other streamlets.
+TEST_F(BrokerTest, ChunkLongerThanASegmentIsRejectedWithoutTakingMemory) {
+  auto info = MakeStream("s", 2, 1, 1, rpc::VlogPolicy::kSharedPerBroker);
+  ChunkBuilder big(80 << 10);
+  big.Start(info.stream, 0, 1);
+  ASSERT_TRUE(big.AppendValue(AsBytes(std::string(70 << 10, 'x'))));
+  rpc::ProduceRequest req;
+  req.producer = 1;
+  req.stream = info.stream;
+  req.chunks = {big.Seal(1)};
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (broker_->HandleProduce(req).status == StatusCode::kInvalidArgument) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(rejected, 1000);
+  EXPECT_EQ(broker_->memory().in_use(), 0u);
+  // Nothing stayed reserved: the same sequence at a size that fits is a
+  // new chunk, not a duplicate, and the other streamlet still appends.
+  auto fits = MakeChunk(info.stream, 0, 1, 1);
+  auto other = MakeChunk(info.stream, 1, 2, 1);
+  req.chunks = {fits, other};
+  auto resp = broker_->HandleProduce(req);
+  EXPECT_EQ(resp.status, StatusCode::kOk);
+  EXPECT_EQ(resp.appended, 2u);
+  EXPECT_EQ(resp.duplicates, 0u);
+}
+
 TEST_F(BrokerTest, UnknownStreamRejected) {
   rpc::ProduceRequest req;
   req.stream = 999;

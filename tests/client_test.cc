@@ -100,6 +100,55 @@ class HoldingNetwork final : public rpc::Network {
   int held_ = 0;
 };
 
+/// Forwards every call to another network, but flips the last byte (a
+/// payload byte) of the first chunk that any consume response carries.
+class CorruptingNetwork final : public rpc::Network {
+ public:
+  explicit CorruptingNetwork(rpc::Network& inner) : inner_(inner) {}
+
+  Result<std::vector<std::byte>> Call(
+      NodeId to, std::span<const std::byte> request) override {
+    return inner_.Call(to, request);
+  }
+  std::future<Result<std::vector<std::byte>>> CallAsync(
+      NodeId to, std::span<const std::byte> request) override {
+    rpc::Opcode op;
+    std::span<const std::byte> body;
+    if (!rpc::ParseFrame(request, op, body).ok() ||
+        op != rpc::Opcode::kConsume) {
+      return inner_.CallAsync(to, request);
+    }
+    return std::async(std::launch::async,
+                      [this, reply = inner_.CallAsync(to, request)]() mutable {
+                        auto raw = reply.get();
+                        if (raw.ok()) CorruptFirstChunk(*raw);
+                        return raw;
+                      });
+  }
+  std::future<Result<std::vector<std::byte>>> CallAsyncParts(
+      NodeId to, const rpc::BytesRefParts& parts) override {
+    return inner_.CallAsyncParts(to, parts);
+  }
+
+ private:
+  void CorruptFirstChunk(std::vector<std::byte>& raw) {
+    rpc::Reader r(raw);
+    auto resp = rpc::ConsumeResponse::Decode(r);
+    if (!resp.ok()) return;
+    for (const auto& entry : resp->entries) {
+      if (entry.chunks.empty()) continue;
+      if (done_.exchange(true)) return;
+      std::span<const std::byte> chunk = entry.chunks.front();
+      raw[size_t(chunk.data() - raw.data()) + chunk.size() - 1] ^=
+          std::byte{0xFF};
+      return;
+    }
+  }
+
+  rpc::Network& inner_;
+  std::atomic<bool> done_{false};
+};
+
 /// Consumes `expected` records of `stream` and maps each (distinct) value
 /// to the streamlet it was read from; every value must arrive exactly once.
 std::map<std::string, StreamletId> ConsumeAll(MiniCluster& cluster,
@@ -180,8 +229,10 @@ TEST(ProducerTest, LingerPushesPartialChunks) {
   Producer producer(pc, cluster.network());
   ASSERT_TRUE(producer.Connect().ok());
   ASSERT_TRUE(producer.Send(AsBytes(std::string("lonely"))).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  // The next Send triggers the linger check and seals the first chunk.
+  // The requests thread seals the first chunk at its deadline, so this
+  // record starts a second one. The sleep leaves the timer's wake-up
+  // ample slack on a loaded host.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
   ASSERT_TRUE(producer.Send(AsBytes(std::string("second"))).ok());
   ASSERT_TRUE(producer.Flush().ok());
   EXPECT_GE(producer.GetStats().chunks_sent, 2u);
@@ -202,8 +253,8 @@ TEST(ProducerTest, LingerSealsAnIdleStreamletsChunkOnSendToAnother) {
   const std::string a = "a", b = "b";
   ASSERT_TRUE(producer.SendKeyed(AsBytes(a), AsBytes(std::string("a0"))).ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  // a's streamlet gets no more records: the first Send past its chunk's
-  // deadline seals it, though that Send goes to another streamlet.
+  // a's streamlet gets no more records: the requests thread sealed its
+  // chunk at the deadline, without waiting for a Send to another one.
   ASSERT_TRUE(producer.SendKeyed(AsBytes(b), AsBytes(std::string("b0"))).ok());
   EXPECT_EQ(producer.GetStats().chunks_sent, 1u);
   ASSERT_TRUE(producer.Flush().ok());
@@ -249,9 +300,9 @@ TEST(ProducerTest, FullChunkDoesNotPassItsDeadlineToItsSuccessor) {
   EXPECT_NE(streamlet_of["a0"], streamlet_of["b" + std::to_string(sent - 1)]);
 }
 
-// While the requests thread is idle, the first Send at or after a chunk's
-// linger deadline seals it.
-TEST(ProducerTest, SendSealsALingeredChunkWhileTheRequestsThreadIsIdle) {
+// The requests thread times linger expiry itself: a lone record ships
+// once its chunk's linger passes, with no later Send and no Flush.
+TEST(ProducerTest, LingeredChunkShipsWithoutALaterSend) {
   MiniCluster cluster(SocketConfig());
   MakeStream(cluster, "s", 1, 1);
   ProducerConfig pc;
@@ -260,14 +311,25 @@ TEST(ProducerTest, SendSealsALingeredChunkWhileTheRequestsThreadIsIdle) {
   pc.linger_us = 1000;
   Producer producer(pc, cluster.network());
   ASSERT_TRUE(producer.Connect().ok());
-  ASSERT_TRUE(producer.Send(AsBytes(std::string("r0"))).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(producer.GetStats().chunks_sent, 0u);
-  ASSERT_TRUE(producer.Send(AsBytes(std::string("r1"))).ok());
+  ASSERT_TRUE(producer.Send(AsBytes(std::string("lonely"))).ok());
+
+  ConsumerConfig cc;
+  cc.stream = "s";
+  Consumer consumer(cc, cluster.network());
+  ASSERT_TRUE(consumer.Connect().ok());
+  std::vector<ConsumedRecord> got;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (got.empty() && std::chrono::steady_clock::now() < deadline) {
+    got = consumer.Poll(16);
+    if (got.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  consumer.Close();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(got[0].value.data()),
+                        got[0].value.size()),
+            "lonely");
   EXPECT_EQ(producer.GetStats().chunks_sent, 1u);
   ASSERT_TRUE(producer.Close().ok());
-  EXPECT_EQ(producer.GetStats().chunks_sent, 2u);
-  ConsumeAll(cluster, "s", 2);
 }
 
 // While a produce round is in flight, a chunk past its linger deadline is
@@ -288,11 +350,10 @@ TEST(ProducerTest, LingeredChunkKeepsFillingWhileARoundIsInFlight) {
   auto value = [](int i) { return "r" + std::to_string(i); };
   net.Hold();
   ASSERT_TRUE(producer.Send(AsBytes(value(0))).ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(3));
-  // The requests thread is idle, so this Send seals r0's chunk, which
-  // becomes the held round; r1 opens the next chunk.
-  ASSERT_TRUE(producer.Send(AsBytes(value(1))).ok());
+  // The requests thread seals r0's chunk at its deadline, and that chunk
+  // is the held round; r1 opens the next chunk.
   net.WaitHeld(1);
+  ASSERT_TRUE(producer.Send(AsBytes(value(1))).ok());
   for (int i = 2; i < kRecords; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     ASSERT_TRUE(producer.Send(AsBytes(value(i))).ok());
@@ -411,8 +472,8 @@ TEST(ProducerTest, FlushKeepsEveryPooledBuilder) {
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     ASSERT_TRUE(producer.Send(AsBytes("x" + std::to_string(cycle))).ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    // Round-robin: this one goes to the other streamlet, and lingers the
-    // first record's chunk out.
+    // Round-robin: this one goes to the other streamlet while the first
+    // record's chunk lingers out.
     ASSERT_TRUE(producer.Send(AsBytes("y" + std::to_string(cycle))).ok());
     ASSERT_TRUE(producer.Flush().ok());
   }
@@ -460,6 +521,41 @@ TEST(ClientRoundTripTest, ProduceThenConsumeEverything) {
     EXPECT_EQ(received.count("v" + std::to_string(i)), 1u) << i;
   }
   EXPECT_EQ(consumer.GetStats().checksum_failures, 0u);
+}
+
+// Poll and PollBlocking ingest through one path: a chunk that fails its
+// checksum while PollBlocking waits for data is dropped and counted.
+TEST(ClientRoundTripTest, PollBlockingCountsACorruptChunk) {
+  MiniCluster cluster(SocketConfig());
+  MakeStream(cluster, "s", 1, 1);
+  CorruptingNetwork net(cluster.network());
+  ConsumerConfig cc;
+  cc.stream = "s";
+  Consumer consumer(cc, net);
+  ASSERT_TRUE(consumer.Connect().ok());
+  Watchdog watchdog(std::chrono::seconds(60), "PollBlocking over a bad chunk");
+  std::thread source([&] {
+    // PollBlocking finds nothing buffered and blocks before any chunk
+    // exists, so the corrupted one reaches it in its blocking wait.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ProducerConfig pc;
+    pc.stream = "s";
+    Producer producer(pc, cluster.network());
+    ASSERT_TRUE(producer.Connect().ok());
+    for (std::string v : {"corrupted", "intact"}) {
+      EXPECT_TRUE(producer.Send(AsBytes(v)).ok());
+      EXPECT_TRUE(producer.Flush().ok());
+    }
+    EXPECT_TRUE(producer.Close().ok());
+  });
+  auto got = consumer.PollBlocking(16);
+  source.join();
+  consumer.Close();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(got[0].value.data()),
+                        got[0].value.size()),
+            "intact");
+  EXPECT_EQ(consumer.GetStats().checksum_failures, 1u);
 }
 
 TEST(ClientRoundTripTest, KeyedRecordsLandOnOneStreamlet) {
