@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # Full local check: regular build + all tests, the producer's linger
-# tests repeated, the end-to-end benchmark's selfcheck over real sockets,
-# a ThreadSanitizer build running the concurrency-sensitive suites
-# (virtual log windowed replication, concurrent produce handlers), an
-# ASan+UBSan build running the wire/rpc/broker suites (the scatter-gather
+# and retry tests repeated, the end-to-end benchmark's selfcheck over
+# real sockets, a ThreadSanitizer build running the concurrency-sensitive
+# suites (virtual log windowed replication, concurrent produce handlers),
+# an ASan+UBSan build running the wire/rpc/broker suites (the scatter-gather
 # encode path references external buffers; sanitizers catch lifetime
 # mistakes), and the core micro-benchmark emitting machine-readable JSON.
 #
 # Every stage that runs the socket cluster or a long sweep outside ctest
-# (the linger repeats, the e2ebench selfcheck, the chaos soaks, every
+# (the producer repeats, the e2ebench selfcheck, the chaos soaks, every
 # bench) runs under `timeout`, so a hang fails the script instead of
 # wedging it.
 #
@@ -25,12 +25,14 @@ cmake -B "$build" -S "$repo" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build" -j
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
-echo "== producer linger tests, repeated (Release) =="
-# The requests thread is the producer's only linger timer. A lost wake in
-# its timed wait stalls a test instead of failing it, and TSan reports no
-# stalls, so the linger, pool-dry and Flush tests repeat under a timeout.
+echo "== producer linger and retry tests, repeated (Release) =="
+# The requests thread is the producer's only linger timer, and its rounds
+# are its only send path, retries included. A lost wake in its timed wait
+# or a lost requeue stalls a test instead of failing it, and TSan reports
+# no stalls, so the linger, pool-dry, Flush, leader-following and
+# final-status tests repeat under a timeout.
 timeout 600 "$build/tests/client_test" \
-  --gtest_filter='ProducerTest.*Linger*:ProducerTest.PoolRunningDry*:ProducerTest.FlushKeeps*' \
+  --gtest_filter='ProducerTest.*Linger*:ProducerTest.PoolRunningDry*:ProducerTest.FlushKeeps*:ProducerTest.RoundsFollow*:ProducerTest.*AtOnce' \
   --gtest_repeat=30
 
 echo "== end-to-end benchmark selfcheck (socket cluster, every record checked) =="

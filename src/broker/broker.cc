@@ -357,10 +357,10 @@ Broker::GateHolds::~GateHolds() {
               return broker.ShardOf(a) < broker.ShardOf(b);
             });
   for (auto first = streamlets.begin(); first != streamlets.end();) {
-    StreamEntry::ShardState& ss = entry.ShardFor(*first);
+    StreamEntry::ShardState& ss = entry->ShardFor(*first);
     bool drained = false;
     std::lock_guard<std::mutex> lock(ss.mu);
-    for (; first != streamlets.end() && &entry.ShardFor(*first) == &ss;
+    for (; first != streamlets.end() && &entry->ShardFor(*first) == &ss;
          ++first) {
       if (--ss.gated[*first] == 0) drained = true;
     }
@@ -464,6 +464,7 @@ Status Broker::AppendOneChunk(
         StreamEntry::DedupEntry{chunk->chunk_seq(), nullptr, 0, 0, epoch};
     if (holds != nullptr) {
       ++ss.gated[streamlet_id];
+      holds->entry = &entry;
       holds->streamlets.push_back(streamlet_id);
     }
     if (shared_pool) {
@@ -534,10 +535,10 @@ Status Broker::AppendOneChunk(
   return OkStatus();
 }
 
-rpc::ProduceResponse Broker::HandleProduceNoSync(
-    const rpc::ProduceRequest& req,
-    std::vector<std::pair<VirtualLog*, ChunkRef>>* appended) {
-  rpc::ProduceResponse resp;
+Broker::StreamEntry* Broker::AppendChunks(
+    const rpc::ProduceRequest& req, GateHolds* holds,
+    std::vector<std::pair<VirtualLog*, ChunkRef>>& positions,
+    std::vector<DuplicateWait>& dup_waits, rpc::ProduceResponse& resp) {
   ++stats_.produce_rpcs;
   if (req.recovery) {
     ++stats_.recovery_produce_rpcs;
@@ -545,22 +546,32 @@ rpc::ProduceResponse Broker::HandleProduceNoSync(
   StreamEntry* entry = FindStream(req.stream);
   if (entry == nullptr) {
     resp.status = StatusCode::kNotFound;
-    return resp;
+    return nullptr;
   }
   const uint32_t home = HomeShardOf(req);
   ++shard_frames_[home].frames;
-  std::vector<std::pair<VirtualLog*, ChunkRef>> positions;
   positions.reserve(req.chunks.size());
+  for (const auto& frame : req.chunks) {
+    Status s = AppendOneChunk(*entry, req, frame, home, positions, dup_waits,
+                              holds, resp);
+    if (!s.ok()) {
+      resp.status = s.code();
+      return nullptr;
+    }
+  }
+  return entry;
+}
+
+rpc::ProduceResponse Broker::HandleProduceNoSync(
+    const rpc::ProduceRequest& req,
+    std::vector<std::pair<VirtualLog*, ChunkRef>>* appended) {
+  rpc::ProduceResponse resp;
+  std::vector<std::pair<VirtualLog*, ChunkRef>> positions;
   // Duplicate-durability waits are not driven here: the DES schedules
   // replication on simulated time and gates acks itself.
   std::vector<DuplicateWait> dup_waits;
-  for (const auto& frame : req.chunks) {
-    Status s = AppendOneChunk(*entry, req, frame, home, positions, dup_waits,
-                              nullptr, resp);
-    if (!s.ok()) {
-      resp.status = s.code();
-      return resp;
-    }
+  if (AppendChunks(req, nullptr, positions, dup_waits, resp) == nullptr) {
+    return resp;
   }
   if (appended != nullptr) {
     appended->insert(appended->end(), positions.begin(), positions.end());
@@ -583,32 +594,13 @@ rpc::ProduceResponse Broker::HandleProduceNoSync(
 
 rpc::ProduceResponse Broker::HandleProduce(const rpc::ProduceRequest& req) {
   rpc::ProduceResponse resp;
-  ++stats_.produce_rpcs;
-  if (req.recovery) {
-    ++stats_.recovery_produce_rpcs;
-  }
-  StreamEntry* entry = FindStream(req.stream);
-  if (entry == nullptr) {
-    resp.status = StatusCode::kNotFound;
-    return resp;
-  }
-  const uint32_t home = HomeShardOf(req);
-  ++shard_frames_[home].frames;
-
   std::vector<std::pair<VirtualLog*, ChunkRef>> positions;
-  positions.reserve(req.chunks.size());
   std::vector<DuplicateWait> dup_waits;
   // Held until this request returns: its chunks are then durable or
   // failed.
-  GateHolds holds(*this, *entry);
-  for (const auto& frame : req.chunks) {
-    Status s = AppendOneChunk(*entry, req, frame, home, positions, dup_waits,
-                              &holds, resp);
-    if (!s.ok()) {
-      resp.status = s.code();
-      return resp;
-    }
-  }
+  GateHolds holds(*this);
+  StreamEntry* entry = AppendChunks(req, &holds, positions, dup_waits, resp);
+  if (entry == nullptr) return resp;
 
   // Shards whose streamlets this request appended to (usually exactly
   // {home}); parked long-polls on those shards are notified at the end.

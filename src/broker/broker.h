@@ -431,19 +431,29 @@ class Broker final : public rpc::RpcHandler {
                                StreamletId streamlet, const ChunkView& chunk);
 
   /// The chunks one produce request passed through the leadership check
-  /// (one streamlet entry per chunk). Destroyed when the request is done
-  /// with them, it releases their ShardState::gated counts.
+  /// (one streamlet entry per chunk, of the request's stream `entry`).
+  /// Destroyed when the request is done with them, it releases their
+  /// ShardState::gated counts.
   struct GateHolds {
-    GateHolds(const Broker& broker, StreamEntry& entry)
-        : broker(broker), entry(entry) {}
+    explicit GateHolds(const Broker& broker) : broker(broker) {}
     GateHolds(const GateHolds&) = delete;
     GateHolds& operator=(const GateHolds&) = delete;
     ~GateHolds();
 
     const Broker& broker;
-    StreamEntry& entry;
+    StreamEntry* entry = nullptr;
     std::vector<StreamletId> streamlets;
   };
+
+  /// The append phase both produce entry points share: counts the request,
+  /// finds its stream and appends its chunks in order, stopping at the
+  /// first one refused (see rpc::ProduceResponse). With `holds`, the
+  /// chunks that pass the leadership check are held as AppendOneChunk
+  /// says. Returns the stream, or nullptr once `resp.status` is final.
+  StreamEntry* AppendChunks(
+      const rpc::ProduceRequest& req, GateHolds* holds,
+      std::vector<std::pair<VirtualLog*, ChunkRef>>& positions,
+      std::vector<DuplicateWait>& dup_waits, rpc::ProduceResponse& resp);
 
   /// Appends one chunk of a produce request. With `holds`, a chunk that
   /// passes the leadership check is counted in ShardState::gated and in

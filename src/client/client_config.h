@@ -15,14 +15,17 @@ struct ProducerConfig {
   std::string stream;
   /// Fixed chunk size (paper: e.g. 1 KB - 64 KB).
   size_t chunk_size = 16 << 10;
-  /// Max bytes of chunks batched into one request per broker.
-  size_t request_size = 1 << 20;
   /// linger.ms analogue: max time a non-empty chunk waits before being
   /// pushed (microseconds).
   uint64_t linger_us = 1000;
   /// Pooled chunk builders (the client's chunk cache; paper: up to 1000).
   size_t chunk_pool_size = 256;
-  /// Request retries on transport errors (dedup makes retries safe).
+  /// Retries per chunk: a chunk whose request fails with a transport
+  /// error or a retryable status counts one failed attempt and is sent
+  /// again by a later round, to its streamlet's current leader; it fails
+  /// for good once its failed attempts exceed this. A status no retry can
+  /// change (kFenced, kSegmentClosed, or kInvalidArgument for the chunk
+  /// the broker rejected) ends it at once. Dedup makes retries safe.
   int request_retries = 3;
   /// End-to-end exactly-once: Connect() performs an AllocateProducer
   /// handshake with the coordinator and stamps the returned session epoch

@@ -1,8 +1,5 @@
 #include "client/producer.h"
 
-#include <array>
-#include <map>
-
 #include "common/logging.h"
 #include "rpc/call.h"
 
@@ -52,6 +49,7 @@ Status Producer::Connect() {
     epoch_ = session->epoch;
   }
   open_ = std::vector<OpenChunk>(info_.streamlet_brokers.size());
+  leaders_ = info_.streamlet_brokers;
   running_.store(true, std::memory_order_release);
   requests_thread_ = std::thread([this] { RequestsLoop(); });
   return OkStatus();
@@ -145,7 +143,6 @@ void Producer::Seal(StreamletId streamlet) {
   sealed.builder = TakeChunk(streamlet);
   sealed.bytes = sealed.builder->Seal(seq).size();
   sealed.streamlet = streamlet;
-  sealed.broker = info_.streamlet_brokers[streamlet];
   ++chunks_enqueued_;
   ready_.push_back(std::move(sealed));
   ++stats_.chunks_sent;
@@ -158,7 +155,7 @@ void Producer::SealLingered(Clock::time_point now) {
   }
 }
 
-bool Producer::NextRound(std::vector<SealedChunk>& round) {
+bool Producer::NextRound(std::map<NodeId, Request>& round) {
   std::unique_lock<std::mutex> lock(mu_);
   // The requests thread is the only linger timer. The chunks that lingered
   // out while the previous round was in flight go into this one; then it
@@ -173,14 +170,12 @@ bool Producer::NextRound(std::vector<SealedChunk>& round) {
       ready_cv_.wait_until(lock, open_[linger_head_].ready_at);
     }
   }
-  // Up to request_size per broker: the chunk that crosses a broker's cap
-  // still rides in this round, the rest wait for the next.
-  std::map<NodeId, size_t> broker_bytes;
+  std::map<NodeId, size_t> leader_bytes;
   while (!ready_.empty()) {
     SealedChunk& c = ready_.front();
-    const bool full =
-        (broker_bytes[c.broker] += c.bytes) > config_.request_size;
-    round.push_back(std::move(c));
+    const NodeId leader = leaders_[c.streamlet];
+    const bool full = (leader_bytes[leader] += c.bytes) > kRequestBytes;
+    round[leader].chunks.push_back(std::move(c));
     ready_.pop_front();
     if (full) break;
   }
@@ -188,161 +183,101 @@ bool Producer::NextRound(std::vector<SealedChunk>& round) {
 }
 
 void Producer::RequestsLoop() {
-  std::vector<SealedChunk> round;
+  std::map<NodeId, Request> round;
   while (NextRound(round)) {
-    std::map<NodeId, std::vector<SealedChunk>> per_broker;
-    for (SealedChunk& c : round) per_broker[c.broker].push_back(std::move(c));
-    round.clear();
-
-    // One request per broker; issue them in parallel. The frame stays in
-    // scatter-gather form: the Writer's inline runs plus spans into the
-    // sealed chunk builders, both owned by the InFlight entry — alive
-    // until every retry round's futures have resolved, as the parts send
-    // path requires. Vectoring transports (SocketNetwork) put these
-    // pieces on the wire without ever materializing the frame.
-    struct InFlight {
-      NodeId broker;
-      rpc::Writer body;
-      std::array<std::byte, 2> opcode;
-      std::vector<SealedChunk> chunks;
-    };
-    std::vector<InFlight> requests;
-    auto add_request = [&](NodeId broker, std::vector<SealedChunk> chunks) {
+    // One request per leader, all in flight together. Vectoring
+    // transports (SocketNetwork) put the frame's pieces on the wire
+    // without ever materializing it.
+    const auto start = Clock::now();
+    for (auto& [leader, request] : round) {
       rpc::ProduceRequest req;
       req.producer = config_.producer_id;
       req.stream = info_.stream;
-      for (auto& c : chunks) req.chunks.push_back(c.builder->SealedView());
-      InFlight& inflight = requests.emplace_back();
-      inflight.broker = broker;
-      inflight.body = rpc::Writer(64);
-      req.Encode(inflight.body);
-      inflight.chunks = std::move(chunks);
-    };
-    for (auto& [broker, chunks] : per_broker) {
-      add_request(broker, std::move(chunks));
-    }
-
-    // Issue the whole round over CallAsync and collect; brokers that fail
-    // are retried together in the next attempt round.
-    auto start = std::chrono::steady_clock::now();
-    std::vector<size_t> pending(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) pending[i] = i;
-    for (int attempt = 0;
-         attempt <= config_.request_retries && !pending.empty(); ++attempt) {
-      if (attempt > 0) {
-        // The broker a chunk was sealed against may no longer lead its
-        // streamlet (crash recovery or migration mid-flight). Re-resolve
-        // leaders and, if any moved, re-partition the pending sealed
-        // chunks to the current leaders — the sealed frames are reused
-        // byte for byte, so the retry carries the same (pid, seq, epoch)
-        // and the new leader's dedup state (rebuilt from the backups)
-        // recognizes anything the old leader already accepted.
-        std::vector<NodeId> leaders;
-        if (FetchLeaders(&leaders)) {
-          bool moved = false;
-          for (size_t i : pending) {
-            for (const SealedChunk& c : requests[i].chunks) {
-              if (c.streamlet < leaders.size() &&
-                  leaders[c.streamlet] != requests[i].broker) {
-                moved = true;
-                break;
-              }
-            }
-            if (moved) break;
-          }
-          if (moved) {
-            ++stats_.retry_repartitions;
-            std::map<NodeId, std::vector<SealedChunk>> regrouped;
-            for (size_t i : pending) {
-              for (auto& c : requests[i].chunks) {
-                if (c.streamlet < leaders.size()) {
-                  c.broker = leaders[c.streamlet];
-                }
-                regrouped[c.broker].push_back(std::move(c));
-              }
-              requests[i].chunks.clear();
-            }
-            std::vector<size_t> repointed;
-            for (auto& [broker, chunks] : regrouped) {
-              repointed.push_back(requests.size());
-              add_request(broker, std::move(chunks));
-            }
-            pending = std::move(repointed);
-          }
-        }
+      for (const SealedChunk& c : request.chunks) {
+        req.chunks.push_back(c.builder->SealedView());
       }
-      std::vector<std::future<Result<std::vector<std::byte>>>> futures;
-      futures.reserve(pending.size());
-      for (size_t i : pending) {
-        rpc::BytesRefParts parts = rpc::FrameAsParts(
-            rpc::ProduceRequest::kOpcode, requests[i].body, requests[i].opcode);
-        futures.push_back(
-            network_.CallAsyncParts(requests[i].broker, parts));
-      }
-      std::vector<size_t> still_pending;
-      for (size_t f = 0; f < futures.size(); ++f) {
-        InFlight& inflight = requests[pending[f]];
-        auto raw = [&]() -> Result<std::vector<std::byte>> {
-          try {
-            return futures[f].get();
-          } catch (const std::future_error&) {
-            // Network shut down with the call in flight.
-            return Status(StatusCode::kUnavailable, "network stopped");
-          }
-        }();
-        bool ok = false;
-        bool fenced = false;
-        if (raw.ok()) {
-          rpc::Reader r(*raw);
-          auto resp = rpc::ProduceResponse::Decode(r);
-          if (resp.ok() && resp->status == StatusCode::kFenced) {
-            // A newer instance of this producer id exists; no retry can
-            // ever succeed. Fail permanently instead of burning retries.
-            fenced = true;
-          }
-          if (resp.ok() && resp->status == StatusCode::kOk) {
-            ++stats_.requests_sent;
-            stats_.duplicates_reported += resp->duplicates;
-            stats_.bytes_sent += inflight.opcode.size() + inflight.body.size();
-            auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count();
-            {
-              std::lock_guard<std::mutex> lock(mu_);
-              stats_.request_latency_us.Record(uint64_t(us));
-            }
-            ok = true;
-          }
-        }
-        if (ok) {
-          AckChunks(inflight.chunks);
-        } else if (fenced) {
-          ++stats_.fenced_rejections;
-          ++stats_.request_failures;
-          failed_.store(true, std::memory_order_release);
-          AckChunks(inflight.chunks);
-        } else {
-          still_pending.push_back(pending[f]);
-        }
-      }
-      pending = std::move(still_pending);
+      req.Encode(request.body);
+      request.reply = network_.CallAsyncParts(
+          leader, rpc::FrameAsParts(rpc::ProduceRequest::kOpcode,
+                                    request.body, request.opcode));
     }
-    for (size_t i : pending) {
-      ++stats_.request_failures;
-      failed_.store(true, std::memory_order_release);
-      // Recycle builders even on failure: the producer is now failed and
-      // Send() will refuse further records.
-      AckChunks(requests[i].chunks);
+    std::vector<SealedChunk> retry;
+    for (auto& [leader, request] : round) Settle(request, start, retry);
+    round.clear();
+    if (retry.empty()) continue;
+    // A leader that refused its chunks may have lost their streamlets
+    // (crash recovery or migration): one lookup refreshes every leader
+    // before the next round carries the retries.
+    auto fresh = rpc::Call(network_, kCoordinatorNode,
+                           rpc::GetStreamInfoRequest{config_.stream});
+    if (fresh.ok() && fresh->info.streamlet_brokers.size() == leaders_.size() &&
+        fresh->info.streamlet_brokers != leaders_) {
+      leaders_ = std::move(fresh->info.streamlet_brokers);
+      ++stats_.retry_repartitions;
     }
+    std::lock_guard<std::mutex> lock(mu_);
+    ready_.insert(ready_.begin(), std::make_move_iterator(retry.begin()),
+                  std::make_move_iterator(retry.end()));
   }
 }
 
-bool Producer::FetchLeaders(std::vector<NodeId>* leaders) {
-  auto resp = rpc::Call(network_, kCoordinatorNode,
-                        rpc::GetStreamInfoRequest{config_.stream});
-  if (!resp.ok()) return false;
-  *leaders = resp->info.streamlet_brokers;
-  return true;
+void Producer::Settle(Request& request, Clock::time_point start,
+                      std::vector<SealedChunk>& retry) {
+  rpc::ProduceResponse resp;
+  // A transport error or an undecodable reply is retried like kUnavailable.
+  resp.status = StatusCode::kUnavailable;
+  try {
+    auto raw = request.reply.get();
+    if (raw.ok()) {
+      rpc::Reader r(*raw);
+      if (auto decoded = rpc::ProduceResponse::Decode(r); decoded.ok()) {
+        resp = *decoded;
+      }
+    }
+  } catch (const std::future_error&) {
+    // Network shut down with the call in flight.
+  }
+  if (resp.status == StatusCode::kOk) {
+    ++stats_.requests_sent;
+    stats_.duplicates_reported += resp.duplicates;
+    stats_.bytes_sent += request.opcode.size() + request.body.size();
+    auto us = std::chrono::duration_cast<std::chrono::microseconds>(
+                  Clock::now() - start)
+                  .count();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.request_latency_us.Record(uint64_t(us));
+    }
+    AckChunks(request.chunks);
+    return;
+  }
+  // Statuses no retry can change. kFenced: a newer instance of this
+  // producer id exists. kSegmentClosed: the stream is sealed. Both end
+  // every chunk of the request. kInvalidArgument is about the bytes of
+  // the one chunk the broker stopped at (longer than a segment, or of
+  // another stream): it alone ends, and the others retry.
+  const bool final_for_all = resp.status == StatusCode::kFenced ||
+                             resp.status == StatusCode::kSegmentClosed;
+  const size_t rejected = resp.status == StatusCode::kInvalidArgument
+                              ? size_t(resp.appended) + resp.duplicates
+                              : request.chunks.size();
+  if (resp.status == StatusCode::kFenced) ++stats_.fenced_rejections;
+  std::vector<SealedChunk> failed;
+  for (size_t i = 0; i < request.chunks.size(); ++i) {
+    SealedChunk& c = request.chunks[i];
+    if (final_for_all || i == rejected ||
+        ++c.failed_attempts > config_.request_retries) {
+      failed.push_back(std::move(c));
+    } else {
+      retry.push_back(std::move(c));
+    }
+  }
+  if (failed.empty()) return;
+  // Failed chunks are recycled too: the producer is now failed, and Send()
+  // refuses further records.
+  ++stats_.request_failures;
+  failed_.store(true, std::memory_order_release);
+  AckChunks(failed);
 }
 
 void Producer::AckChunks(std::vector<SealedChunk>& chunks) {

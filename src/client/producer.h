@@ -2,11 +2,18 @@
 // shared memory. The caller's thread acts as the Source — Send() appends
 // records into per-streamlet chunk builders (recycled through a pool),
 // doing O(1) work per record whatever the streamlet count. Sealed chunks
-// wait in a ready queue for the Requests thread, which batches them into
-// one request per broker (up to request_size) and pushes them over the
-// network, retrying on errors (exactly-once is guaranteed by broker-side
-// dedup on chunk sequences). One round of requests is in flight at a
-// time.
+// wait in a ready queue for the Requests thread, whose rounds are the
+// only send path: a round groups the ready chunks by their streamlet's
+// current leader, ships one request per leader (up to kRequestBytes of
+// chunks each) and settles every chunk from its reply. An acked chunk
+// returns its builder to the pool. A chunk to retry goes back to the
+// head of the ready queue, in order, and the next round carries it to
+// the leaders one coordinator lookup has refreshed; the re-send is the
+// same sealed bytes, so the broker's dedup on chunk sequences stores it
+// once. A chunk fails for good after request_retries retries, or at once
+// on a status no retry can change. One round of requests is in flight at
+// a time, which also keeps each streamlet's chunks in sequence order
+// across a retry.
 //
 // Linger (Kafka's linger.ms, as its accumulator applies it): a chunk is
 // ready once linger_us has passed since its first record, and it is
@@ -18,10 +25,13 @@
 // and Flush() seal at once.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <future>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -61,7 +71,8 @@ class Producer {
                    std::span<const std::byte> value);
 
   /// Pushes all buffered chunks and waits until every chunk sent so far
-  /// has been acknowledged.
+  /// has been acknowledged or has failed for good; fails once any chunk
+  /// has.
   Status Flush();
 
   /// Flush + stop the requests thread.
@@ -73,13 +84,15 @@ class Producer {
     uint64_t chunks_acked = 0;  // read from chunks_acked_ by GetStats
     Counter duplicates_reported;
     Counter requests_sent;
+    /// Requests that ended one or more of their chunks for good.
     Counter request_failures;
     /// Requests rejected with kFenced: a newer instance of this producer
     /// id was allocated, so this one stopped permanently (no retries).
     Counter fenced_rejections;
     Counter bytes_sent;
-    /// Retry rounds that re-partitioned pending sealed chunks to moved
-    /// streamlet leaders (crash recovery / migration while in flight).
+    /// Leader lookups after a round with chunks to retry that found a
+    /// streamlet's leader moved (crash recovery or migration): later
+    /// rounds send that streamlet's chunks to its new leader.
     Counter retry_repartitions;
     Histogram request_latency_us;  // guarded by mu_
   };
@@ -95,9 +108,22 @@ class Producer {
   struct SealedChunk {
     std::unique_ptr<ChunkBuilder> builder;
     StreamletId streamlet = 0;
-    NodeId broker = 0;
     size_t bytes = 0;
+    int failed_attempts = 0;
   };
+  /// One request of a round: the chunks bound for one leader, the frame's
+  /// inline runs and the reply. The frame is sent in scatter-gather form,
+  /// its spans pointing into `body`, `opcode` and the chunks' builders, so
+  /// a Request stays put until its reply is collected.
+  struct Request {
+    std::vector<SealedChunk> chunks;
+    rpc::Writer body{64};
+    std::array<std::byte, 2> opcode{};
+    std::future<Result<std::vector<std::byte>>> reply;
+  };
+  /// Chunk bytes per leader per round: the chunk that crosses it still
+  /// rides in the round, the rest wait for the next.
+  static constexpr size_t kRequestBytes = size_t(1) << 20;
   static constexpr StreamletId kNoStreamlet = ~StreamletId{0};
   /// Per-streamlet source state. A chunk holds a pooled builder only while
   /// it has records; those chunks form the linger list, an intrusive
@@ -113,10 +139,6 @@ class Producer {
 
   Status SendRecord(std::span<const std::byte> key,
                     std::span<const std::byte> value, StreamletId streamlet);
-  /// Re-resolves the stream's current streamlet leaders from the
-  /// coordinator into `leaders` (requests-thread only; info_ itself stays
-  /// immutable after Connect so the source thread reads it without locks).
-  bool FetchLeaders(std::vector<NodeId>* leaders);
   /// Gives the streamlet's empty slot a started builder and links it at
   /// the linger list's tail (waking the requests thread if it is the
   /// head); waits on `lock` while the pool is empty.
@@ -128,11 +150,16 @@ class Producer {
   /// Seals the prefix of the linger list whose deadline has passed.
   void SealLingered(Clock::time_point now);
   /// Seals lingered chunks as their deadlines pass until chunks are
-  /// ready, then moves the next round's chunks (up to request_size per
-  /// broker) into `round`. Returns false once the producer is stopping
-  /// and nothing is left to send.
-  bool NextRound(std::vector<SealedChunk>& round);
+  /// ready, then moves the next round's chunks into `round`, one Request
+  /// per current leader. Returns false once the producer is stopping and
+  /// nothing is left to send.
+  bool NextRound(std::map<NodeId, Request>& round);
   void RequestsLoop();
+  /// Collects a request's reply and settles its chunks: acked and failed
+  /// chunks recycle their builders, chunks to retry are appended to
+  /// `retry` in request order with one more failed attempt counted.
+  void Settle(Request& request, Clock::time_point start,
+              std::vector<SealedChunk>& retry);
   /// Recycles the chunks' builders into the pool, counts them acked and
   /// wakes a Send waiting for a builder or a Flush waiting for acks.
   void AckChunks(std::vector<SealedChunk>& chunks);
@@ -145,6 +172,10 @@ class Producer {
   /// Connect, so both threads read it freely.
   uint32_t epoch_ = 0;
   size_t round_robin_ = 0;  // source thread only
+  /// Each streamlet's current leader, as the last coordinator lookup saw
+  /// it (requests thread only; info_ stays as Connect read it, so the
+  /// source thread reads it without locks).
+  std::vector<NodeId> leaders_;
 
   // The chunk hand-off between the two threads (the paper's shared-memory
   // chunk recycling): open chunks, sealed chunks waiting for a round and

@@ -107,8 +107,9 @@ class Coordinator final : public rpc::RpcHandler {
   /// scalability: streamlets move to new brokers). The acknowledged data
   /// is replayed from the backups into the target — the same machinery as
   /// crash recovery, without a crash — and the old leader relinquishes
-  /// leadership. Producers/consumers should re-resolve the stream
-  /// afterwards. Returns chunks replayed.
+  /// leadership. Producers follow on their own (a refused round makes
+  /// them look the leaders up again); consumers must reconnect. Returns
+  /// chunks replayed.
   Result<uint64_t> MigrateStreamlet(const std::string& name,
                                     StreamletId streamlet, NodeId target);
 

@@ -115,9 +115,15 @@ struct ProduceRequest {
   [[nodiscard]] static Result<ProduceRequest> Decode(Reader& r);
 };
 
+/// The broker appends a request's chunks in order and stops at the first
+/// one it refuses, so on a non-OK status `appended + duplicates` is that
+/// chunk's index in the request: the chunks before it were appended or
+/// dropped as duplicates, but are not durable yet, and the chunks after
+/// it were not looked at. An index equal to the chunk count means every
+/// chunk was appended and making them durable failed.
 struct ProduceResponse {
   StatusCode status = StatusCode::kOk;
-  uint32_t appended = 0;    // chunks newly appended and durably replicated
+  uint32_t appended = 0;    // chunks newly appended (durable on kOk only)
   uint32_t duplicates = 0;  // chunks dropped by exactly-once dedup
 
   static auto Fields(auto& m) {

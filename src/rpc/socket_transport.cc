@@ -395,8 +395,8 @@ Result<uint16_t> SocketNetwork::Register(NodeId node, RpcHandler* handler,
   AddToEpoll(n->shards[0]->epoll_fd, n->listen_fd, EPOLLIN, kListenTag);
 
   const int workers_per_shard =
-      nshards == 1 ? std::max(1, options_.workers_per_node)
-                   : std::max(2, options_.workers_per_node / nshards);
+      nshards == 1 ? Options::workers_per_node
+                   : std::max(2, Options::workers_per_node / nshards);
 
   uint16_t bound = n->port;
   ServerNode* raw = n.get();

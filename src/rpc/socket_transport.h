@@ -69,8 +69,8 @@ class SocketNetwork final : public Network {
  public:
   struct Options {
     /// Handler worker threads per registered node (split across its
-    /// shards when a node registers with shards > 1).
-    int workers_per_node = 4;
+    /// shards when a node registers with shards > 1); e2ebench reports it.
+    static constexpr int workers_per_node = 4;
     /// Address registered listeners bind (and advertise to in-process
     /// clients).
     std::string host = "127.0.0.1";

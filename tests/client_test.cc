@@ -482,6 +482,142 @@ TEST(ProducerTest, FlushKeepsEveryPooledBuilder) {
   ConsumeAll(cluster, "s", 2 * kCycles);
 }
 
+// The broker refuses a chunk longer than its segment with kInvalidArgument,
+// which no retry can change: that chunk fails at once, and the chunk it
+// was batched with retries and lands.
+TEST(ProducerTest, ChunkLongerThanASegmentFailsAloneAtOnce) {
+  MiniClusterConfig cfg = SocketConfig();
+  cfg.nodes = 1;
+  MiniCluster cluster(cfg);
+  MakeStream(cluster, "s", 2, 1);
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.chunk_size = 128 << 10;  // longer than the 64 KiB segment
+  pc.chunk_pool_size = 4;      // of 128 KiB builders each
+  pc.linger_us = 10'000'000;  // Flush seals both chunks into one round
+  Watchdog watchdog(std::chrono::seconds(60), "chunk longer than a segment");
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  const std::string big(70 << 10, 'x'), small(100, 's');
+  ASSERT_TRUE(producer.Send(AsBytes(big)).ok());    // streamlet 0
+  ASSERT_TRUE(producer.Send(AsBytes(small)).ok());  // streamlet 1
+  EXPECT_FALSE(producer.Flush().ok());
+  EXPECT_EQ(producer.GetStats().request_failures, 1u);
+  auto broker = cluster.TotalBrokerStats();
+  EXPECT_LE(broker.produce_rpcs, 2u);
+  EXPECT_EQ(broker.chunks_appended, 1u);
+  EXPECT_FALSE(producer.Close().ok());
+  EXPECT_EQ(ConsumeAll(cluster, "s", 1).count(small), 1u);
+}
+
+// After a migration the first round reaches the old leader, which refuses
+// it with kNotLeader; one leader lookup then points every later round at
+// the new leader.
+TEST(ProducerTest, RoundsFollowAMovedLeader) {
+  MiniClusterConfig cfg = SocketConfig();
+  cfg.nodes = 3;
+  MiniCluster cluster(cfg);
+  auto info = MakeStream(cluster, "s", 1, 2);
+  ProducerConfig pc;
+  pc.stream = "s";
+  Watchdog watchdog(std::chrono::seconds(60), "rounds after a migration");
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  int sent = 0;
+  auto send = [&] {
+    return producer.Send(AsBytes("r" + std::to_string(sent++)));
+  };
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(send().ok());
+  ASSERT_TRUE(producer.Flush().ok());
+
+  const NodeId old_leader = info.streamlet_brokers[0];
+  const NodeId target = old_leader % 3 + 1;
+  ASSERT_TRUE(cluster.coordinator().MigrateStreamlet("s", 0, target).ok());
+  const uint64_t old_rpcs = cluster.broker(old_leader).GetStats().produce_rpcs;
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_TRUE(send().ok());
+    ASSERT_TRUE(producer.Flush().ok());
+  }
+  EXPECT_LE(cluster.broker(old_leader).GetStats().produce_rpcs - old_rpcs, 1u);
+  auto stats = producer.GetStats();
+  EXPECT_EQ(stats.retry_repartitions, 1u);
+  EXPECT_EQ(stats.request_failures, 0u);
+  ASSERT_TRUE(producer.Close().ok());
+  ConsumeAll(cluster, "s", size_t(sent));
+}
+
+// A crash recovery moves the dead leader's streamlets while the producer
+// stays connected: the round that fails at the dead node costs one lookup,
+// and every later round goes to the recovered leaders.
+TEST(ProducerTest, RoundsFollowARecoveredLeader) {
+  MiniClusterConfig cfg = SocketConfig();
+  cfg.nodes = 4;
+  MiniCluster cluster(cfg);
+  auto info = MakeStream(cluster, "s", 4, 3);
+  ProducerConfig pc;
+  pc.stream = "s";
+  Watchdog watchdog(std::chrono::seconds(60), "rounds after a recovery");
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  int sent = 0;
+  auto send = [&] {
+    return producer.Send(AsBytes("r" + std::to_string(sent++)));
+  };
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(send().ok());
+  ASSERT_TRUE(producer.Flush().ok());
+
+  const NodeId victim = info.streamlet_brokers[0];
+  cluster.CrashNode(victim);
+  ASSERT_TRUE(cluster.coordinator().RecoverNode(victim).ok());
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 10; ++i) ASSERT_TRUE(send().ok());
+    ASSERT_TRUE(producer.Flush().ok());
+  }
+  auto stats = producer.GetStats();
+  EXPECT_EQ(stats.retry_repartitions, 1u);
+  EXPECT_EQ(stats.request_failures, 0u);
+  ASSERT_TRUE(producer.Close().ok());
+  ConsumeAll(cluster, "s", size_t(sent));
+}
+
+// kFenced (a newer instance of this producer id) and kSegmentClosed (the
+// stream is sealed) fail the whole request on its first reply.
+TEST(ProducerTest, FinalStatusEndsTheRequestAtOnce) {
+  for (const bool fence : {true, false}) {
+    SCOPED_TRACE(fence ? "fenced" : "sealed");
+    MiniClusterConfig cfg = SocketConfig();
+    cfg.nodes = 1;
+    MiniCluster cluster(cfg);
+    MakeStream(cluster, "s", 1, 1);
+    ProducerConfig pc;
+    pc.producer_id = 7;
+    pc.stream = "s";
+    pc.exactly_once = true;
+    Watchdog watchdog(std::chrono::seconds(60), "final produce status");
+    Producer producer(pc, cluster.network());
+    ASSERT_TRUE(producer.Connect().ok());
+    ASSERT_TRUE(producer.Send(AsBytes(std::string("first"))).ok());
+    ASSERT_TRUE(producer.Flush().ok());
+    if (fence) {
+      // The successor's first chunk raises the broker's epoch for the id.
+      Producer successor(pc, cluster.network());
+      ASSERT_TRUE(successor.Connect().ok());
+      ASSERT_TRUE(successor.Send(AsBytes(std::string("successor"))).ok());
+      ASSERT_TRUE(successor.Close().ok());
+    } else {
+      ASSERT_TRUE(cluster.coordinator().SealStream("s").ok());
+    }
+    const uint64_t rpcs = cluster.TotalBrokerStats().produce_rpcs;
+    ASSERT_TRUE(producer.Send(AsBytes(std::string("refused"))).ok());
+    EXPECT_FALSE(producer.Flush().ok());
+    EXPECT_EQ(cluster.TotalBrokerStats().produce_rpcs - rpcs, 1u);
+    auto stats = producer.GetStats();
+    EXPECT_EQ(stats.request_failures, 1u);
+    EXPECT_EQ(stats.fenced_rejections, fence ? 1u : 0u);
+    EXPECT_FALSE(producer.Close().ok());
+  }
+}
+
 TEST(ClientRoundTripTest, ProduceThenConsumeEverything) {
   MiniCluster cluster(SocketConfig());
   auto info = MakeStream(cluster, "s", 2, 2);
