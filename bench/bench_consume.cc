@@ -1,9 +1,7 @@
 // Consumer fetch-engine benchmarks: end-to-end consume throughput and
-// Poll latency against a real MiniCluster, varying the fetch pipeline
-// depth (requests in flight per broker; 1 = one at a time) and the
-// broker count, on both the Direct (inline) and Socket (loopback TCP)
-// transports; plus the idle-stream RPC rate with and without broker
-// long-poll.
+// Poll latency against a real MiniCluster, varying the broker count, on
+// both the Direct (inline) and Socket (loopback TCP) transports; plus the
+// idle-stream RPC rate, where the fetch long-polls at the broker.
 //
 //   ./bench_consume --benchmark_out=BENCH_consume.json
 //                   --benchmark_out_format=json
@@ -67,7 +65,6 @@ rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers) {
 void BM_ConsumeThroughput(benchmark::State& state) {
   const bool socket = state.range(0) != 0;
   const uint32_t brokers = uint32_t(state.range(1));
-  const uint32_t depth = uint32_t(state.range(2));
   const uint64_t expect_records = brokers * kBytesPerBroker / kRecordBytes;
 
   Histogram poll_us;
@@ -78,10 +75,10 @@ void BM_ConsumeThroughput(benchmark::State& state) {
     FillStream(*cluster, brokers);
     ConsumerConfig cc;
     cc.stream = "bench";
-    cc.fetch_pipeline_depth = depth;
     // Bounded fetches (a prefetch window of many small requests) instead
     // of one giant transfer per broker: this is the shape the pipeline
-    // exists for, and what gives the depth knob something to overlap.
+    // exists for, and what gives its four requests in flight something
+    // to overlap.
     cc.max_bytes_per_request = 64 << 10;
     cc.max_chunks_per_entry = 4;
     Consumer consumer(cc, cluster->network());
@@ -124,23 +121,19 @@ void BM_ConsumeThroughput(benchmark::State& state) {
   state.counters["records"] = double(records);
 }
 BENCHMARK(BM_ConsumeThroughput)
-    ->ArgsProduct({{0, 1}, {1, 2, 4}, {1, 2, 4, 8}})
-    ->ArgNames({"socket", "brokers", "depth"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4}})
+    ->ArgNames({"socket", "brokers"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 // Tailing a live stream across 4 brokers: a producer emits one
 // timestamped record every 2 ms round-robin over the streamlets while
 // the consumer tails. Reported: end-to-end delivery latency quantiles
-// (produce -> Poll) and the RPC counts. Every depth runs one fetch
+// (produce -> Poll) and the RPC counts. The consumer runs one fetch
 // worker per broker, so an idle broker's parked long-poll never holds
-// up another broker's data; depth only sets how many requests each
-// worker keeps in flight. wait_us=0 is idle-backoff polling (decent
-// latency, an RPC flood).
+// up another broker's data.
 void BM_TailLatency(benchmark::State& state) {
   const bool socket = state.range(0) != 0;
-  const uint32_t depth = uint32_t(state.range(1));
-  const uint64_t wait_us = uint64_t(state.range(2));
   constexpr uint32_t kBrokers = 4;
   constexpr int kTailRecords = 250;
 
@@ -156,8 +149,6 @@ void BM_TailLatency(benchmark::State& state) {
     }
     ConsumerConfig cc;
     cc.stream = "bench";
-    cc.fetch_pipeline_depth = depth;
-    cc.fetch_max_wait_us = wait_us;
     Consumer consumer(cc, cluster->network());
     if (!consumer.Connect().ok()) {
       state.SkipWithError("consumer connect failed");
@@ -213,15 +204,14 @@ void BM_TailLatency(benchmark::State& state) {
   state.counters["empty_responses"] = double(empties);
 }
 BENCHMARK(BM_TailLatency)
-    ->ArgsProduct({{0, 1}, {1, 4}, {0, 50'000}})
-    ->ArgNames({"socket", "depth", "wait_us"})
+    ->ArgsProduct({{0, 1}})
+    ->ArgNames({"socket"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-// An idle consumer for 300 ms: with long-poll the fetch parks at the
-// broker (a handful of RPCs); without it the client spins empty rounds.
+// An idle consumer for 300 ms: the fetch parks at the broker, so it
+// costs a handful of RPCs instead of a spin of empty rounds.
 void BM_IdleStreamRpcs(benchmark::State& state) {
-  const uint64_t wait_us = uint64_t(state.range(0));
   uint64_t requests = 0, empties = 0, parked = 0;
   for (auto _ : state) {
     auto cluster = MakeCluster(/*socket=*/false, /*brokers=*/1);
@@ -233,7 +223,6 @@ void BM_IdleStreamRpcs(benchmark::State& state) {
     }
     ConsumerConfig cc;
     cc.stream = "bench";
-    cc.fetch_max_wait_us = wait_us;
     Consumer consumer(cc, cluster->network());
     if (!consumer.Connect().ok()) {
       state.SkipWithError("consumer connect failed");
@@ -251,9 +240,6 @@ void BM_IdleStreamRpcs(benchmark::State& state) {
   state.counters["long_polls"] = double(parked);
 }
 BENCHMARK(BM_IdleStreamRpcs)
-    ->Arg(0)
-    ->Arg(100'000)
-    ->ArgNames({"wait_us"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

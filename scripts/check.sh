@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Full local check: regular build + all tests, the producer's linger
-# and retry tests repeated, the end-to-end benchmark's selfcheck over
+# and retry tests, the consumer's end-of-stream tests and the replay race
+# tests repeated, the end-to-end benchmark's selfcheck over
 # real sockets, a ThreadSanitizer build running the concurrency-sensitive
 # suites (virtual log windowed replication, concurrent produce handlers),
 # an ASan+UBSan build running the wire/rpc/broker suites (the scatter-gather
@@ -34,6 +35,21 @@ echo "== producer linger and retry tests, repeated (Release) =="
 timeout 600 "$build/tests/client_test" \
   --gtest_filter='ProducerTest.*Linger*:ProducerTest.PoolRunningDry*:ProducerTest.FlushKeeps*:ProducerTest.RoundsFollow*:ProducerTest.*AtOnce' \
   --gtest_repeat=30
+
+echo "== consumer end-of-stream and replay race tests, repeated (Release) =="
+# A lost end of stream stalls PollBlocking, and a replay refusal that is
+# never lifted stalls Flush; neither fails a test by itself, and TSan
+# reports no stalls, so these repeat under a timeout too.
+timeout 900 "$build/tests/client_edge_test" \
+  --gtest_filter='ConsumerEdgeTest.*' --gtest_repeat=10
+timeout 900 "$build/tests/bounded_stream_test" \
+  --gtest_filter='BoundedStreamTest.*' --gtest_repeat=10
+timeout 900 "$build/tests/integration_test" \
+  --gtest_filter='IntegrationTest.SendDuringRecoveryReplayLosesNothing' \
+  --gtest_repeat=10
+timeout 900 "$build/tests/migration_test" \
+  --gtest_filter='MigrationRaceTest.SendDuringMigrationReplayLosesNothing' \
+  --gtest_repeat=10
 
 echo "== end-to-end benchmark selfcheck (socket cluster, every record checked) =="
 # Builds e2e_bench in Release under the regular build dir, then runs the
@@ -88,11 +104,11 @@ cmake --build "$asan_build" -j --target \
   wire_test wire_golden_test wire_fuzz_test rpc_test common_test \
   transport_test consume_protocol_test client_test client_edge_test \
   integration_test backup_test backup_store_test coordinator_test \
-  broker_test vlog_test failure_test
+  broker_test vlog_test failure_test migration_test
 for t in wire_test wire_golden_test wire_fuzz_test rpc_test common_test \
          transport_test consume_protocol_test client_test client_edge_test \
          integration_test backup_test backup_store_test coordinator_test \
-         broker_test vlog_test failure_test; do
+         broker_test vlog_test failure_test migration_test; do
   echo "-- ASan+UBSan: $t"
   "$asan_build/tests/$t"
 done

@@ -154,7 +154,8 @@ Status Broker::AddStream(const std::string& name,
   return OkStatus();
 }
 
-Status Broker::AddStreamlet(StreamId stream, StreamletId streamlet) {
+Status Broker::AddStreamlet(StreamId stream, StreamletId streamlet,
+                            bool awaits_replay) {
   StreamEntry* entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -172,10 +173,11 @@ Status Broker::AddStreamlet(StreamId stream, StreamletId streamlet) {
     StreamEntry::ShardState& ss = entry->ShardFor(streamlet);
     std::lock_guard<std::mutex> entry_lock(ss.mu);
     ss.led.insert(streamlet);
+    if (awaits_replay) ss.replaying.insert(streamlet);
     if (ss.gated.size() <= streamlet) ss.gated.resize(size_t(streamlet) + 1);
   }
-  // A consumer may already be parked probing this streamlet (leadership
-  // handed over mid-poll): let it re-gather.
+  // A consumer may already be parked awaiting this streamlet's group
+  // (leadership handed over mid-poll): let it re-gather.
   NotifyConsumeWaitersAllShards(*entry);
   return OkStatus();
 }
@@ -187,6 +189,10 @@ Status Broker::FinishRecovery(StreamId stream) {
   }
   for (StreamletId sl : entry->storage->StreamletIds()) {
     entry->storage->GetStreamlet(sl)->CloseRecoveryGroups();
+  }
+  for (uint32_t s = 0; s < entry->nshards; ++s) {
+    std::lock_guard<std::mutex> lock(entry->shard[s].mu);
+    entry->shard[s].replaying.clear();
   }
   NotifyConsumeWaitersAllShards(*entry);
   return OkStatus();
@@ -403,10 +409,10 @@ Status Broker::AppendOneChunk(
   StreamEntry::DedupEntry prev;  // state before this chunk reserved its seq
   VirtualLog* vlog = nullptr;
   {
-    // One per-shard critical section covers the seal/leadership gates,
-    // the exactly-once dedup update (drop chunks at or below the last
-    // accepted sequence of the same producer session) and, under the
-    // shared pool, where the vlog does not depend on the active-group
+    // One per-shard critical section covers the seal, leadership and
+    // replay gates, the exactly-once dedup update (drop chunks at or below
+    // the last accepted sequence of the same producer session) and, under
+    // the shared pool, where the vlog does not depend on the active-group
     // slot, the vlog cache lookup.
     std::lock_guard<std::mutex> lock(ss.mu);
     // The seal bounds the stream's USER data. Offset-commit system chunks
@@ -420,6 +426,9 @@ Status Broker::AppendOneChunk(
     }
     if (ss.led.count(streamlet_id) == 0) {
       return Status(StatusCode::kNotLeader, "streamlet not led here");
+    }
+    if (!req.recovery && ss.replaying.count(streamlet_id) != 0) {
+      return Status(StatusCode::kUnavailable, "streamlet replay in progress");
     }
     auto [it, inserted] = ss.dedup.try_emplace(key);
     if (!inserted && epoch < it->second.epoch) {
@@ -906,67 +915,47 @@ rpc::ConsumeResponse Broker::GatherConsume(StreamEntry& entry,
     out.group_exists = true;
     auto locators = group->GetDurableChunks(e.start_chunk, e.max_chunks,
                                             budget);
+    // Pin each hot segment for the life of the response, so the evictor
+    // cannot pull the buffer out from under the in-flight spans (nothing
+    // evicts without a tiered store, so there the pin cannot fail). Chunks
+    // of an evicted segment are served from the cold-read cache, still
+    // zero-copy into cache memory. A segment that can be neither pinned nor
+    // read cold (a trim evacuated its spilled copies) ends this entry's
+    // gather; the consumer re-requests and sees the group's terminal state.
+    // A group's chunks are in segment order, so each segment is resolved
+    // once, at its first chunk.
     uint64_t served = 0;
-    if (tiered_ == nullptr) {
-      // Unbounded memory: every segment is resident, spans alias it
-      // directly (the original zero-copy gather, byte for byte).
-      for (const ChunkLocator& loc : locators) {
-        out.chunks.push_back(loc.segment->Bytes(loc.offset, loc.length));
-        budget = budget > loc.length ? budget - loc.length : 0;
-        *payload_bytes += loc.length;
-        ++served;
-      }
-    } else {
-      // Tiered gather: pin each distinct hot segment for the life of the
-      // response (so the evictor cannot pull the buffer out from under
-      // the in-flight spans); chunks of an evicted segment are served
-      // from the cold-read cache, still zero-copy into cache memory.
-      struct SegSource {
-        bool hot = false;
-        bool failed = false;
-        std::span<const std::byte> cold;  // whole spilled payload
-      };
-      std::map<Segment*, SegSource> sources;
-      uint64_t cold_chunks = 0;
-      for (const ChunkLocator& loc : locators) {
-        Segment* seg = loc.segment;
-        auto it = sources.find(seg);
-        if (it == sources.end()) {
-          SegSource src;
-          if (seg->TryPinRead()) {
-            src.hot = true;
-            resp.holds.emplace_back(
-                nullptr, [seg](const void*) { seg->UnpinRead(); });
-          } else {
-            auto cs = tiered_->ReadCold(entry.info.stream, e.streamlet,
-                                        e.group, loc.segment_id);
-            if (cs.ok()) {
-              src.cold = {(*cs)->buf.data(), (*cs)->size};
-              resp.holds.push_back(std::shared_ptr<const void>(std::move(*cs)));
-            } else {
-              // Raced a trim (the spilled copies were evacuated): stop
-              // this entry's gather; the consumer re-requests and sees
-              // the group's terminal state.
-              src.failed = true;
-            }
-          }
-          it = sources.emplace(seg, src).first;
-        }
-        if (it->second.failed) break;
-        std::span<const std::byte> bytes;
-        if (it->second.hot) {
-          bytes = seg->Bytes(loc.offset, loc.length);
+    uint64_t cold_chunks = 0;
+    Segment* seg = nullptr;
+    bool hot = false;
+    std::span<const std::byte> cold;  // seg's spilled payload unless hot
+    for (const ChunkLocator& loc : locators) {
+      if (loc.segment != seg) {
+        seg = loc.segment;
+        hot = seg->TryPinRead();
+        if (hot) {
+          resp.holds.emplace_back(
+              nullptr, [seg](const void*) { seg->UnpinRead(); });
         } else {
-          bytes = it->second.cold.subspan(loc.offset, loc.length);
-          ++cold_chunks;
+          if (tiered_ == nullptr) break;
+          auto cs = tiered_->ReadCold(entry.info.stream, e.streamlet, e.group,
+                                      loc.segment_id);
+          if (!cs.ok()) break;
+          cold = {(*cs)->buf.data(), (*cs)->size};
+          resp.holds.push_back(std::shared_ptr<const void>(std::move(*cs)));
         }
-        out.chunks.push_back(bytes);
-        budget = budget > loc.length ? budget - loc.length : 0;
-        *payload_bytes += loc.length;
-        ++served;
       }
-      if (cold_chunks > 0) tiered_->NoteColdChunksServed(cold_chunks);
+      if (hot) {
+        out.chunks.push_back(seg->Bytes(loc.offset, loc.length));
+      } else {
+        out.chunks.push_back(cold.subspan(loc.offset, loc.length));
+        ++cold_chunks;
+      }
+      budget = budget > loc.length ? budget - loc.length : 0;
+      *payload_bytes += loc.length;
+      ++served;
     }
+    if (cold_chunks > 0) tiered_->NoteColdChunksServed(cold_chunks);
     out.next_chunk = e.start_chunk + served;
     // "No more data will ever appear at or beyond next_chunk."
     out.group_closed =

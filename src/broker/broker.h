@@ -114,14 +114,20 @@ class Broker final : public rpc::RpcHandler {
   Status AddStream(const std::string& name, const rpc::StreamInfo& info);
 
   /// Declares this broker the leader of `streamlet` (storage is created).
-  Status AddStreamlet(StreamId stream, StreamletId streamlet);
+  /// With `awaits_replay` (recovery or migration moved the streamlet here)
+  /// it refuses live appends to the streamlet with kUnavailable until
+  /// FinishRecovery: a live chunk landing first would make the dedup drop
+  /// every replayed chunk of its producer with a lower sequence.
+  Status AddStreamlet(StreamId stream, StreamletId streamlet,
+                      bool awaits_replay = false);
 
   /// Seals a stream on this broker (bounded stream / object): closes the
   /// active groups and rejects further non-recovery produces.
   Status SealStream(StreamId stream);
 
   /// Marks a recovery/migration replay complete on this broker: closes
-  /// every streamlet's recovery groups so consumers advance past them.
+  /// every streamlet's recovery groups so consumers advance past them, and
+  /// lifts the stream's replay refusals (see AddStreamlet).
   Status FinishRecovery(StreamId stream);
 
   /// Relinquishes leadership of a streamlet after migration: produces are
@@ -343,6 +349,8 @@ class Broker final : public rpc::RpcHandler {
     struct alignas(64) ShardState {
       mutable std::mutex mu;
       std::set<StreamletId> led;  // streamlets led here, owned by shard
+      /// Led streamlets awaiting a replay: live appends are refused.
+      std::set<StreamletId> replaying;
       /// Chunks per streamlet, indexed by streamlet id, that passed
       /// HandleProduce's leadership check and that their request is not
       /// done with yet (durable or failed). AddStreamlet sizes it, so

@@ -22,10 +22,11 @@ struct ProducerConfig {
   size_t chunk_pool_size = 256;
   /// Retries per chunk: a chunk whose request fails with a transport
   /// error or a retryable status counts one failed attempt and is sent
-  /// again by a later round, to its streamlet's current leader; it fails
-  /// for good once its failed attempts exceed this. A status no retry can
-  /// change (kFenced, kSegmentClosed, or kInvalidArgument for the chunk
-  /// the broker rejected) ends it at once. Dedup makes retries safe.
+  /// again by a later round, to its streamlet's current leader (100 ms
+  /// later if no leader moved); it fails for good once its failed
+  /// attempts exceed this. A status no retry can change (kFenced,
+  /// kSegmentClosed, or kInvalidArgument for the chunk the broker
+  /// rejected) ends it at once. Dedup makes retries safe.
   int request_retries = 3;
   /// End-to-end exactly-once: Connect() performs an AllocateProducer
   /// handshake with the coordinator and stamps the returned session epoch
@@ -50,22 +51,12 @@ struct ConsumerConfig {
   uint32_t share_index = 0;
   uint32_t max_chunks_per_entry = 4;
   uint32_t max_bytes_per_request = 4u << 20;
-  /// Consume RPCs kept in flight per broker (>= 1). One fetch worker per
-  /// broker stripes the broker's active groups over up to this many
-  /// concurrent requests, so fetch overlaps decode/Poll and brokers never
-  /// serialize on each other.
-  uint32_t fetch_pipeline_depth = 4;
   /// Byte budget of the prefetch window, per broker: once this many
   /// fetched-but-unpolled bytes are buffered for a broker, its fetch
-  /// pauses and resumes when Poll drains below the budget. In-flight
-  /// requests may overshoot by up to fetch_pipeline_depth *
+  /// pauses and resumes when Poll drains below the budget. The (up to
+  /// four) requests in flight may overshoot it by up to four times
   /// max_bytes_per_request.
   size_t fetch_buffer_bytes = 8u << 20;
-  /// Long-poll: idle fetches ask the broker to park the request until
-  /// data is durable (or this wait elapses) instead of returning empty.
-  /// 0 restores immediate-return polling with a short sleep between
-  /// empty responses.
-  uint64_t fetch_max_wait_us = 50'000;
   /// Stable consumer identity for durable offset commits; combined with
   /// the top bit into a system producer id (0x80000000 | consumer_id)
   /// under which commit chunks are sequenced and deduplicated.

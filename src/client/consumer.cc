@@ -1,5 +1,6 @@
 #include "client/consumer.h"
 
+#include <cassert>
 #include <chrono>
 #include <deque>
 #include <future>
@@ -15,20 +16,20 @@ namespace {
 /// per-request entry counts; discovery opens more as groups drain.
 constexpr size_t kMaxActiveGroups = 8;
 
-/// Sentinel group key marking a discovery probe (never a real cursor).
-constexpr GroupId kProbeGroup = ~GroupId(0);
+/// Consume RPCs a fetch worker keeps in flight to its broker.
+constexpr size_t kFetchPipelineDepth = 4;
 
 /// Slice for waiting on in-flight futures: short enough that Close()
 /// returns promptly even while a long-poll is parked at the broker.
 constexpr auto kFutureSlice = std::chrono::milliseconds(2);
 
-/// Pause before the next fetch round when a broker is unreachable, when
-/// every cursor is momentarily unavailable, or, with long-poll off
-/// (fetch_max_wait_us == 0), after an empty response.
+/// Pause before the next fetch round when a broker is unreachable.
 constexpr auto kIdleBackoff = std::chrono::microseconds(200);
 
-/// A long-polled fetch returns once any chunk data is durable (the broker
-/// also returns on group rollover, seal or timeout).
+/// A fetch after an empty response parks at the broker for up to this
+/// long (Kafka's fetch.max.wait.ms) and returns once any chunk data is
+/// durable; the broker also returns on group rollover, seal or timeout.
+constexpr uint64_t kFetchMaxWaitUs = 50'000;
 constexpr uint32_t kFetchMinBytes = 1;
 }  // namespace
 
@@ -44,25 +45,14 @@ void Consumer::FetchBuffer::Push(FetchedChunk fc) {
   pop_cv_.notify_one();
 }
 
-std::optional<Consumer::FetchedChunk> Consumer::FetchBuffer::TryPop() {
-  std::optional<FetchedChunk> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    out = std::move(items_.front());
-    items_.pop_front();
-    buffered_[out->broker] -= out->bytes.size();
-  }
-  budget_cv_.notify_all();
-  return out;
-}
-
-std::optional<Consumer::FetchedChunk> Consumer::FetchBuffer::Pop() {
+std::optional<Consumer::FetchedChunk> Consumer::FetchBuffer::Pop(bool wait) {
   std::optional<FetchedChunk> out;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    pop_cv_.wait(lock, [&] { return shutdown_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;  // shut down and drained
+    if (wait) {
+      pop_cv_.wait(lock, [&] { return shutdown_ || !items_.empty(); });
+    }
+    if (items_.empty()) return std::nullopt;
     out = std::move(items_.front());
     items_.pop_front();
     buffered_[out->broker] -= out->bytes.size();
@@ -113,10 +103,6 @@ Status Consumer::Connect() {
       config_.share_index >= config_.share_count) {
     return Status(StatusCode::kInvalidArgument, "bad group share config");
   }
-  if (config_.fetch_pipeline_depth == 0) {
-    return Status(StatusCode::kInvalidArgument,
-                  "fetch_pipeline_depth must be >= 1");
-  }
   if (config_.exactly_once && config_.share_count > 1) {
     // The committed cursor is a single per-streamlet position; group
     // sharing would interleave multiple members' frontiers into it.
@@ -156,21 +142,20 @@ Status Consumer::Connect() {
     fetched_.Shutdown();
     return OkStatus();
   }
+  std::map<NodeId, std::vector<StreamletId>> by_broker;
   for (StreamletId sl : assigned_) {
-    StreamletState state;
+    by_broker[info_.streamlet_brokers[sl]].push_back(sl);
+    // Every streamlet starts out awaiting its first owned group.
+    StreamletState& state = states_[sl];
     state.next_unstarted = FirstOwnedGroupAtOrAfter(0);
-    states_[sl] = state;
+    OpenGroups(state, /*sealed=*/false);
   }
 
   if (config_.exactly_once) {
     // Resume each streamlet from its last durably committed cursor: open
     // the committed group at the committed chunk index instead of the
     // beginning. Streamlets with no commit on record start from scratch.
-    std::map<NodeId, std::vector<StreamletId>> fetch_by_broker;
-    for (StreamletId sl : assigned_) {
-      fetch_by_broker[info_.streamlet_brokers[sl]].push_back(sl);
-    }
-    for (auto& [broker, sls] : fetch_by_broker) {
+    for (auto& [broker, sls] : by_broker) {
       auto fetched = rpc::Call(network_, broker,
                                rpc::FetchOffsetsRequest{info_.stream,
                                                         config_.consumer_id,
@@ -192,10 +177,6 @@ Status Consumer::Connect() {
   running_.store(true, std::memory_order_release);
   // One fetch worker per leader broker, so brokers are fetched in
   // parallel even on transports whose CallAsync runs inline.
-  std::map<NodeId, std::vector<StreamletId>> by_broker;
-  for (StreamletId sl : assigned_) {
-    by_broker[info_.streamlet_brokers[sl]].push_back(sl);
-  }
   active_fetch_workers_.store(by_broker.size(), std::memory_order_release);
   for (auto& [broker, streamlets] : by_broker) {
     fetch_threads_.emplace_back(
@@ -213,17 +194,25 @@ Status Consumer::Connect() {
   return OkStatus();
 }
 
-void Consumer::OpenDiscoveredGroups(StreamletState& state) {
-  while (state.active.size() < kMaxActiveGroups &&
-         state.next_unstarted < state.groups_created) {
+void Consumer::OpenGroups(StreamletState& state, bool sealed) {
+  auto open_next = [&] {
     state.active.emplace(state.next_unstarted, 0);
     state.next_unstarted =
         FirstOwnedGroupAtOrAfter(state.next_unstarted + 1);
+  };
+  while (state.active.size() < kMaxActiveGroups &&
+         state.next_unstarted < state.groups_created) {
+    open_next();
   }
-}
-
-void Consumer::MarkStreamletDone(StreamletState& state) {
-  if (state.done) return;
+  if (!state.active.empty()) return;
+  if (!sealed) {
+    // Await the next owned group: the broker reports it as not created
+    // until an append (or a rollover) creates it.
+    open_next();
+    return;
+  }
+  // End of stream: the stream is sealed, every created group this member
+  // owns has been drained, and no further groups will ever appear.
   state.done = true;
   if (done_streamlets_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
       assigned_.size()) {
@@ -240,16 +229,7 @@ void Consumer::HandleEntry(
     state.groups_created = entry.groups_created;
   }
   auto it = state.active.find(entry.group);
-  if (it == state.active.end()) {
-    OpenDiscoveredGroups(state);
-    // A probe entry for a group that does not exist yet: end-of-stream if
-    // the stream is sealed and nothing more can appear.
-    if (entry.stream_sealed && state.active.empty() &&
-        state.next_unstarted >= state.groups_created) {
-      MarkStreamletDone(state);
-    }
-    return;
-  }
+  if (it == state.active.end()) return;  // every entry echoes a cursor
   for (const auto& chunk_bytes : entry.chunks) {
     FetchedChunk fc;
     fc.streamlet = entry.streamlet;
@@ -262,17 +242,10 @@ void Consumer::HandleEntry(
     *got_data = true;
   }
   it->second = entry.next_chunk;
-  if (entry.group_closed) {
-    // This group is fully consumed; discovery opens the next one.
+  if (entry.group_closed || (entry.stream_sealed && !entry.group_exists)) {
     state.active.erase(it);
   }
-  OpenDiscoveredGroups(state);
-  // End-of-stream: the stream is sealed, every created group this member
-  // owns has been drained, and no further groups will ever appear.
-  if (entry.stream_sealed && state.active.empty() &&
-      state.next_unstarted >= state.groups_created) {
-    MarkStreamletDone(state);
-  }
+  OpenGroups(state, entry.stream_sealed);
 }
 
 bool Consumer::ProcessResponse(NodeId broker, std::vector<std::byte> raw) {
@@ -287,15 +260,7 @@ bool Consumer::ProcessResponse(NodeId broker, std::vector<std::byte> raw) {
   for (auto& entry : resp->entries) {
     auto sit = states_.find(entry.streamlet);
     if (sit == states_.end()) continue;
-    StreamletState& state = sit->second;
-    // A probe that found its group: open it before handling.
-    if (state.active.count(entry.group) == 0 &&
-        entry.group == state.next_unstarted &&
-        (entry.group_exists || !entry.chunks.empty())) {
-      state.active.emplace(entry.group, 0);
-      state.next_unstarted = FirstOwnedGroupAtOrAfter(entry.group + 1);
-    }
-    HandleEntry(broker, state, entry, shared, &got_data);
+    HandleEntry(broker, sit->second, entry, shared, &got_data);
   }
   if (!got_data) ++stats_.empty_responses;
   return got_data;
@@ -305,65 +270,41 @@ void Consumer::BrokerFetchLoop(NodeId broker,
                                const std::vector<StreamletId>& streamlets) {
   struct InFlight {
     std::future<Result<std::vector<std::byte>>> future;
-    // Cursors / probes covered, released when the response lands so the
-    // next round can re-issue them (one outstanding request per group
-    // keeps per-group chunk order).
+    // Cursors covered, released when the response lands so the next round
+    // can re-issue them (one outstanding request per group keeps per-group
+    // chunk order).
     std::vector<std::pair<StreamletId, GroupId>> groups;
-    std::vector<StreamletId> probes;
   };
   std::deque<InFlight> inflight;
   std::set<std::pair<StreamletId, GroupId>> outstanding;
-  std::set<StreamletId> probing;
-  bool idle = false;  // all-empty responses -> collapse to one long-poll
+  bool idle = false;  // last response empty -> collapse to one long-poll
 
   while (running_.load(std::memory_order_acquire)) {
     // Collect the cursors that are free to fetch right now.
     size_t done_count = 0;
     std::vector<rpc::ConsumeEntryRequest> avail;
-    std::vector<std::pair<StreamletId, GroupId>> keys;  // parallel to avail
     for (StreamletId sl : streamlets) {
-      StreamletState& state = states_.find(sl)->second;
+      const StreamletState& state = states_.find(sl)->second;
       if (state.done) {
         ++done_count;
         continue;
       }
-      OpenDiscoveredGroups(state);
-      if (state.active.empty()) {
-        if (probing.count(sl) != 0) continue;
-        rpc::ConsumeEntryRequest e;
-        e.streamlet = sl;
-        e.group = state.next_unstarted;
-        e.start_chunk = 0;
-        e.max_chunks = config_.max_chunks_per_entry;
-        avail.push_back(e);
-        keys.emplace_back(sl, kProbeGroup);
-      } else {
-        for (const auto& [group, cursor] : state.active) {
-          if (outstanding.count({sl, group}) != 0) continue;
-          rpc::ConsumeEntryRequest e;
-          e.streamlet = sl;
-          e.group = group;
-          e.start_chunk = cursor;
-          e.max_chunks = config_.max_chunks_per_entry;
-          avail.push_back(e);
-          keys.emplace_back(sl, group);
-        }
+      for (const auto& [group, cursor] : state.active) {
+        if (outstanding.count({sl, group}) != 0) continue;
+        avail.push_back({sl, group, cursor, config_.max_chunks_per_entry});
       }
     }
     if (done_count == streamlets.size() && inflight.empty()) return;
 
-    // Issue: stripe the available entries over the free pipeline slots.
-    // Idle mode sends a single request that long-polls at the broker
-    // (never more than one parked RPC per broker, so transport workers
-    // are not hoarded); streaming mode fills the pipeline with wait-0
-    // fetches.
-    const size_t depth = config_.fetch_pipeline_depth;
-    size_t slots = depth > inflight.size() ? depth - inflight.size() : 0;
+    // Issue: stripe the free cursors over the free pipeline slots. An idle
+    // worker sends a single request that long-polls at the broker (never
+    // more than one parked RPC per broker, so transport workers are not
+    // hoarded); a streaming one fills the pipeline with wait-0 fetches.
     size_t nreq = 0;
-    if (!avail.empty() && slots > 0) {
-      nreq = idle && config_.fetch_max_wait_us > 0
-                 ? (inflight.empty() ? 1 : 0)
-                 : std::min(slots, avail.size());
+    if (!avail.empty()) {
+      nreq = idle ? (inflight.empty() ? 1 : 0)
+                  : std::min(kFetchPipelineDepth - inflight.size(),
+                             avail.size());
     }
     for (size_t rq = 0; rq < nreq; ++rq) {
       // Flow control: pause this broker's prefetch until Poll drains.
@@ -374,37 +315,32 @@ void Consumer::BrokerFetchLoop(NodeId broker,
       req.stream = info_.stream;
       req.max_bytes = config_.max_bytes_per_request;
       if (idle) {
-        req.max_wait_us = config_.fetch_max_wait_us;
+        req.max_wait_us = kFetchMaxWaitUs;
         req.min_bytes = kFetchMinBytes;
       }
       InFlight inf;
-      // Contiguous block per request (avail is ordered by streamlet):
-      // each pipelined request covers a run of neighboring streamlets
-      // instead of a stride across all of them, so on a sharded broker
-      // the request's entries mostly share a home shard and the frame
-      // router keeps it off the cross-shard slow path.
+      // Contiguous block per request (avail is ordered by streamlet): each
+      // pipelined request covers a run of neighboring streamlets instead
+      // of a stride across all of them. That does not keep it on one shard
+      // of a sharded broker (streamlet % shards): the frame router sends it
+      // to its first entry's shard, where entries of other shards make it
+      // a cross-shard request.
       const size_t begin = rq * avail.size() / nreq;
       const size_t end = (rq + 1) * avail.size() / nreq;
       for (size_t i = begin; i < end; ++i) {
         req.entries.push_back(avail[i]);
-        if (keys[i].second == kProbeGroup) {
-          probing.insert(keys[i].first);
-          inf.probes.push_back(keys[i].first);
-        } else {
-          outstanding.insert(keys[i]);
-          inf.groups.push_back(keys[i]);
-        }
+        const std::pair<StreamletId, GroupId> key{avail[i].streamlet,
+                                                  avail[i].group};
+        outstanding.insert(key);
+        inf.groups.push_back(key);
       }
       inf.future = network_.CallAsync(broker, rpc::Frame(req));
       ++stats_.requests_sent;
       inflight.push_back(std::move(inf));
     }
-
-    if (inflight.empty()) {
-      // Every cursor is done or momentarily unavailable; don't spin.
-      std::this_thread::sleep_for(kIdleBackoff);
-      continue;
-    }
+    // Every streamlet not done holds a cursor, free or in flight, so at
+    // least one request is in flight here.
+    assert(!inflight.empty());
 
     // Wait for the oldest in-flight response, in short slices so Close()
     // returns promptly even while a long-poll is parked at the broker
@@ -421,7 +357,6 @@ void Consumer::BrokerFetchLoop(NodeId broker,
       if (!running_.load(std::memory_order_acquire)) break;
     }
     for (const auto& key : front.groups) outstanding.erase(key);
-    for (StreamletId sl : front.probes) probing.erase(sl);
     if (!ready) return;
 
     auto raw = front.future.get();
@@ -431,13 +366,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
       std::this_thread::sleep_for(kIdleBackoff);
       continue;
     }
-    if (ProcessResponse(broker, std::move(*raw))) {
-      idle = false;
-    } else if (config_.fetch_max_wait_us > 0) {
-      idle = true;
-    } else {
-      std::this_thread::sleep_for(kIdleBackoff);
-    }
+    idle = !ProcessResponse(broker, std::move(*raw));
   }
 }
 
@@ -518,7 +447,7 @@ std::vector<ConsumedRecord> Consumer::Poll(size_t max_records) {
       continue;
     }
     if (out.size() >= max_records) break;
-    auto fetched = fetched_.TryPop();
+    auto fetched = fetched_.Pop(/*wait=*/false);
     if (!fetched) break;
     IngestChunk(*fetched);
   }
@@ -529,7 +458,7 @@ std::vector<ConsumedRecord> Consumer::PollBlocking(size_t max_records) {
   while (running_.load(std::memory_order_acquire)) {
     auto out = Poll(max_records);
     if (!out.empty()) return out;
-    auto fetched = fetched_.Pop();  // blocks; returns nullopt on shutdown
+    auto fetched = fetched_.Pop(/*wait=*/true);  // nullopt on shutdown
     if (!fetched) break;
     IngestChunk(*fetched);
   }

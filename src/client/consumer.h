@@ -1,15 +1,16 @@
 // Consumer client (paper Fig. 7), built as a pipelined fetch engine.
-// One fetch worker per broker issues consume RPCs asynchronously, keeping
-// up to ConsumerConfig::fetch_pipeline_depth requests in flight by
-// striping the broker's active (streamlet, group) cursors across them —
-// with at most one outstanding request per group, so chunks of a group
-// always arrive in order. Fetched chunks land in a bounded FetchBuffer:
-// a per-broker byte budget (fetch_buffer_bytes) pauses a broker's
-// prefetch when too much data sits unpolled and resumes it when Poll()
-// drains. Workers with nothing buffered fall back to a single broker-side
-// long-poll request (fetch_max_wait_us) instead of spinning on empty
-// responses. Depth 1 is the same engine with one request per broker in
-// flight.
+// One fetch worker per leader broker issues consume RPCs asynchronously,
+// keeping up to four requests in flight by striping the broker's free
+// (streamlet, group) cursors across them, with at most one outstanding
+// request per group, so chunks of a group always arrive in order. Every
+// streamlet not yet done holds at least one cursor: the group it waits
+// for is an ordinary cursor at chunk 0 that the broker reports as not
+// created until it is. Fetched chunks land in a bounded FetchBuffer: a
+// per-broker byte budget (fetch_buffer_bytes) pauses a broker's prefetch
+// when too much data sits unpolled and resumes it when Poll() drains. A
+// worker whose last response was empty sends a single request that
+// long-polls at the broker (up to 50 ms) instead of spinning on empty
+// responses.
 //
 // Groups are independently consumable units (paper §IV.A): within one
 // streamlet, several groups are read in parallel (Q > 1 appends create
@@ -104,10 +105,10 @@ class Consumer {
   [[nodiscard]] uint32_t session_epoch() const { return epoch_; }
 
  private:
-  /// Per-streamlet fetch state: the groups currently being read (several
-  /// in parallel) plus the discovery cursor for groups not yet opened.
-  /// Owned by exactly one fetch worker (streamlet -> leader broker is
-  /// fixed at Connect), so no lock is needed.
+  /// Per-streamlet fetch state: the cursors of the groups being read
+  /// (several in parallel; empty only once done) plus the next owned group
+  /// not opened yet. Owned by exactly one fetch worker (streamlet ->
+  /// leader broker is fixed at Connect), so no lock is needed.
   struct StreamletState {
     std::map<GroupId, uint64_t> active;  // group -> next chunk index
     GroupId next_unstarted = 0;          // next owned group to open
@@ -132,8 +133,9 @@ class Consumer {
   class FetchBuffer {
    public:
     void Push(FetchedChunk fc);
-    std::optional<FetchedChunk> TryPop();
-    std::optional<FetchedChunk> Pop();  // blocks; nullopt once drained + shut
+    /// The oldest chunk, or nullopt if none is queued. With `wait` it
+    /// first blocks until a chunk is queued or the buffer shuts down.
+    std::optional<FetchedChunk> Pop(bool wait);
     /// Returns false on shutdown, true once broker's bytes < budget.
     bool WaitBelowBudget(NodeId broker, size_t budget);
     void Shutdown();
@@ -149,18 +151,20 @@ class Consumer {
     bool shutdown_ = false;
   };
 
-  /// Per-broker fetch worker: stripes the available cursors over up to
-  /// fetch_pipeline_depth concurrent CallAsync requests.
+  /// Per-broker fetch worker: stripes the free cursors over up to four
+  /// concurrent CallAsync requests.
   void BrokerFetchLoop(NodeId broker,
                        const std::vector<StreamletId>& streamlets);
   /// Decodes one consume response and applies it; returns true when any
   /// chunk was delivered (counts an empty response otherwise).
   bool ProcessResponse(NodeId broker, std::vector<std::byte> raw);
+  /// Hands the entry's chunks to the FetchBuffer and moves its cursor,
+  /// ending the cursor once its group is closed and drained, or once the
+  /// stream is sealed and the group was never created.
   void HandleEntry(NodeId broker, StreamletState& state,
                    const rpc::ConsumeEntryResponse& entry,
                    const std::shared_ptr<const std::vector<std::byte>>& buf,
                    bool* got_data);
-  void MarkStreamletDone(StreamletState& state);
   /// Ingests one fetched chunk on the polling thread (Poll and
   /// PollBlocking alike): a chunk that fails to parse or verify is
   /// dropped and counted in checksum_failures; a data chunk's records are
@@ -174,8 +178,9 @@ class Consumer {
   void AdvanceDelivered(const ConsumedRecord& rec);
   [[nodiscard]] GroupId FirstOwnedGroupAtOrAfter(GroupId g) const;
   /// Opens owned groups below groups_created into the active set, up to
-  /// the parallelism cap.
-  void OpenDiscoveredGroups(StreamletState& state);
+  /// the parallelism cap. A streamlet left with no cursor is done if the
+  /// stream is sealed, and otherwise awaits its next owned group.
+  void OpenGroups(StreamletState& state, bool sealed);
 
   const ConsumerConfig config_;
   rpc::Network& network_;

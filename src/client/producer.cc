@@ -210,12 +210,21 @@ void Producer::RequestsLoop() {
     // before the next round carries the retries.
     auto fresh = rpc::Call(network_, kCoordinatorNode,
                            rpc::GetStreamInfoRequest{config_.stream});
-    if (fresh.ok() && fresh->info.streamlet_brokers.size() == leaders_.size() &&
-        fresh->info.streamlet_brokers != leaders_) {
+    const bool moved =
+        fresh.ok() &&
+        fresh->info.streamlet_brokers.size() == leaders_.size() &&
+        fresh->info.streamlet_brokers != leaders_;
+    if (moved) {
       leaders_ = std::move(fresh->info.streamlet_brokers);
       ++stats_.retry_repartitions;
     }
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
+    // With no leader moved, the cause (a leader down and not yet recovered,
+    // or a replay in progress) outlasts a round trip: back off before the
+    // retries ride again, so request_retries spans a short recovery.
+    if (!moved) {
+      ready_cv_.wait_for(lock, kRetryBackoff, [this] { return stopping_; });
+    }
     ready_.insert(ready_.begin(), std::make_move_iterator(retry.begin()),
                   std::make_move_iterator(retry.end()));
   }

@@ -8,10 +8,11 @@
 // chunks each) and settles every chunk from its reply. An acked chunk
 // returns its builder to the pool. A chunk to retry goes back to the
 // head of the ready queue, in order, and the next round carries it to
-// the leaders one coordinator lookup has refreshed; the re-send is the
-// same sealed bytes, so the broker's dedup on chunk sequences stores it
-// once. A chunk fails for good after request_retries retries, or at once
-// on a status no retry can change. One round of requests is in flight at
+// the leaders one coordinator lookup has refreshed, after kRetryBackoff
+// if that lookup moved no leader; the re-send is the same sealed bytes,
+// so the broker's dedup on chunk sequences stores it once. A chunk fails
+// for good after request_retries retries, or at once on a status no
+// retry can change. One round of requests is in flight at
 // a time, which also keeps each streamlet's chunks in sequence order
 // across a retry.
 //
@@ -124,6 +125,9 @@ class Producer {
   /// Chunk bytes per leader per round: the chunk that crosses it still
   /// rides in the round, the rest wait for the next.
   static constexpr size_t kRequestBytes = size_t(1) << 20;
+  /// Wait before a round of retries when the leader lookup moved no
+  /// leader (Kafka's retry.backoff.ms default); Close cuts it short.
+  static constexpr auto kRetryBackoff = std::chrono::milliseconds(100);
   static constexpr StreamletId kNoStreamlet = ~StreamletId{0};
   /// Per-streamlet source state. A chunk holds a pooled builder only while
   /// it has records; those chunks form the linger list, an intrusive

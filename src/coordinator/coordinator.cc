@@ -69,7 +69,8 @@ Coordinator::RecoveryStats Coordinator::GetRecoveryStats() const {
   return recovery_stats_;
 }
 
-Status Coordinator::AnnounceLeadership(const StreamState& state) {
+Status Coordinator::AnnounceLeadership(const StreamState& state,
+                                       const std::set<StreamletId>& moved) {
   // Tell every broker that leads at least one streamlet about the stream,
   // then about each of its streamlets.
   std::map<NodeId, std::vector<StreamletId>> per_broker;
@@ -89,7 +90,8 @@ Status Coordinator::AnnounceLeadership(const StreamState& state) {
     }
     KERA_RETURN_IF_ERROR(broker->AddStream(state.name, state.info));
     for (StreamletId sl : streamlets) {
-      KERA_RETURN_IF_ERROR(broker->AddStreamlet(state.info.stream, sl));
+      KERA_RETURN_IF_ERROR(
+          broker->AddStreamlet(state.info.stream, sl, moved.count(sl) != 0));
     }
   }
   return OkStatus();
@@ -187,7 +189,7 @@ Result<uint64_t> Coordinator::RecoverNode(NodeId crashed) {
   //    broker counters, so deterministic workloads scatter destinations
   //    deterministically (the chaos harness depends on this).
   std::vector<NodeId> survivors;
-  std::vector<StreamState*> affected;
+  std::vector<std::pair<StreamState*, std::set<StreamletId>>> affected;
   uint64_t scattered = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -217,8 +219,10 @@ Result<uint64_t> Coordinator::RecoverNode(NodeId crashed) {
       }
     }
     for (auto& [_, state] : streams_by_name_) {
-      bool touched = false;
-      for (auto& leader : state->info.streamlet_brokers) {
+      std::set<StreamletId> moved;
+      for (StreamletId sl = 0; sl < state->info.streamlet_brokers.size();
+           ++sl) {
+        NodeId& leader = state->info.streamlet_brokers[sl];
         if (leader != crashed) continue;
         NodeId best = survivors.front();
         for (NodeId candidate : survivors) {
@@ -232,9 +236,9 @@ Result<uint64_t> Coordinator::RecoverNode(NodeId crashed) {
         leader = best;
         ++load[best].streamlets;
         ++scattered;
-        touched = true;
+        moved.insert(sl);
       }
-      if (touched) affected.push_back(state.get());
+      if (!moved.empty()) affected.emplace_back(state.get(), std::move(moved));
     }
   }
   // Tell survivors which backup services remain so their virtual logs
@@ -245,9 +249,11 @@ Result<uint64_t> Coordinator::RecoverNode(NodeId crashed) {
   //    objects on the survivors and wakes their parked consume long-polls
   //    (Broker::AddStreamlet -> NotifyConsumeWaitersAllShards), so
   //    clients re-resolve and reach the new leaders while the replay
-  //    below is still streaming data in.
-  for (StreamState* state : affected) {
-    KERA_RETURN_IF_ERROR(AnnounceLeadership(*state));
+  //    below is still streaming data in. The new leaders refuse live
+  //    appends to the moved streamlets until the replay ends, so a
+  //    producer's new chunk cannot land before its replayed ones.
+  for (const auto& [state, moved] : affected) {
+    KERA_RETURN_IF_ERROR(AnnounceLeadership(*state, moved));
   }
 
   // 3. Replay everything the crashed broker led from the surviving
@@ -742,7 +748,8 @@ Result<uint64_t> Coordinator::MigrateStreamlet(const std::string& name,
     // Flip leadership first so the replay below targets the new broker.
     state->info.streamlet_brokers[streamlet] = target;
   }
-  KERA_RETURN_IF_ERROR(AnnounceLeadership(*state));
+  // The target refuses live appends to the streamlet until the replay ends.
+  KERA_RETURN_IF_ERROR(AnnounceLeadership(*state, {streamlet}));
 
   // The old leader stops accepting appends; acknowledged data is already
   // on the backups (acks imply replication), so the replay below is

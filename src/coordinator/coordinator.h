@@ -151,8 +151,10 @@ class Coordinator final : public rpc::RpcHandler {
   };
 
   /// Announces (stream, streamlet) leadership to the broker, creating the
-  /// storage objects there.
-  Status AnnounceLeadership(const StreamState& state);
+  /// storage objects there. The `moved` streamlets await a replay from the
+  /// backups: their leaders refuse live appends until it ends.
+  Status AnnounceLeadership(const StreamState& state,
+                            const std::set<StreamletId>& moved = {});
 
   /// Replays every chunk of `primary`'s virtual segments (held by the
   /// surviving backups) that matches `filter` into the current leaders,

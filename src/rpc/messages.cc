@@ -111,7 +111,7 @@ int RouteFrameToShard(std::span<const std::byte> frame, int shards) {
 
 KERA_DERIVED_CODEC(ProduceRequest)
 KERA_DERIVED_CODEC(ProduceResponse)
-KERA_DERIVED_ENCODE(ConsumeRequest)
+KERA_DERIVED_CODEC(ConsumeRequest)
 KERA_DERIVED_CODEC(ConsumeResponse)
 KERA_DERIVED_CODEC(CreateStreamRequest)
 KERA_DERIVED_CODEC(CreateStreamResponse)
@@ -134,20 +134,7 @@ KERA_DERIVED_CODEC(CommitOffsetsResponse)
 KERA_DERIVED_CODEC(FetchOffsetsRequest)
 KERA_DERIVED_CODEC(FetchOffsetsResponse)
 
-// The two hand-written wire exceptions.
-
-Result<ConsumeRequest> ConsumeRequest::Decode(Reader& r) {
-  ConsumeRequest req;
-  bool ok = DecodeValue(r, req.stream) && DecodeValue(r, req.max_bytes) &&
-            DecodeValue(r, req.entries);
-  // Version guard: pre-long-poll requests end here; the absent fields mean
-  // "return immediately", which is exactly what those senders expect.
-  if (ok && !r.AtEnd()) {
-    ok = DecodeValue(r, req.max_wait_us) && DecodeValue(r, req.min_bytes);
-  }
-  if (!ok) return MalformedMessage();
-  return req;
-}
+// The one hand-written wire exception: ReplicateRequest's encoder.
 
 void ReplicateRequest::Encode(Writer& w) const {
   if (payload_parts.empty()) return EncodeValue(w, *this);

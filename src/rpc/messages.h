@@ -154,9 +154,7 @@ struct ConsumeRequest {
   /// Long-poll: the broker parks the request until at least
   /// max(min_bytes, 1) bytes of chunk data are available for the requested
   /// entries, the stream reaches a terminal state for all of them, or the
-  /// wait elapses. 0 preserves the original immediate-return behavior.
-  /// Both fields ride at the end of the frame so old-format requests
-  /// (which simply omit them) decode with the 0 defaults.
+  /// wait elapses. 0 returns at once.
   uint64_t max_wait_us = 0;
   uint32_t min_bytes = 0;
 

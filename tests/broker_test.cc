@@ -141,6 +141,39 @@ TEST_F(BrokerTest, ProduceReplicatesAndExposes) {
   EXPECT_EQ(view->record_count(), 2u);
 }
 
+// A leader promised a replay of a streamlet (recovery or migration moved
+// it here) refuses live appends to it until FinishRecovery: a live chunk
+// landing first would make the dedup drop every replayed chunk of its
+// producer with a lower sequence.
+TEST_F(BrokerTest, LiveAppendsWaitForThePromisedReplay) {
+  Watchdog watchdog(std::chrono::seconds(60), "replay refusal");
+  auto info = MakeStream("s", 1, 1, 3, rpc::VlogPolicy::kSharedPerBroker);
+  ASSERT_TRUE(
+      broker_->AddStreamlet(info.stream, 0, /*awaits_replay=*/true).ok());
+  auto produce = [&](ChunkSeq seq, bool recovery) {
+    auto chunk = MakeChunk(info.stream, 0, 1, seq);
+    rpc::ProduceRequest req;
+    req.producer = 1;
+    req.stream = info.stream;
+    req.recovery = recovery;
+    req.chunks = {chunk};
+    return broker_->HandleProduce(req);
+  };
+
+  auto live = produce(2, /*recovery=*/false);
+  EXPECT_EQ(live.status, StatusCode::kUnavailable);
+  EXPECT_EQ(live.appended, 0u);
+  auto replayed = produce(1, /*recovery=*/true);
+  EXPECT_EQ(replayed.status, StatusCode::kOk);
+  EXPECT_EQ(replayed.appended, 1u);
+  EXPECT_EQ(broker_->GetStats().recovery_chunks_appended, 1u);
+
+  ASSERT_TRUE(broker_->FinishRecovery(info.stream).ok());
+  live = produce(2, /*recovery=*/false);
+  EXPECT_EQ(live.status, StatusCode::kOk);
+  EXPECT_EQ(live.appended, 1u);
+  EXPECT_EQ(broker_->GetStats().chunks_duplicate, 0u);
+}
 TEST_F(BrokerTest, ReplicationFactorOneSkipsBackups) {
   auto info = MakeStream("s", 1, 1, 1, rpc::VlogPolicy::kSharedPerBroker);
   rpc::ProduceRequest req;

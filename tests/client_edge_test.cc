@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
+#include <future>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -14,6 +17,8 @@
 #include "client/consumer.h"
 #include "client/producer.h"
 #include "cluster/mini_cluster.h"
+#include "rpc/messages.h"
+#include "watchdog.h"
 
 namespace kera {
 namespace {
@@ -29,6 +34,65 @@ MiniClusterConfig SmallConfig() {
   cfg.virtual_segment_capacity = 64 << 10;
   return cfg;
 }
+
+/// Forwards every call to another network, but while holding it parks
+/// each consume request's reply: the returned future stays pending until
+/// Release, which forwards the parked requests and completes them.
+class ConsumeHoldingNetwork final : public rpc::Network {
+ public:
+  explicit ConsumeHoldingNetwork(rpc::Network& inner) : inner_(inner) {}
+  ~ConsumeHoldingNetwork() override { Release(); }
+
+  Result<std::vector<std::byte>> Call(
+      NodeId to, std::span<const std::byte> request) override {
+    return inner_.Call(to, request);
+  }
+  std::future<Result<std::vector<std::byte>>> CallAsync(
+      NodeId to, std::span<const std::byte> request) override {
+    rpc::Opcode op{};
+    std::span<const std::byte> body;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!holding_ || !rpc::ParseFrame(request, op, body).ok() ||
+        op != rpc::Opcode::kConsume) {
+      return inner_.CallAsync(to, request);
+    }
+    held_.push_back({to, {request.begin(), request.end()}, {}});
+    cv_.notify_all();
+    return held_.back().reply.get_future();
+  }
+
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    holding_ = true;
+  }
+  /// Stops holding and completes every parked request.
+  void Release() {
+    std::vector<Held> held;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      holding_ = false;
+      held.swap(held_);
+    }
+    for (Held& h : held) h.reply.set_value(inner_.Call(h.to, h.request));
+  }
+  /// Waits until `n` consume requests are parked.
+  void WaitHeld(size_t n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return held_.size() >= n; });
+  }
+
+ private:
+  struct Held {
+    NodeId to = 0;
+    std::vector<std::byte> request;
+    std::promise<Result<std::vector<std::byte>>> reply;
+  };
+  rpc::Network& inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool holding_ = false;
+  std::vector<Held> held_;
+};
 
 TEST(ProducerEdgeTest, RecordLargerThanChunkRejected) {
   MiniCluster cluster(SmallConfig());
@@ -229,7 +293,6 @@ TEST(ConsumerEdgeTest, FlowControlPausesAndResumesUnderSlowPoller) {
 
   ConsumerConfig cc;
   cc.stream = "s";
-  cc.fetch_pipeline_depth = 4;
   cc.fetch_buffer_bytes = 2 << 10;      // ~4 chunks of prefetch
   cc.max_bytes_per_request = 2 << 10;   // keep responses small too
   Consumer consumer(cc, cluster.network());
@@ -256,9 +319,9 @@ TEST(ConsumerEdgeTest, FlowControlPausesAndResumesUnderSlowPoller) {
 }
 
 TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
-  // Pipelining at depths 1 and 8 with small per-entry fetches: chunks of
-  // one group must still be delivered in order (one outstanding request
-  // per group), across group rollovers.
+  // Pipelining with small per-entry fetches: chunks of one group must
+  // still be delivered in order (one outstanding request per group),
+  // across group rollovers.
   MiniClusterConfig cfg = SmallConfig();
   cfg.segment_size = 4 << 10;  // groups roll quickly
   MiniCluster cluster(cfg);
@@ -284,45 +347,39 @@ TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
     ASSERT_TRUE(producer.Close().ok());
   }
 
-  // Depth 1 is the same engine with one request per broker in flight.
-  for (uint32_t depth : {1u, 8u}) {
-    SCOPED_TRACE("fetch_pipeline_depth=" + std::to_string(depth));
-    ConsumerConfig cc;
-    cc.stream = "s";
-    cc.fetch_pipeline_depth = depth;
-    cc.max_chunks_per_entry = 2;  // many small interleaved fetches
-    Consumer consumer(cc, cluster.network());
-    ASSERT_TRUE(consumer.Connect().ok());
-    std::multiset<std::string> received;
-    std::map<std::pair<StreamletId, GroupId>, uint64_t> last_chunk;
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (received.size() < 2 * kPerProducer &&
-           std::chrono::steady_clock::now() < deadline) {
-      for (auto& rec : consumer.PollBlocking(128)) {
-        auto key = std::make_pair(rec.streamlet, rec.group);
-        auto it = last_chunk.find(key);
-        if (it != last_chunk.end()) {
-          EXPECT_GE(rec.chunk_index, it->second)
-              << "chunk order violated in streamlet " << rec.streamlet
-              << " group " << rec.group;
-        }
-        last_chunk[key] = rec.chunk_index;
-        received.emplace(reinterpret_cast<const char*>(rec.value.data()),
-                         rec.value.size());
+  ConsumerConfig cc;
+  cc.stream = "s";
+  cc.max_chunks_per_entry = 2;  // many small interleaved fetches
+  Consumer consumer(cc, cluster.network());
+  ASSERT_TRUE(consumer.Connect().ok());
+  std::multiset<std::string> received;
+  std::map<std::pair<StreamletId, GroupId>, uint64_t> last_chunk;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (received.size() < 2 * kPerProducer &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (auto& rec : consumer.PollBlocking(128)) {
+      auto key = std::make_pair(rec.streamlet, rec.group);
+      auto it = last_chunk.find(key);
+      if (it != last_chunk.end()) {
+        EXPECT_GE(rec.chunk_index, it->second)
+            << "chunk order violated in streamlet " << rec.streamlet
+            << " group " << rec.group;
       }
+      last_chunk[key] = rec.chunk_index;
+      received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                       rec.value.size());
     }
-    consumer.Close();
-    ASSERT_EQ(received.size(), size_t(2 * kPerProducer));
-    for (ProducerId p = 1; p <= 2; ++p) {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_EQ(received.count("p" + std::to_string(p) + "-" +
-                                 std::to_string(i) + std::string(80, 'q')),
-                  1u);
-      }
-    }
-    EXPECT_GT(last_chunk.size(), 2u);  // several groups were actually read
   }
+  consumer.Close();
+  ASSERT_EQ(received.size(), size_t(2 * kPerProducer));
+  for (ProducerId p = 1; p <= 2; ++p) {
+    for (int i = 0; i < kPerProducer; ++i) {
+      ASSERT_EQ(received.count("p" + std::to_string(p) + "-" +
+                               std::to_string(i) + std::string(80, 'q')),
+                1u);
+    }
+  }
+  EXPECT_GT(last_chunk.size(), 2u);  // several groups were actually read
 }
 
 TEST(ConsumerEdgeTest, LongPollEliminatesIdleEmptyResponses) {
@@ -334,30 +391,20 @@ TEST(ConsumerEdgeTest, LongPollEliminatesIdleEmptyResponses) {
   opts.replication_factor = 1;
   ASSERT_TRUE(cluster.coordinator().CreateStream("s", opts).ok());
 
-  // Baseline: long-poll disabled, the consumer spins empty rounds.
-  uint64_t polled_empties = 0;
-  {
-    ConsumerConfig cc;
-    cc.stream = "s";
-    cc.fetch_max_wait_us = 0;
-    Consumer consumer(cc, cluster.network());
-    ASSERT_TRUE(consumer.Connect().ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    polled_empties = consumer.GetStats().empty_responses;
-    consumer.Close();
-  }
-
-  // Long-poll: idle fetches park at the broker instead.
+  // Idle fetches park at the broker instead of spinning empty rounds: the
+  // first fetch returns at once, and every later empty response is a
+  // long-poll that waited out its full 50 ms.
   ConsumerConfig cc;
   cc.stream = "s";
-  cc.fetch_max_wait_us = 100'000;
   Consumer consumer(cc, cluster.network());
+  const auto start = std::chrono::steady_clock::now();
   ASSERT_TRUE(consumer.Connect().ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  uint64_t parked_empties = consumer.GetStats().empty_responses;
+  const uint64_t parked_empties = consumer.GetStats().empty_responses;
+  const auto elapsed = std::chrono::steady_clock::now() - start;
 
-  EXPECT_GT(polled_empties, 50u);
-  EXPECT_LE(parked_empties, 8u);
+  EXPECT_LE(parked_empties,
+            1 + uint64_t(elapsed / std::chrono::milliseconds(50)));
   EXPECT_GE(cluster.TotalBrokerStats().consume_long_polls, 1u);
 
   // The parked fetch wakes through the whole client path when data lands.
@@ -380,16 +427,85 @@ TEST(ConsumerEdgeTest, CloseUnblocksParkedLongPoll) {
   opts.num_streamlets = 1;
   opts.replication_factor = 1;
   ASSERT_TRUE(cluster.coordinator().CreateStream("s", opts).ok());
+  ConsumeHoldingNetwork net(cluster.network());
+  Watchdog watchdog(std::chrono::seconds(60), "close over a held fetch");
   ConsumerConfig cc;
   cc.stream = "s";
-  cc.fetch_max_wait_us = 2'000'000;  // worker parks a 2 s long-poll
-  Consumer consumer(cc, cluster.network());
+  Consumer consumer(cc, net);
+  net.Hold();
   ASSERT_TRUE(consumer.Connect().ok());
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  net.WaitHeld(1);  // the fetch worker waits on a reply that never comes
   auto start = std::chrono::steady_clock::now();
-  consumer.Close();  // must not wait out the poll deadline
+  consumer.Close();  // must not wait for the held reply
   EXPECT_LT(std::chrono::steady_clock::now() - start,
             std::chrono::milliseconds(1500));
+}
+
+// A sealed stream with two active groups per streamlet, read by two
+// group-sharing members: each member ends once every group it owns is
+// drained, including the one that waits for a group the seal means will
+// never be created. Producer 1 writes every streamlet; producer 2 only
+// streamlets 0 and 1, so streamlet 2 holds group 0 alone and member 1's
+// cursor for its group 1 ends on the seal.
+TEST(ConsumerEdgeTest, SharedSealedStreamFinishesEveryMember) {
+  MiniCluster cluster(SmallConfig());
+  rpc::StreamOptions opts;
+  opts.num_streamlets = 3;
+  opts.active_groups_per_streamlet = 2;
+  opts.replication_factor = 2;
+  ASSERT_TRUE(cluster.coordinator().CreateStream("s", opts).ok());
+  auto value = [](ProducerId p, int i) {
+    return "p" + std::to_string(p) + "-" + std::to_string(i);
+  };
+  const std::map<ProducerId, int> records = {{1, 300}, {2, 2}};
+  for (const auto& [p, n] : records) {
+    ProducerConfig pc;
+    pc.producer_id = p;
+    pc.stream = "s";
+    Producer producer(pc, cluster.network());
+    ASSERT_TRUE(producer.Connect().ok());
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(producer.Send(AsBytes(value(p, i))).ok());
+    }
+    ASSERT_TRUE(producer.Close().ok());
+  }
+  ASSERT_TRUE(cluster.coordinator().SealStream("s").ok());
+
+  Watchdog watchdog(std::chrono::seconds(60), "shared sealed stream drain");
+  std::multiset<std::string> received[2];
+  std::thread members[2];
+  for (uint32_t m = 0; m < 2; ++m) {
+    members[m] = std::thread([&, m] {
+      ConsumerConfig cc;
+      cc.stream = "s";
+      cc.share_count = 2;
+      cc.share_index = m;
+      Consumer consumer(cc, cluster.network());
+      ASSERT_TRUE(consumer.Connect().ok());
+      for (;;) {
+        auto recs = consumer.PollBlocking(64);
+        for (const auto& rec : recs) {
+          EXPECT_EQ(rec.group % 2, m);
+          received[m].emplace(
+              reinterpret_cast<const char*>(rec.value.data()),
+              rec.value.size());
+        }
+        if (recs.empty() && consumer.Finished()) break;
+      }
+      consumer.Close();
+    });
+  }
+  for (auto& t : members) t.join();
+  EXPECT_FALSE(received[0].empty());
+  EXPECT_FALSE(received[1].empty());
+  for (const auto& [p, n] : records) {
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(received[0].count(value(p, i)) + received[1].count(value(p, i)),
+                1u)
+          << value(p, i);
+    }
+  }
+  EXPECT_EQ(received[0].size() + received[1].size(), 302u);
 }
 
 TEST(ConsumerEdgeTest, CrashMidFetchRetriesCleanlyAndCloseStaysPrompt) {

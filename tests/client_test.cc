@@ -580,6 +580,44 @@ TEST(ProducerTest, RoundsFollowARecoveredLeader) {
   ConsumeAll(cluster, "s", size_t(sent));
 }
 
+// A round that fails while its leader is down and not yet recovered moves
+// no leader, so its retries wait kRetryBackoff (100 ms) each: the default
+// request_retries spans a recovery that starts 100 ms after the Flush.
+TEST(ProducerTest, RetriesBackOffAcrossARecovery) {
+  MiniClusterConfig cfg = SocketConfig();
+  cfg.nodes = 4;
+  MiniCluster cluster(cfg);
+  auto info = MakeStream(cluster, "s", 4, 3);
+  ProducerConfig pc;
+  pc.stream = "s";
+  Watchdog watchdog(std::chrono::seconds(60), "retries across a recovery");
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  int sent = 0;
+  auto send = [&] {
+    return producer.Send(AsBytes("r" + std::to_string(sent++)));
+  };
+  for (int i = 0; i < 100; ++i) ASSERT_TRUE(send().ok());
+  ASSERT_TRUE(producer.Flush().ok());
+
+  const NodeId victim = info.streamlet_brokers[0];
+  cluster.CrashNode(victim);
+  Status flushed;
+  std::thread source([&] {
+    for (int i = 0; i < 10; ++i) EXPECT_TRUE(send().ok());
+    flushed = producer.Flush();
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_TRUE(cluster.coordinator().RecoverNode(victim).ok());
+  source.join();
+  EXPECT_TRUE(flushed.ok()) << flushed.ToString();
+  ASSERT_TRUE(send().ok());
+  ASSERT_TRUE(producer.Flush().ok());
+  EXPECT_EQ(producer.GetStats().request_failures, 0u);
+  ASSERT_TRUE(producer.Close().ok());
+  ConsumeAll(cluster, "s", size_t(sent));
+}
+
 // kFenced (a newer instance of this producer id) and kSegmentClosed (the
 // stream is sealed) fail the whole request on its first reply.
 TEST(ProducerTest, FinalStatusEndsTheRequestAtOnce) {

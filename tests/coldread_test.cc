@@ -469,15 +469,25 @@ TEST(ColdReadStats, UnboundedConfigBuildsNoTieredStore) {
   EXPECT_EQ(s.segments_spilled, 0u);
   EXPECT_EQ(s.segments_evicted, 0u);
   EXPECT_EQ(s.cold_reads, 0u);
-  // Responses carry no holds on the untiered path (byte-for-byte the
-  // pre-tiering gather).
+  // The untiered gather is the tiered one with nothing evicted: a response
+  // pins every segment its chunks alias, one hold per segment, and every
+  // pin ends with the response.
   rpc::ConsumeRequest req;
   req.stream = tc.info.stream;
   req.entries = {{.streamlet = 0, .group = 0, .start_chunk = 0,
                   .max_chunks = 4}};
-  auto resp = broker.HandleConsume(req);
-  ASSERT_EQ(resp.status, StatusCode::kOk);
-  EXPECT_TRUE(resp.holds.empty());
+  Group* group = broker.GetStream(tc.info.stream)->GetStreamlet(0)->GetGroup(0);
+  ASSERT_NE(group, nullptr);
+  std::set<Segment*> served;
+  {
+    auto resp = broker.HandleConsume(req);
+    ASSERT_EQ(resp.status, StatusCode::kOk);
+    ASSERT_EQ(resp.entries[0].chunks.size(), 4u);
+    for (uint64_t i = 0; i < 4; ++i) served.insert(group->GetChunk(i).segment);
+    EXPECT_EQ(resp.holds.size(), served.size());
+    for (Segment* seg : served) EXPECT_EQ(seg->read_pins(), 1u);
+  }
+  for (Segment* seg : served) EXPECT_EQ(seg->read_pins(), 0u);
   auto values = tc.ScanAll();
   ASSERT_EQ(values.size(), 30u);
 }

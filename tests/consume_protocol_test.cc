@@ -165,28 +165,6 @@ TEST_F(ConsumeProtocolTest, StartBeyondDurableReturnsNothing) {
   EXPECT_EQ(resp.entries[0].next_chunk, 5u);
 }
 
-TEST(ConsumeWireCompatTest, OldFormatRequestDecodesWithImmediateReturn) {
-  // A pre-long-poll sender stops after the entries; the decoder must
-  // accept the short frame and default to "return immediately".
-  rpc::Writer w;
-  w.U64(/*stream=*/7);
-  w.U32(/*max_bytes=*/4096);
-  w.U32(/*entries=*/1);
-  w.U32(/*streamlet=*/0);
-  w.U32(/*group=*/3);
-  w.U64(/*start_chunk=*/5);
-  w.U32(/*max_chunks=*/2);
-  auto bytes = std::move(w).Take();
-  rpc::Reader r(bytes);
-  auto req = rpc::ConsumeRequest::Decode(r);
-  ASSERT_TRUE(req.ok());
-  EXPECT_EQ(req->stream, 7u);
-  ASSERT_EQ(req->entries.size(), 1u);
-  EXPECT_EQ(req->entries[0].group, 3u);
-  EXPECT_EQ(req->max_wait_us, 0u);
-  EXPECT_EQ(req->min_bytes, 0u);
-}
-
 TEST(ConsumeWireCompatTest, LongPollFieldsRoundTrip) {
   rpc::ConsumeRequest req;
   req.stream = 9;

@@ -221,6 +221,78 @@ TEST(IntegrationTest, ThreadedCrashRecoveryPreservesData) {
   }
 }
 
+// A producer that sends while a recovery replays its streamlet: the new
+// leader refuses live chunks until the replay ends, so its dedup never
+// drops a replayed chunk behind a newer one. 20000 records of 200 B ride
+// in 1 KiB chunks; the next record is sent once the coordinator names the
+// new leader, while the replay runs. Every record acked before the crash
+// is consumed once, and the new one exactly when its Flush succeeded.
+TEST(IntegrationTest, SendDuringRecoveryReplayLosesNothing) {
+  Watchdog watchdog(std::chrono::seconds(120), "send during recovery");
+  MiniCluster cluster(FourNodeConfig());
+  rpc::StreamOptions opts;
+  opts.num_streamlets = 1;
+  opts.replication_factor = 3;
+  auto info = cluster.coordinator().CreateStream("race", opts);
+  ASSERT_TRUE(info.ok());
+  ProducerConfig pc;
+  pc.stream = "race";
+  pc.chunk_size = 1 << 10;
+  // The refused chunk is retried every 100 ms until the replay ends. The
+  // default 3 retries span an optimized build's replay of these 4 MiB,
+  // not a sanitizer build's, which is several times slower.
+  pc.request_retries = 20;
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  constexpr int kRecords = 20000;
+  auto value = [](int i) {
+    std::string v = "r" + std::to_string(i);
+    v.resize(200, '.');
+    return v;
+  };
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(producer.Send(AsBytes(value(i))).ok());
+  }
+  ASSERT_TRUE(producer.Flush().ok());
+
+  const NodeId victim = info->streamlet_brokers[0];
+  cluster.CrashNode(victim);
+  std::thread recovery(
+      [&] { EXPECT_TRUE(cluster.coordinator().RecoverNode(victim).ok()); });
+  while (cluster.coordinator().GetStreamInfo("race")->streamlet_brokers[0] ==
+         victim) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ASSERT_TRUE(producer.Send(AsBytes(value(kRecords))).ok());
+  const bool flushed = producer.Flush().ok();
+  recovery.join();
+  EXPECT_TRUE(flushed);
+  EXPECT_EQ(producer.Close().ok(), flushed);
+
+  ConsumerConfig cc;
+  cc.stream = "race";
+  Consumer consumer(cc, cluster.network());
+  ASSERT_TRUE(consumer.Connect().ok());
+  const size_t expected = kRecords + (flushed ? 1 : 0);
+  std::multiset<std::string> received;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (received.size() < expected &&
+         std::chrono::steady_clock::now() < deadline) {
+    auto recs = consumer.Poll(1024);
+    if (recs.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (auto& rec : recs) {
+      received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                       rec.value.size());
+    }
+  }
+  consumer.Close();
+  EXPECT_EQ(received.size(), expected);
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_EQ(received.count(value(i)), 1u) << i;
+  }
+  EXPECT_EQ(received.count(value(kRecords)), flushed ? 1u : 0u);
+}
+
 TEST(IntegrationTest, TrimmingBoundsMemoryUnderSustainedLoad) {
   MiniClusterConfig cfg = FourNodeConfig();
   cfg.nodes = 2;

@@ -5,9 +5,15 @@
 // the target — crash recovery without the crash.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <set>
 #include <string>
+#include <thread>
 
+#include "client/consumer.h"
+#include "client/producer.h"
 #include "cluster/mini_cluster.h"
+#include "watchdog.h"
 #include "wire/chunk.h"
 
 namespace kera {
@@ -185,6 +191,87 @@ TEST_F(MigrationTest, ChainedMigrationsPreserveData) {
   for (int i = 1; i <= 8; ++i) {
     EXPECT_EQ(values[i - 1], "v" + std::to_string(i));
   }
+}
+
+// A producer that sends while a migration replays its streamlet into the
+// target, over sockets: the target refuses live chunks until the replay
+// ends, so its dedup never drops a replayed chunk behind a newer one.
+// 20000 records of 200 B ride in 1 KiB chunks; the next record is sent
+// once the coordinator names the target, while the replay runs. Every
+// record acked before the move is consumed once, and the new one exactly
+// when its Flush succeeded.
+TEST(MigrationRaceTest, SendDuringMigrationReplayLosesNothing) {
+  Watchdog watchdog(std::chrono::seconds(120), "send during migration");
+  MiniClusterConfig cfg;
+  cfg.nodes = 4;
+  cfg.segment_size = 64 << 10;
+  cfg.segments_per_group = 2;
+  cfg.virtual_segment_capacity = 64 << 10;
+  cfg.broker_memory_bytes = 128 << 20;
+  MiniCluster cluster(cfg);
+  rpc::StreamOptions opts;
+  opts.num_streamlets = 1;
+  opts.replication_factor = 3;
+  auto info = cluster.coordinator().CreateStream("race", opts);
+  ASSERT_TRUE(info.ok());
+  ProducerConfig pc;
+  pc.stream = "race";
+  pc.chunk_size = 1 << 10;
+  // The refused chunk is retried every 100 ms until the replay ends. The
+  // default 3 retries span an optimized build's replay of these 4 MiB,
+  // not a sanitizer build's, which is several times slower.
+  pc.request_retries = 20;
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  constexpr int kRecords = 20000;
+  auto value = [](int i) {
+    std::string v = "r" + std::to_string(i);
+    v.resize(200, '.');
+    return v;
+  };
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_TRUE(producer.Send(AsBytes(value(i))).ok());
+  }
+  ASSERT_TRUE(producer.Flush().ok());
+
+  const NodeId old_leader = info->streamlet_brokers[0];
+  const NodeId target = old_leader % 4 + 1;
+  std::thread migration([&] {
+    EXPECT_TRUE(
+        cluster.coordinator().MigrateStreamlet("race", 0, target).ok());
+  });
+  while (cluster.coordinator().GetStreamInfo("race")->streamlet_brokers[0] !=
+         target) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ASSERT_TRUE(producer.Send(AsBytes(value(kRecords))).ok());
+  const bool flushed = producer.Flush().ok();
+  migration.join();
+  EXPECT_TRUE(flushed);
+  EXPECT_EQ(producer.Close().ok(), flushed);
+
+  ConsumerConfig cc;
+  cc.stream = "race";
+  Consumer consumer(cc, cluster.network());
+  ASSERT_TRUE(consumer.Connect().ok());
+  const size_t expected = kRecords + (flushed ? 1 : 0);
+  std::multiset<std::string> received;
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (received.size() < expected &&
+         std::chrono::steady_clock::now() < deadline) {
+    auto recs = consumer.Poll(1024);
+    if (recs.empty()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (auto& rec : recs) {
+      received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                       rec.value.size());
+    }
+  }
+  consumer.Close();
+  EXPECT_EQ(received.size(), expected);
+  for (int i = 0; i < kRecords; ++i) {
+    ASSERT_EQ(received.count(value(i)), 1u) << i;
+  }
+  EXPECT_EQ(received.count(value(kRecords)), flushed ? 1u : 0u);
 }
 
 }  // namespace

@@ -213,9 +213,7 @@ TEST(WireFuzzTest, EpochChunkPayloadFlipsStillDetected) {
 
 TEST(RpcFuzzTest, TruncatedMessagesRejectedCleanly) {
   // Encode a representative message of every type, then feed every prefix
-  // to the decoder: all must fail without crashing. The one exception is
-  // ConsumeRequest's pre-long-poll length (its 12-byte tail omitted),
-  // which ConsumeTailTruncationsDecodeOrRejectOnly pins below.
+  // to the decoder: all must fail without crashing.
   rpc::ProduceRequest preq;
   preq.producer = 1;
   preq.stream = 2;
@@ -226,9 +224,6 @@ TEST(RpcFuzzTest, TruncatedMessagesRejectedCleanly) {
   for (const auto& sample : samples) {
     ASSERT_TRUE(sample.round_trip(sample.body).ok()) << sample.name;
     for (size_t keep = 0; keep < sample.body.size(); ++keep) {
-      if (sample.name == "ConsumeRequest" && keep == sample.body.size() - 12) {
-        continue;
-      }
       auto decoded = sample.round_trip(std::span(sample.body).first(keep));
       EXPECT_FALSE(decoded.ok())
           << sample.name << " decoded from prefix " << keep;
@@ -238,11 +233,8 @@ TEST(RpcFuzzTest, TruncatedMessagesRejectedCleanly) {
 
 // ----- ConsumeRequest tail fields (long-poll max_wait_us / min_bytes) --
 //
-// The long-poll fields ride at the end of the frame behind an AtEnd()
-// version guard: old senders simply omit them. That guard is a classic
-// fuzz target — every split point around it must decode-or-reject
-// cleanly, and the only prefixes that may decode are the two genuine
-// format versions.
+// The long-poll fields ride at the end of the frame; a frame that omits
+// them is truncated like any other (TruncatedMessagesRejectedCleanly).
 
 rpc::ConsumeRequest SampleConsumeRequest() {
   rpc::ConsumeRequest req;
@@ -257,7 +249,7 @@ rpc::ConsumeRequest SampleConsumeRequest() {
   return req;
 }
 
-TEST(RpcFuzzTest, ConsumeTailFieldsRoundTripAndOldFramesDefault) {
+TEST(RpcFuzzTest, ConsumeTailFieldsRoundTrip) {
   auto req = SampleConsumeRequest();
   rpc::Writer w;
   req.Encode(w);
@@ -269,36 +261,6 @@ TEST(RpcFuzzTest, ConsumeTailFieldsRoundTripAndOldFramesDefault) {
   EXPECT_EQ(decoded->max_wait_us, req.max_wait_us);
   EXPECT_EQ(decoded->min_bytes, req.min_bytes);
   ASSERT_EQ(decoded->entries.size(), 2u);
-
-  // A pre-long-poll sender's frame is exactly this one minus the 12-byte
-  // tail; it must decode with the "return immediately" defaults.
-  rpc::Reader old_r{std::span(body).first(body.size() - 12)};
-  auto old_decoded = rpc::ConsumeRequest::Decode(old_r);
-  ASSERT_TRUE(old_decoded.ok());
-  EXPECT_EQ(old_decoded->max_wait_us, 0u);
-  EXPECT_EQ(old_decoded->min_bytes, 0u);
-  EXPECT_EQ(old_decoded->entries.size(), 2u);
-}
-
-TEST(RpcFuzzTest, ConsumeTailTruncationsDecodeOrRejectOnly) {
-  auto req = SampleConsumeRequest();
-  rpc::Writer w;
-  req.Encode(w);
-  std::vector<std::byte> body(w.View().begin(), w.View().end());
-
-  // Feed every byte-prefix to the decoder. Exactly two lengths are valid
-  // frames — the old format (no tail) and the new one (full tail). Every
-  // other prefix, including each of the eleven cuts inside the tail, must
-  // be rejected; none may crash or read out of bounds.
-  for (size_t keep = 0; keep <= body.size(); ++keep) {
-    rpc::Reader r{std::span(body).first(keep)};
-    auto decoded = rpc::ConsumeRequest::Decode(r);
-    if (keep == body.size() || keep == body.size() - 12) {
-      EXPECT_TRUE(decoded.ok()) << "valid boundary rejected at " << keep;
-    } else {
-      EXPECT_FALSE(decoded.ok()) << "decoded from bad prefix " << keep;
-    }
-  }
 }
 
 TEST(RpcFuzzTest, ConsumeTailGarbageValuesDecodeCleanly) {
