@@ -1,7 +1,8 @@
-// Consumer fetch-engine benchmarks: end-to-end consume throughput and
-// Poll latency against a real MiniCluster, varying the broker count, on
-// both the Direct (inline) and Socket (loopback TCP) transports; plus the
-// idle-stream RPC rate, where the fetch long-polls at the broker.
+// Consumer fetch-engine benchmarks: end-to-end consume throughput, the
+// cost per record handed out and Poll latency against a real MiniCluster,
+// varying the broker count and the record size, on both the Direct
+// (inline) and Socket (loopback TCP) transports; plus the idle-stream RPC
+// rate, where the fetch long-polls at the broker.
 //
 //   ./bench_consume --benchmark_out=BENCH_consume.json
 //                   --benchmark_out_format=json
@@ -25,7 +26,6 @@
 namespace kera {
 namespace {
 
-constexpr size_t kRecordBytes = 1024;
 constexpr size_t kBytesPerBroker = 4u << 20;
 
 std::unique_ptr<MiniCluster> MakeCluster(bool socket, uint32_t brokers) {
@@ -37,8 +37,9 @@ std::unique_ptr<MiniCluster> MakeCluster(bool socket, uint32_t brokers) {
 }
 
 /// Creates a sealed stream with one streamlet per broker holding
-/// kBytesPerBroker of 1 KB records, ready to be consumed.
-rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers) {
+/// kBytesPerBroker of `record_bytes` records, ready to be consumed.
+rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers,
+                           size_t record_bytes) {
   rpc::StreamOptions opts;
   opts.num_streamlets = brokers;
   opts.replication_factor = 1;
@@ -49,8 +50,8 @@ rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers) {
   pc.chunk_size = 16 << 10;
   Producer producer(pc, cluster.network());
   if (!producer.Connect().ok()) std::abort();
-  std::vector<std::byte> value(kRecordBytes, std::byte{0x6B});
-  const size_t records = brokers * kBytesPerBroker / kRecordBytes;
+  std::vector<std::byte> value(record_bytes, std::byte{0x6B});
+  const size_t records = brokers * kBytesPerBroker / record_bytes;
   for (size_t i = 0; i < records; ++i) {
     if (!producer.Send(value).ok()) std::abort();
   }
@@ -60,19 +61,23 @@ rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers) {
 }
 
 // Drains the whole sealed stream, timing each Poll call. Reported:
-// consume throughput (bytes/s), poll-latency quantiles, and the consume
-// RPC/empty-response counts.
+// consume throughput (bytes/s), wall time per record drained
+// (ns_per_record: with 100 B records it tracks the cost of handing a
+// record out), poll-latency quantiles, and the consume RPC/empty-response
+// counts.
 void BM_ConsumeThroughput(benchmark::State& state) {
   const bool socket = state.range(0) != 0;
   const uint32_t brokers = uint32_t(state.range(1));
-  const uint64_t expect_records = brokers * kBytesPerBroker / kRecordBytes;
+  const size_t record_bytes = size_t(state.range(2));
+  const uint64_t expect_records = brokers * kBytesPerBroker / record_bytes;
+  const uint64_t user_bytes = expect_records * record_bytes;
 
   Histogram poll_us;
   uint64_t requests = 0, empties = 0, records = 0;
   double secs = 0;
   for (auto _ : state) {
     auto cluster = MakeCluster(socket, brokers);
-    FillStream(*cluster, brokers);
+    FillStream(*cluster, brokers, record_bytes);
     ConsumerConfig cc;
     cc.stream = "bench";
     // Bounded fetches (a prefetch window of many small requests) instead
@@ -110,10 +115,9 @@ void BM_ConsumeThroughput(benchmark::State& state) {
       return;
     }
   }
-  state.SetBytesProcessed(int64_t(state.iterations()) *
-                          int64_t(brokers * kBytesPerBroker));
-  state.counters["consume_MBps"] =
-      double(brokers * kBytesPerBroker) / secs / (1 << 20);
+  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(user_bytes));
+  state.counters["consume_MBps"] = double(user_bytes) / secs / (1 << 20);
+  state.counters["ns_per_record"] = secs * 1e9 / double(records);
   state.counters["poll_p50_us"] = double(poll_us.Quantile(0.5));
   state.counters["poll_p99_us"] = double(poll_us.Quantile(0.99));
   state.counters["consume_rpcs"] = double(requests);
@@ -121,8 +125,8 @@ void BM_ConsumeThroughput(benchmark::State& state) {
   state.counters["records"] = double(records);
 }
 BENCHMARK(BM_ConsumeThroughput)
-    ->ArgsProduct({{0, 1}, {1, 2, 4}})
-    ->ArgNames({"socket", "brokers"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4}, {100, 1024}})
+    ->ArgNames({"socket", "brokers", "record_bytes"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -370,7 +370,7 @@ void Consumer::BrokerFetchLoop(NodeId broker,
   }
 }
 
-void Consumer::IngestChunk(const FetchedChunk& fetched) {
+void Consumer::OpenChunk(FetchedChunk fetched) {
   auto parsed = ChunkView::Parse(fetched.bytes);
   if (!parsed.ok() || !parsed->VerifyChecksum()) {
     ++stats_.checksum_failures;
@@ -378,37 +378,24 @@ void Consumer::IngestChunk(const FetchedChunk& fetched) {
   }
   const ChunkView& chunk = *parsed;
   // The delivered frontier does NOT move here: Commit() must persist the
-  // position of what Poll HANDED OUT, and ingest runs ahead of that —
-  // committing the ingest frontier would skip every buffered-but-unpolled
-  // record after a restart. Poll advances the frontier as it completes
-  // each chunk. System chunks carry no user records, so their positions
-  // are covered only once a later data chunk is handed out; re-reading a
-  // trailing system chunk after a restart is harmless (it is skipped
-  // again, never delivered).
+  // position of what Poll HANDED OUT, and opening runs ahead of that.
+  // HandOut advances the frontier as it completes each chunk. System
+  // chunks carry no user records, so their positions are covered only
+  // once a later data chunk is handed out; re-reading a trailing system
+  // chunk after a restart is harmless (it is skipped again, never
+  // delivered).
   if ((chunk.flags() & kChunkFlagOffsetCommit) != 0) {
     // Cursor metadata, not user data.
     ++stats_.system_chunks_skipped;
     return;
   }
-  for (auto it = chunk.records(); !it.Done(); it.Next()) {
-    const RecordView& rec = it.record();
-    ConsumedRecord cr;
-    cr.streamlet = fetched.streamlet;
-    cr.group = chunk.group_id();
-    cr.chunk_index = chunk.group_chunk_index();
-    cr.producer = chunk.producer_id();
-    cr.value.assign(rec.value().begin(), rec.value().end());
-    buffered_.push_back(std::move(cr));
-  }
+  reading_.group = chunk.group_id();
+  reading_.chunk_index = chunk.group_chunk_index();
+  reading_.producer = chunk.producer_id();
+  reading_.next = chunk.records();
+  reading_.chunk = std::move(fetched);
   stats_.records_consumed += chunk.record_count();
 }
-
-namespace {
-bool SameChunk(const ConsumedRecord& a, const ConsumedRecord& b) {
-  return a.streamlet == b.streamlet && a.group == b.group &&
-         a.chunk_index == b.chunk_index;
-}
-}  // namespace
 
 void Consumer::AdvanceDelivered(const ConsumedRecord& rec) {
   DeliveredPos& pos = delivered_[rec.streamlet];
@@ -421,48 +408,50 @@ void Consumer::AdvanceDelivered(const ConsumedRecord& rec) {
   }
 }
 
-std::vector<ConsumedRecord> Consumer::Poll(size_t max_records) {
+std::vector<ConsumedRecord> Consumer::HandOut(size_t max_records,
+                                              bool block) {
   std::vector<ConsumedRecord> out;
-  for (;;) {
-    if (!buffered_.empty()) {
-      if (out.size() >= max_records) {
-        // Exactly-once: never leave a chunk half-delivered. The committed
-        // cursor is chunk-granular, so splitting a chunk across Polls
-        // would make a commit between them either redeliver or skip the
-        // chunk's remainder after a restart; round up to the boundary.
-        if (!config_.exactly_once || out.empty() ||
-            !SameChunk(out.back(), buffered_.front())) {
-          break;
-        }
-      }
-      out.push_back(std::move(buffered_.front()));
-      buffered_.pop_front();
-      if (config_.exactly_once &&
-          (buffered_.empty() || !SameChunk(out.back(), buffered_.front()))) {
-        // Chunk fully handed out (ingest buffers whole chunks, so an
-        // empty deque means no more of its records exist): this is the
-        // frontier Commit() persists.
-        AdvanceDelivered(out.back());
-      }
+  // Exactly-once: never leave a chunk half-delivered. The committed
+  // cursor is chunk-granular, so splitting a chunk across Polls would
+  // make a commit between them either redeliver or skip the chunk's
+  // remainder after a restart; round up to the boundary. (A chunk is
+  // only opened while `out` has room, so once `out` is full the records
+  // left in the cursor belong to out.back()'s chunk.)
+  while (out.size() < max_records ||
+         (config_.exactly_once && !out.empty() && !reading_.next.Done())) {
+    if (reading_.next.Done()) {
+      auto fetched = fetched_.Pop(
+          block && out.empty() && running_.load(std::memory_order_acquire));
+      if (!fetched) break;  // nothing buffered, or shut down and drained
+      OpenChunk(std::move(*fetched));
       continue;
     }
-    if (out.size() >= max_records) break;
-    auto fetched = fetched_.Pop(/*wait=*/false);
-    if (!fetched) break;
-    IngestChunk(*fetched);
+    ConsumedRecord& rec = out.emplace_back();
+    rec.streamlet = reading_.chunk.streamlet;
+    rec.group = reading_.group;
+    rec.chunk_index = reading_.chunk_index;
+    rec.producer = reading_.producer;
+    rec.value = reading_.next.record().value();
+    reading_.next.Next();
+    if (!reading_.next.Done()) {
+      rec.response = reading_.chunk.response;
+      continue;
+    }
+    // The chunk's last record takes over the cursor's hold on the
+    // response, so an exhausted cursor pins nothing.
+    rec.response = std::move(reading_.chunk.response);
+    // This is the frontier Commit() persists.
+    if (config_.exactly_once) AdvanceDelivered(rec);
   }
   return out;
 }
 
+std::vector<ConsumedRecord> Consumer::Poll(size_t max_records) {
+  return HandOut(max_records, /*block=*/false);
+}
+
 std::vector<ConsumedRecord> Consumer::PollBlocking(size_t max_records) {
-  while (running_.load(std::memory_order_acquire)) {
-    auto out = Poll(max_records);
-    if (!out.empty()) return out;
-    auto fetched = fetched_.Pop(/*wait=*/true);  // nullopt on shutdown
-    if (!fetched) break;
-    IngestChunk(*fetched);
-  }
-  return Poll(max_records);
+  return HandOut(max_records, /*block=*/true);
 }
 
 Status Consumer::Commit() {

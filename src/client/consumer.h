@@ -17,6 +17,12 @@
 // interleaved groups), and group-level sharing splits a streamlet's
 // groups across cooperating consumers. Consumers only ever receive
 // durably replicated data (the broker enforces the durability gate).
+//
+// Poll hands records out in place, iterating the fetched chunk like the
+// paper's source thread: a record is a view into the consume response
+// its chunk arrived in, with no per-record copy. Holding a record pins
+// its whole response, up to max_bytes_per_request (4 MiB by default);
+// copy the bytes out to keep them for long.
 #pragma once
 
 #include <atomic>
@@ -26,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -38,13 +45,19 @@
 
 namespace kera {
 
-/// One record handed to the application. Owns its bytes.
+/// One record handed to the application. `value` is a view into the
+/// consume response the record's chunk arrived in, and `response` shares
+/// ownership of that buffer, so the view stays valid for as long as the
+/// record lives, also after its Consumer is gone. Holding a record pins
+/// the whole response (up to max_bytes_per_request, 4 MiB by default):
+/// copy `value` out to keep the bytes for long.
 struct ConsumedRecord {
   StreamletId streamlet = 0;
   GroupId group = 0;
   uint64_t chunk_index = 0;  // group_chunk_index of the containing chunk
   ProducerId producer = 0;
-  std::vector<std::byte> value;
+  std::span<const std::byte> value;  // aliases *response
+  std::shared_ptr<const std::vector<std::byte>> response;
 };
 
 class Consumer {
@@ -58,11 +71,12 @@ class Consumer {
   /// Fetches stream metadata and starts the fetch workers.
   Status Connect();
 
-  /// Returns up to `max_records` records, in order per group.
-  /// Non-blocking: returns what is buffered (possibly nothing). In
-  /// exactly_once mode the count rounds UP to a chunk boundary — the
-  /// committed cursor is chunk-granular, so Poll never leaves a chunk
-  /// half-delivered across a Commit().
+  /// Returns up to `max_records` records, in order per group, as views
+  /// into their fetched chunks (see ConsumedRecord). Non-blocking:
+  /// returns what is buffered (possibly nothing). In exactly_once mode
+  /// the count rounds UP to a chunk boundary — the committed cursor is
+  /// chunk-granular, so Poll never leaves a chunk half-delivered across a
+  /// Commit().
   std::vector<ConsumedRecord> Poll(size_t max_records);
 
   /// Blocking variant: waits until at least one record arrives or the
@@ -165,16 +179,20 @@ class Consumer {
                    const rpc::ConsumeEntryResponse& entry,
                    const std::shared_ptr<const std::vector<std::byte>>& buf,
                    bool* got_data);
-  /// Ingests one fetched chunk on the polling thread (Poll and
-  /// PollBlocking alike): a chunk that fails to parse or verify is
-  /// dropped and counted in checksum_failures; a data chunk's records are
-  /// buffered for Poll (offset-commit system chunks carry cursor
-  /// metadata, not user data, and are skipped). Does NOT move the
-  /// delivered frontier — Commit() persists what Poll handed out, not
-  /// what was prefetched; Poll advances the frontier per completed chunk.
-  void IngestChunk(const FetchedChunk& fetched);
+  /// Poll and PollBlocking: hands out up to `max_records` records from
+  /// the hand-out cursor, opening the next fetched chunk whenever the
+  /// cursor's is exhausted. With `block`, waits for a chunk while none
+  /// has been handed out and the consumer runs.
+  std::vector<ConsumedRecord> HandOut(size_t max_records, bool block);
+  /// Points the hand-out cursor at one fetched chunk, on the polling
+  /// thread: a chunk that fails to parse or verify is dropped and counted
+  /// in checksum_failures, and an offset-commit system chunk (cursor
+  /// metadata, not user data) is skipped; either leaves the cursor
+  /// exhausted. Does NOT move the delivered frontier — Commit() persists
+  /// what Poll handed out, not what was prefetched; HandOut advances the
+  /// frontier as it hands out each chunk's last record.
+  void OpenChunk(FetchedChunk fetched);
   /// Monotonically advances the delivered frontier past `rec`'s chunk.
-  /// Called by Poll when the chunk's last buffered record is handed out.
   void AdvanceDelivered(const ConsumedRecord& rec);
   [[nodiscard]] GroupId FirstOwnedGroupAtOrAfter(GroupId g) const;
   /// Opens owned groups below groups_created into the active set, up to
@@ -198,8 +216,17 @@ class Consumer {
   std::atomic<size_t> active_fetch_workers_{0};
   std::vector<std::thread> fetch_threads_;  // one per leader broker
 
-  // Source-side state: partially consumed chunk queue.
-  std::deque<ConsumedRecord> buffered_;
+  // Source-side state, touched only by the polling thread: the hand-out
+  // cursor over the chunk Poll is reading. `chunk.response` keeps the
+  // chunk's bytes alive until its last record, which takes it over.
+  struct HandOutCursor {
+    FetchedChunk chunk;
+    GroupId group = 0;
+    uint64_t chunk_index = 0;
+    ProducerId producer = 0;
+    ChunkView::RecordIterator next{std::span<const std::byte>{}};
+  };
+  HandOutCursor reading_;
 
   // Exactly-once state. epoch_ is immutable after Connect; the delivered
   // frontier and commit sequence are touched only by the application

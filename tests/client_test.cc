@@ -867,30 +867,94 @@ TEST(ClientRoundTripTest, ConsumerSeesRecordsInOrderPerGroup) {
     ASSERT_TRUE(producer.Send(AsBytes(v)).ok());
   }
   ASSERT_TRUE(producer.Close().ok());
+  // Sealed, so a drained stream ends PollBlocking's wait: a lost last
+  // record fails the count below instead of blocking forever.
+  ASSERT_TRUE(cluster.coordinator().SealStream("s").ok());
 
-  ConsumerConfig cc;
-  cc.stream = "s";
-  Consumer consumer(cc, cluster.network());
-  ASSERT_TRUE(consumer.Connect().ok());
   // Single producer, single streamlet, Q=1: total order must hold within
-  // each group and group ids advance monotonically.
-  long expected = 0;
-  std::pair<GroupId, uint64_t> last_pos{0, 0};
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (expected < kRecords &&
-         std::chrono::steady_clock::now() < deadline) {
-    for (auto& rec : consumer.PollBlocking(128)) {
-      std::string v(reinterpret_cast<const char*>(rec.value.data()),
-                    rec.value.size());
-      ASSERT_EQ(std::stol(v), expected);
-      std::pair<GroupId, uint64_t> pos{rec.group, rec.chunk_index};
-      ASSERT_GE(pos, last_pos);
-      last_pos = pos;
-      ++expected;
+  // each group and group ids advance monotonically. A 512 B chunk holds
+  // dozens of these records, so slices of 1 and 7 stop every Poll inside
+  // a chunk; a record lost or repeated at a slice edge breaks the order.
+  for (size_t slice : {size_t(1), size_t(7), size_t(128)}) {
+    SCOPED_TRACE("PollBlocking(" + std::to_string(slice) + ")");
+    ConsumerConfig cc;
+    cc.stream = "s";
+    Consumer consumer(cc, cluster.network());
+    ASSERT_TRUE(consumer.Connect().ok());
+    long expected = 0;
+    std::pair<GroupId, uint64_t> last_pos{0, 0};
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (expected < kRecords &&
+           std::chrono::steady_clock::now() < deadline) {
+      auto records = consumer.PollBlocking(slice);
+      ASSERT_LE(records.size(), slice);
+      for (auto& rec : records) {
+        std::string v(reinterpret_cast<const char*>(rec.value.data()),
+                      rec.value.size());
+        ASSERT_EQ(std::stol(v), expected);
+        std::pair<GroupId, uint64_t> pos{rec.group, rec.chunk_index};
+        ASSERT_GE(pos, last_pos);
+        last_pos = pos;
+        ++expected;
+      }
     }
+    consumer.Close();
+    EXPECT_EQ(expected, kRecords);
   }
-  consumer.Close();
-  EXPECT_EQ(expected, kRecords);
+}
+
+// A polled record is a view into its consume response and shares
+// ownership of it, so records stay readable after their consumer is
+// closed and destroyed (under ASan a dangling view faults here).
+TEST(ClientRoundTripTest, PolledRecordsOutliveTheirConsumer) {
+  MiniCluster cluster(SocketConfig());
+  MakeStream(cluster, "s", 2, 1);
+  ProducerConfig pc;
+  pc.stream = "s";
+  pc.chunk_size = 1024;
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  constexpr int kRecords = 600;
+  for (int i = 0; i < kRecords; ++i) {
+    std::string v = "outlive-" + std::to_string(i);
+    ASSERT_TRUE(producer.Send(AsBytes(v)).ok());
+  }
+  ASSERT_TRUE(producer.Close().ok());
+  ASSERT_TRUE(cluster.coordinator().SealStream("s").ok());
+
+  std::vector<ConsumedRecord> kept;
+  size_t polls = 0;
+  {
+    ConsumerConfig cc;
+    cc.stream = "s";
+    Consumer consumer(cc, cluster.network());
+    ASSERT_TRUE(consumer.Connect().ok());
+    for (;;) {
+      // Small slices, so the records kept come from many Polls and many
+      // responses, and some Polls stop inside a chunk.
+      auto records = consumer.PollBlocking(37);
+      if (records.empty()) break;  // sealed and drained
+      ++polls;
+      for (auto& rec : records) kept.push_back(std::move(rec));
+    }
+    consumer.Close();
+  }
+  EXPECT_GT(polls, 1u);
+  ASSERT_EQ(kept.size(), size_t(kRecords));
+  std::multiset<std::string> received;
+  for (const auto& rec : kept) {
+    // The view lies inside the response the record holds.
+    ASSERT_NE(rec.response, nullptr);
+    ASSERT_GE(rec.value.data(), rec.response->data());
+    ASSERT_LE(rec.value.data() + rec.value.size(),
+              rec.response->data() + rec.response->size());
+    received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                     rec.value.size());
+  }
+  for (int i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(received.count("outlive-" + std::to_string(i)), 1u) << i;
+  }
 }
 
 }  // namespace

@@ -361,10 +361,12 @@ std::vector<std::byte> Pattern(size_t size, size_t salt) {
 
 std::vector<std::byte> FrameBytes(uint32_t len, uint64_t id,
                                   std::span<const std::byte> payload) {
-  std::vector<std::byte> out(kFrameHeader);
+  std::vector<std::byte> out(kFrameHeader + payload.size());
   std::memcpy(out.data(), &len, 4);
   std::memcpy(out.data() + 4, &id, 8);
-  out.insert(out.end(), payload.begin(), payload.end());
+  if (!payload.empty()) {
+    std::memcpy(out.data() + kFrameHeader, payload.data(), payload.size());
+  }
   return out;
 }
 
