@@ -1,8 +1,8 @@
 // Consumer fetch-engine benchmarks: end-to-end consume throughput, the
 // cost per record handed out and Poll latency against a real MiniCluster,
-// varying the broker count and the record size, on both the Direct
-// (inline) and Socket (loopback TCP) transports; plus the idle-stream RPC
-// rate, where the fetch long-polls at the broker.
+// varying the broker count, the streamlets per broker and the record
+// size, on both the Direct (inline) and Socket (loopback TCP) transports;
+// plus the idle-stream RPC rate, where the fetch long-polls at the broker.
 //
 //   ./bench_consume --benchmark_out=BENCH_consume.json
 //                   --benchmark_out_format=json
@@ -36,12 +36,14 @@ std::unique_ptr<MiniCluster> MakeCluster(bool socket, uint32_t brokers) {
   return std::make_unique<MiniCluster>(cfg);
 }
 
-/// Creates a sealed stream with one streamlet per broker holding
-/// kBytesPerBroker of `record_bytes` records, ready to be consumed.
+/// Creates a sealed stream with `streamlets_per_broker` streamlets per
+/// broker holding kBytesPerBroker of `record_bytes` records per broker,
+/// ready to be consumed.
 rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers,
+                           uint32_t streamlets_per_broker,
                            size_t record_bytes) {
   rpc::StreamOptions opts;
-  opts.num_streamlets = brokers;
+  opts.num_streamlets = brokers * streamlets_per_broker;
   opts.replication_factor = 1;
   auto info = cluster.coordinator().CreateStream("bench", opts);
   if (!info.ok()) std::abort();
@@ -63,27 +65,30 @@ rpc::StreamInfo FillStream(MiniCluster& cluster, uint32_t brokers,
 // Drains the whole sealed stream, timing each Poll call. Reported:
 // consume throughput (bytes/s), wall time per record drained
 // (ns_per_record: with 100 B records it tracks the cost of handing a
-// record out), poll-latency quantiles, and the consume RPC/empty-response
-// counts.
+// record out), poll-latency quantiles, the consume RPC/empty-response
+// counts and the consume RPCs per chunk fetched (rpcs_per_chunk: one
+// request carries every cursor of its broker, so more streamlets per
+// broker fill a request with more chunks).
 void BM_ConsumeThroughput(benchmark::State& state) {
   const bool socket = state.range(0) != 0;
   const uint32_t brokers = uint32_t(state.range(1));
-  const size_t record_bytes = size_t(state.range(2));
+  const uint32_t streamlets_per_broker = uint32_t(state.range(2));
+  const size_t record_bytes = size_t(state.range(3));
   const uint64_t expect_records = brokers * kBytesPerBroker / record_bytes;
   const uint64_t user_bytes = expect_records * record_bytes;
 
   Histogram poll_us;
-  uint64_t requests = 0, empties = 0, records = 0;
+  uint64_t requests = 0, empties = 0, chunks = 0, records = 0;
   double secs = 0;
   for (auto _ : state) {
     auto cluster = MakeCluster(socket, brokers);
-    FillStream(*cluster, brokers, record_bytes);
+    FillStream(*cluster, brokers, streamlets_per_broker, record_bytes);
     ConsumerConfig cc;
     cc.stream = "bench";
-    // Bounded fetches (a prefetch window of many small requests) instead
-    // of one giant transfer per broker: this is the shape the pipeline
-    // exists for, and what gives its four requests in flight something
-    // to overlap.
+    // Bounded fetches (many small requests per broker) instead of one
+    // giant transfer: each request carries at most 4 chunks per cursor
+    // and 64 KiB in all, so the streamlets-per-broker axis shows how many
+    // cursors one request serves.
     cc.max_bytes_per_request = 64 << 10;
     cc.max_chunks_per_entry = 4;
     Consumer consumer(cc, cluster->network());
@@ -109,6 +114,7 @@ void BM_ConsumeThroughput(benchmark::State& state) {
     auto stats = consumer.GetStats();
     requests = stats.requests_sent;
     empties = stats.empty_responses;
+    chunks = stats.chunks_received;
     consumer.Close();
     if (records != expect_records) {
       state.SkipWithError("record count mismatch");
@@ -122,20 +128,22 @@ void BM_ConsumeThroughput(benchmark::State& state) {
   state.counters["poll_p99_us"] = double(poll_us.Quantile(0.99));
   state.counters["consume_rpcs"] = double(requests);
   state.counters["empty_responses"] = double(empties);
+  state.counters["rpcs_per_chunk"] = double(requests) / double(chunks);
   state.counters["records"] = double(records);
 }
 BENCHMARK(BM_ConsumeThroughput)
-    ->ArgsProduct({{0, 1}, {1, 2, 4}, {100, 1024}})
-    ->ArgNames({"socket", "brokers", "record_bytes"})
+    ->ArgsProduct({{0, 1}, {1, 2, 4}, {1, 4}, {100, 1024}})
+    ->ArgNames({"socket", "brokers", "streamlets_per_broker", "record_bytes"})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
 // Tailing a live stream across 4 brokers: a producer emits one
 // timestamped record every 2 ms round-robin over the streamlets while
 // the consumer tails. Reported: end-to-end delivery latency quantiles
-// (produce -> Poll) and the RPC counts. The consumer runs one fetch
-// worker per broker, so an idle broker's parked long-poll never holds
-// up another broker's data.
+// (produce -> Poll), the RPC counts and the records tailed. The consumer
+// runs one fetch worker per broker, so an idle broker's parked long-poll
+// never holds up another broker's data; a worker's fetch parks until its
+// next record, so consume_rpcs stays close to records.
 void BM_TailLatency(benchmark::State& state) {
   const bool socket = state.range(0) != 0;
   constexpr uint32_t kBrokers = 4;
@@ -206,6 +214,7 @@ void BM_TailLatency(benchmark::State& state) {
   state.counters["lat_max_us"] = double(lat_us.max());
   state.counters["consume_rpcs"] = double(requests);
   state.counters["empty_responses"] = double(empties);
+  state.counters["records"] = double(kTailRecords);
 }
 BENCHMARK(BM_TailLatency)
     ->ArgsProduct({{0, 1}})

@@ -6,7 +6,8 @@
 # suites (virtual log windowed replication, concurrent produce handlers),
 # an ASan+UBSan build running the wire/rpc/broker suites (the scatter-gather
 # encode path references external buffers; sanitizers catch lifetime
-# mistakes), and the core micro-benchmark emitting machine-readable JSON.
+# mistakes), and the benchmarks emitting machine-readable JSON, with gates
+# on the producer's per-record cost and the tailing consumer's RPC count.
 #
 # Every stage that runs the socket cluster or a long sweep outside ctest
 # (the producer repeats, the e2ebench selfcheck, the chaos soaks, every
@@ -240,6 +241,18 @@ cmake --build "$build" -j --target bench_consume
 timeout 900 "$build/bench/bench_consume" \
   --benchmark_out="$repo/BENCH_consume.json" \
   --benchmark_out_format=json
+# A tailing consumer keeps one long-poll per broker parked until its next
+# record, so BM_TailLatency's socket run sends about one consume RPC per
+# record; a consumer that sends a wait-0 fetch after each response sends
+# about two, half of them empty.
+python3 - "$repo/BENCH_consume.json" <<'EOF'
+import json, sys
+tail = next(b for b in json.load(open(sys.argv[1]))["benchmarks"]
+            if b["name"].startswith("BM_TailLatency/socket:1/"))
+ratio = tail["consume_rpcs"] / tail["records"]
+print(f"BM_TailLatency/socket:1 consume RPCs per record: {ratio:.2f}")
+sys.exit(0 if ratio <= 1.25 else 1)
+EOF
 
 echo "== backup store benchmark (JSON to BENCH_backup.json) =="
 # Group-commit flush vs one-file-per-segment baseline (fsyncs_per_mb is

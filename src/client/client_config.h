@@ -53,9 +53,8 @@ struct ConsumerConfig {
   uint32_t max_bytes_per_request = 4u << 20;
   /// Byte budget of the prefetch window, per broker: once this many
   /// fetched-but-unpolled bytes are buffered for a broker, its fetch
-  /// pauses and resumes when Poll drains below the budget. The (up to
-  /// four) requests in flight may overshoot it by up to four times
-  /// max_bytes_per_request.
+  /// pauses and resumes when Poll drains below the budget. The one
+  /// request in flight may overshoot it by up to max_bytes_per_request.
   size_t fetch_buffer_bytes = 8u << 20;
   /// Stable consumer identity for durable offset commits; combined with
   /// the top bit into a system producer id (0x80000000 | consumer_id)

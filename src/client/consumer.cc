@@ -1,10 +1,7 @@
 #include "client/consumer.h"
 
-#include <cassert>
 #include <chrono>
-#include <deque>
 #include <future>
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -16,21 +13,20 @@ namespace {
 /// per-request entry counts; discovery opens more as groups drain.
 constexpr size_t kMaxActiveGroups = 8;
 
-/// Consume RPCs a fetch worker keeps in flight to its broker.
-constexpr size_t kFetchPipelineDepth = 4;
-
-/// Slice for waiting on in-flight futures: short enough that Close()
+/// Slice for waiting on the fetch in flight: short enough that Close()
 /// returns promptly even while a long-poll is parked at the broker.
 constexpr auto kFutureSlice = std::chrono::milliseconds(2);
 
-/// Pause before the next fetch round when a broker is unreachable.
-constexpr auto kIdleBackoff = std::chrono::microseconds(200);
-
-/// A fetch after an empty response parks at the broker for up to this
-/// long (Kafka's fetch.max.wait.ms) and returns once any chunk data is
-/// durable; the broker also returns on group rollover, seal or timeout.
+/// Every fetch parks at the broker for up to this long (Kafka's
+/// fetch.max.wait.ms) and returns once any chunk data is durable; the
+/// broker also returns on group rollover, seal or timeout.
 constexpr uint64_t kFetchMaxWaitUs = 50'000;
 constexpr uint32_t kFetchMinBytes = 1;
+
+/// Pause before the next fetch when the broker is unreachable or refuses
+/// the fetch: one long-poll's length, so a broker that answers at once
+/// with a refusal sees no more fetches than one that parks them.
+constexpr auto kRetryBackoff = std::chrono::microseconds(kFetchMaxWaitUs);
 }  // namespace
 
 // ----- FetchBuffer ---------------------------------------------------------
@@ -213,23 +209,21 @@ void Consumer::OpenGroups(StreamletState& state, bool sealed) {
   }
   // End of stream: the stream is sealed, every created group this member
   // owns has been drained, and no further groups will ever appear.
-  state.done = true;
   if (done_streamlets_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
       assigned_.size()) {
     finished_.store(true, std::memory_order_release);
   }
 }
 
-void Consumer::HandleEntry(
+bool Consumer::HandleEntry(
     NodeId broker, StreamletState& state,
     const rpc::ConsumeEntryResponse& entry,
-    const std::shared_ptr<const std::vector<std::byte>>& buf,
-    bool* got_data) {
+    const std::shared_ptr<const std::vector<std::byte>>& buf) {
   if (entry.groups_created > state.groups_created) {
     state.groups_created = entry.groups_created;
   }
   auto it = state.active.find(entry.group);
-  if (it == state.active.end()) return;  // every entry echoes a cursor
+  if (it == state.active.end()) return false;  // every entry echoes a cursor
   for (const auto& chunk_bytes : entry.chunks) {
     FetchedChunk fc;
     fc.streamlet = entry.streamlet;
@@ -239,13 +233,13 @@ void Consumer::HandleEntry(
     ++stats_.chunks_received;
     stats_.bytes_received += fc.bytes.size();
     fetched_.Push(std::move(fc));
-    *got_data = true;
   }
   it->second = entry.next_chunk;
   if (entry.group_closed || (entry.stream_sealed && !entry.group_exists)) {
     state.active.erase(it);
   }
   OpenGroups(state, entry.stream_sealed);
+  return !entry.chunks.empty();
 }
 
 bool Consumer::ProcessResponse(NodeId broker, std::vector<std::byte> raw) {
@@ -260,113 +254,49 @@ bool Consumer::ProcessResponse(NodeId broker, std::vector<std::byte> raw) {
   for (auto& entry : resp->entries) {
     auto sit = states_.find(entry.streamlet);
     if (sit == states_.end()) continue;
-    HandleEntry(broker, sit->second, entry, shared, &got_data);
+    got_data |= HandleEntry(broker, sit->second, entry, shared);
   }
   if (!got_data) ++stats_.empty_responses;
-  return got_data;
+  return true;
 }
 
 void Consumer::BrokerFetchLoop(NodeId broker,
                                const std::vector<StreamletId>& streamlets) {
-  struct InFlight {
-    std::future<Result<std::vector<std::byte>>> future;
-    // Cursors covered, released when the response lands so the next round
-    // can re-issue them (one outstanding request per group keeps per-group
-    // chunk order).
-    std::vector<std::pair<StreamletId, GroupId>> groups;
-  };
-  std::deque<InFlight> inflight;
-  std::set<std::pair<StreamletId, GroupId>> outstanding;
-  bool idle = false;  // last response empty -> collapse to one long-poll
-
   while (running_.load(std::memory_order_acquire)) {
-    // Collect the cursors that are free to fetch right now.
-    size_t done_count = 0;
-    std::vector<rpc::ConsumeEntryRequest> avail;
+    // One request carries every cursor of the broker's streamlets, so a
+    // cursor is never in two requests and a group's chunks arrive in
+    // order. A done streamlet holds no cursor: no entry means all done.
+    rpc::ConsumeRequest req;
+    req.stream = info_.stream;
+    req.max_bytes = config_.max_bytes_per_request;
+    req.max_wait_us = kFetchMaxWaitUs;
+    req.min_bytes = kFetchMinBytes;
     for (StreamletId sl : streamlets) {
-      const StreamletState& state = states_.find(sl)->second;
-      if (state.done) {
-        ++done_count;
-        continue;
-      }
-      for (const auto& [group, cursor] : state.active) {
-        if (outstanding.count({sl, group}) != 0) continue;
-        avail.push_back({sl, group, cursor, config_.max_chunks_per_entry});
+      for (const auto& [group, cursor] : states_.find(sl)->second.active) {
+        req.entries.push_back(
+            {sl, group, cursor, config_.max_chunks_per_entry});
       }
     }
-    if (done_count == streamlets.size() && inflight.empty()) return;
-
-    // Issue: stripe the free cursors over the free pipeline slots. An idle
-    // worker sends a single request that long-polls at the broker (never
-    // more than one parked RPC per broker, so transport workers are not
-    // hoarded); a streaming one fills the pipeline with wait-0 fetches.
-    size_t nreq = 0;
-    if (!avail.empty()) {
-      nreq = idle ? (inflight.empty() ? 1 : 0)
-                  : std::min(kFetchPipelineDepth - inflight.size(),
-                             avail.size());
+    if (req.entries.empty()) return;
+    // Flow control: pause this broker's prefetch until Poll drains.
+    if (!fetched_.WaitBelowBudget(broker, config_.fetch_buffer_bytes)) {
+      return;
     }
-    for (size_t rq = 0; rq < nreq; ++rq) {
-      // Flow control: pause this broker's prefetch until Poll drains.
-      if (!fetched_.WaitBelowBudget(broker, config_.fetch_buffer_bytes)) {
-        return;
-      }
-      rpc::ConsumeRequest req;
-      req.stream = info_.stream;
-      req.max_bytes = config_.max_bytes_per_request;
-      if (idle) {
-        req.max_wait_us = kFetchMaxWaitUs;
-        req.min_bytes = kFetchMinBytes;
-      }
-      InFlight inf;
-      // Contiguous block per request (avail is ordered by streamlet): each
-      // pipelined request covers a run of neighboring streamlets instead
-      // of a stride across all of them. That does not keep it on one shard
-      // of a sharded broker (streamlet % shards): the frame router sends it
-      // to its first entry's shard, where entries of other shards make it
-      // a cross-shard request.
-      const size_t begin = rq * avail.size() / nreq;
-      const size_t end = (rq + 1) * avail.size() / nreq;
-      for (size_t i = begin; i < end; ++i) {
-        req.entries.push_back(avail[i]);
-        const std::pair<StreamletId, GroupId> key{avail[i].streamlet,
-                                                  avail[i].group};
-        outstanding.insert(key);
-        inf.groups.push_back(key);
-      }
-      inf.future = network_.CallAsync(broker, rpc::Frame(req));
-      ++stats_.requests_sent;
-      inflight.push_back(std::move(inf));
+    auto future = network_.CallAsync(broker, rpc::Frame(req));
+    ++stats_.requests_sent;
+    // Wait in short slices so Close() returns promptly even while the
+    // fetch is parked at the broker (the abandoned future just outlives
+    // us via its shared state).
+    while (future.wait_for(kFutureSlice) == std::future_status::timeout) {
+      if (!running_.load(std::memory_order_acquire)) return;
     }
-    // Every streamlet not done holds a cursor, free or in flight, so at
-    // least one request is in flight here.
-    assert(!inflight.empty());
-
-    // Wait for the oldest in-flight response, in short slices so Close()
-    // returns promptly even while a long-poll is parked at the broker
-    // (the abandoned future just outlives us via its shared state).
-    InFlight front = std::move(inflight.front());
-    inflight.pop_front();
-    bool ready = false;
-    for (;;) {
-      auto st = front.future.wait_for(kFutureSlice);
-      if (st != std::future_status::timeout) {  // ready (or deferred)
-        ready = true;
-        break;
-      }
-      if (!running_.load(std::memory_order_acquire)) break;
+    auto raw = future.get();
+    if (!raw.ok() || !ProcessResponse(broker, std::move(*raw))) {
+      // Broker unreachable (or response dropped), or the fetch refused (a
+      // restarted broker that no longer hosts the stream): back off, then
+      // re-send the same cursors.
+      std::this_thread::sleep_for(kRetryBackoff);
     }
-    for (const auto& key : front.groups) outstanding.erase(key);
-    if (!ready) return;
-
-    auto raw = front.future.get();
-    if (!raw.ok()) {
-      // Broker unreachable (or response dropped): back off, then the next
-      // round re-issues the released cursors.
-      std::this_thread::sleep_for(kIdleBackoff);
-      continue;
-    }
-    idle = !ProcessResponse(broker, std::move(*raw));
   }
 }
 

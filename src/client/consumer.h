@@ -1,16 +1,15 @@
-// Consumer client (paper Fig. 7), built as a pipelined fetch engine.
-// One fetch worker per leader broker issues consume RPCs asynchronously,
-// keeping up to four requests in flight by striping the broker's free
-// (streamlet, group) cursors across them, with at most one outstanding
-// request per group, so chunks of a group always arrive in order. Every
-// streamlet not yet done holds at least one cursor: the group it waits
-// for is an ordinary cursor at chunk 0 that the broker reports as not
-// created until it is. Fetched chunks land in a bounded FetchBuffer: a
-// per-broker byte budget (fetch_buffer_bytes) pauses a broker's prefetch
-// when too much data sits unpolled and resumes it when Poll() drains. A
-// worker whose last response was empty sends a single request that
-// long-polls at the broker (up to 50 ms) instead of spinning on empty
-// responses.
+// Consumer client (paper Fig. 7). One fetch worker per leader broker keeps
+// one consume request in flight to it, carrying every (streamlet, group)
+// cursor of that broker's streamlets, so a cursor is in at most one
+// request and the chunks of a group always arrive in order. Every request
+// long-polls: the broker answers at once when any chunk is durable and
+// otherwise parks it for up to 50 ms, so a tailing consumer sends no empty
+// fetches between records. Every streamlet not yet done holds at least one
+// cursor: the group it waits for is an ordinary cursor at chunk 0 that the
+// broker reports as not created until it is. Fetched chunks land in a
+// bounded FetchBuffer: a per-broker byte budget (fetch_buffer_bytes)
+// pauses a broker's prefetch when too much data sits unpolled and resumes
+// it when Poll() drains.
 //
 // Groups are independently consumable units (paper §IV.A): within one
 // streamlet, several groups are read in parallel (Q > 1 appends create
@@ -120,14 +119,14 @@ class Consumer {
 
  private:
   /// Per-streamlet fetch state: the cursors of the groups being read
-  /// (several in parallel; empty only once done) plus the next owned group
-  /// not opened yet. Owned by exactly one fetch worker (streamlet ->
-  /// leader broker is fixed at Connect), so no lock is needed.
+  /// (several in parallel; empty only once the sealed stream is fully
+  /// drained) plus the next owned group not opened yet. Owned by exactly
+  /// one fetch worker (streamlet -> leader broker is fixed at Connect), so
+  /// no lock is needed.
   struct StreamletState {
     std::map<GroupId, uint64_t> active;  // group -> next chunk index
     GroupId next_unstarted = 0;          // next owned group to open
     uint32_t groups_created = 0;         // broker-announced group count
-    bool done = false;                   // sealed stream fully drained
   };
   struct FetchedChunk {
     StreamletId streamlet = 0;
@@ -165,20 +164,22 @@ class Consumer {
     bool shutdown_ = false;
   };
 
-  /// Per-broker fetch worker: stripes the free cursors over up to four
-  /// concurrent CallAsync requests.
+  /// Per-broker fetch worker: sends one long-polling request at a time,
+  /// carrying every cursor of the broker's streamlets, until they are all
+  /// done or the consumer closes.
   void BrokerFetchLoop(NodeId broker,
                        const std::vector<StreamletId>& streamlets);
-  /// Decodes one consume response and applies it; returns true when any
-  /// chunk was delivered (counts an empty response otherwise).
+  /// Decodes one consume response and applies it, counting it in
+  /// empty_responses when it delivered no chunk; returns false when the
+  /// broker refused the fetch (or the response does not decode).
   bool ProcessResponse(NodeId broker, std::vector<std::byte> raw);
   /// Hands the entry's chunks to the FetchBuffer and moves its cursor,
   /// ending the cursor once its group is closed and drained, or once the
-  /// stream is sealed and the group was never created.
-  void HandleEntry(NodeId broker, StreamletState& state,
+  /// stream is sealed and the group was never created. Returns true when
+  /// the entry delivered a chunk.
+  bool HandleEntry(NodeId broker, StreamletState& state,
                    const rpc::ConsumeEntryResponse& entry,
-                   const std::shared_ptr<const std::vector<std::byte>>& buf,
-                   bool* got_data);
+                   const std::shared_ptr<const std::vector<std::byte>>& buf);
   /// Poll and PollBlocking: hands out up to `max_records` records from
   /// the hand-out cursor, opening the next fetched chunk whenever the
   /// cursor's is exhausted. With `block`, waits for a chunk while none

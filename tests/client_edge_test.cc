@@ -4,6 +4,7 @@
 // brokers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <future>
@@ -318,9 +319,9 @@ TEST(ConsumerEdgeTest, FlowControlPausesAndResumesUnderSlowPoller) {
   EXPECT_GT(stats.flow_control_pauses, 0u);
 }
 
-TEST(ConsumerEdgeTest, PipelinedFetchPreservesPerGroupChunkOrder) {
-  // Pipelining with small per-entry fetches: chunks of one group must
-  // still be delivered in order (one outstanding request per group),
+TEST(ConsumerEdgeTest, FetchPreservesPerGroupChunkOrder) {
+  // Small per-entry fetches over several groups: chunks of one group must
+  // still be delivered in order (a cursor is in one request at a time),
   // across group rollovers.
   MiniClusterConfig cfg = SmallConfig();
   cfg.segment_size = 4 << 10;  // groups roll quickly
@@ -419,6 +420,57 @@ TEST(ConsumerEdgeTest, LongPollEliminatesIdleEmptyResponses) {
   consumer.Close();
 }
 
+// A tailing consumer keeps one long-poll parked per broker: each record
+// wakes it with data, and a fetch comes back empty only after waiting out
+// its 50 ms, never as a wait-0 fetch racing ahead of the producer.
+TEST(ConsumerEdgeTest, TailingConsumerSendsNoEmptyFetches) {
+  MiniClusterConfig cfg = SmallConfig();
+  cfg.nodes = 1;
+  MiniCluster cluster(cfg);
+  rpc::StreamOptions opts;
+  opts.num_streamlets = 4;
+  opts.replication_factor = 1;
+  ASSERT_TRUE(cluster.coordinator().CreateStream("s", opts).ok());
+  Watchdog watchdog(std::chrono::seconds(60), "tailing consumer");
+
+  ConsumerConfig cc;
+  cc.stream = "s";
+  Consumer consumer(cc, cluster.network());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(consumer.Connect().ok());
+  ProducerConfig pc;
+  pc.stream = "s";
+  Producer producer(pc, cluster.network());
+  ASSERT_TRUE(producer.Connect().ok());
+  constexpr int kRecords = 200;
+  std::thread feeder([&] {
+    for (int i = 0; i < kRecords; ++i) {
+      EXPECT_TRUE(producer.Send(AsBytes("t" + std::to_string(i))).ok());
+      EXPECT_TRUE(producer.Flush().ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  std::multiset<std::string> received;
+  while (received.size() < kRecords) {
+    for (auto& rec : consumer.PollBlocking(64)) {
+      received.emplace(reinterpret_cast<const char*>(rec.value.data()),
+                       rec.value.size());
+    }
+  }
+  feeder.join();
+  const auto stats = consumer.GetStats();
+  const uint64_t waits = uint64_t((std::chrono::steady_clock::now() - start) /
+                                  std::chrono::milliseconds(50));
+  consumer.Close();
+  EXPECT_TRUE(producer.Close().ok());
+
+  for (int i = 0; i < kRecords; ++i) {
+    EXPECT_EQ(received.count("t" + std::to_string(i)), 1u) << i;
+  }
+  EXPECT_LE(stats.empty_responses, waits + 1);
+  EXPECT_LE(stats.requests_sent, stats.chunks_received + waits + 2);
+}
+
 TEST(ConsumerEdgeTest, CloseUnblocksParkedLongPoll) {
   MiniClusterConfig cfg = SmallConfig();
   cfg.nodes = 1;
@@ -509,8 +561,8 @@ TEST(ConsumerEdgeTest, SharedSealedStreamFinishesEveryMember) {
 }
 
 TEST(ConsumerEdgeTest, CrashMidFetchRetriesCleanlyAndCloseStaysPrompt) {
-  // Kill the leader while the pipelined workers are actively fetching:
-  // in-flight RPCs fail, the workers back off and retry without crashing
+  // Kill the leader while the fetch workers are actively fetching: the
+  // in-flight RPC fails, the workers back off and retry without crashing
   // or duplicating data, and Close() stays prompt. After recovery a fresh
   // consumer (leadership moved) reads everything exactly once.
   MiniClusterConfig cfg = SmallConfig();
@@ -580,6 +632,40 @@ TEST(ConsumerEdgeTest, CrashMidFetchRetriesCleanlyAndCloseStaysPrompt) {
   for (int i = 0; i < kRecords; ++i) {
     EXPECT_EQ(all.count("c" + std::to_string(i)), 1u) << i;
   }
+}
+
+// A broker that restarted no longer hosts the stream and refuses every
+// fetch with kNotFound at once. The consumer still fetches from the
+// leaders it resolved at Connect, so it must back a refused fetch off as
+// it does an unreachable broker instead of re-sending it in a tight loop.
+TEST(ConsumerEdgeTest, RefusedFetchBacksOff) {
+  MiniClusterConfig cfg = SmallConfig();
+  cfg.nodes = 3;
+  MiniCluster cluster(cfg);
+  rpc::StreamOptions opts;
+  opts.num_streamlets = 3;
+  opts.replication_factor = 2;
+  auto info = cluster.coordinator().CreateStream("s", opts);
+  ASSERT_TRUE(info.ok());
+  constexpr NodeId kVictim = 2;
+  ASSERT_EQ(std::count(info->streamlet_brokers.begin(),
+                       info->streamlet_brokers.end(), kVictim),
+            1);
+  Watchdog watchdog(std::chrono::seconds(60), "refused fetch backoff");
+
+  ConsumerConfig cc;
+  cc.stream = "s";
+  Consumer consumer(cc, cluster.network());
+  ASSERT_TRUE(consumer.Connect().ok());
+  cluster.CrashNode(kVictim);
+  ASSERT_TRUE(cluster.coordinator().RecoverNode(kVictim).ok());
+  ASSERT_TRUE(cluster.RestartNode(kVictim).ok());
+  const uint64_t before = cluster.broker(kVictim).GetStats().consume_rpcs;
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const uint64_t refused =
+      cluster.broker(kVictim).GetStats().consume_rpcs - before;
+  consumer.Close();
+  EXPECT_LE(refused, 20u);
 }
 
 TEST(ConsumerEdgeTest, PollOnUnconnectedConsumerIsEmpty) {
